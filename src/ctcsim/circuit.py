@@ -196,34 +196,25 @@ def _resolve_matrix(gate: Gate, dims: tuple[int, ...]) -> np.ndarray:
     return builtin_matrix(gate.name, wire_dims)
 
 
-def _embed(matrix: np.ndarray, wires: tuple[int, ...],
-           dims: tuple[int, ...]) -> np.ndarray:
-    """Embed a gate matrix on `wires` into the full tensor space."""
-    n = len(dims)
-    total = int(np.prod(dims))
-    rest = [i for i in range(n) if i not in wires]
-    order = list(wires) + rest
-    # perm[p] = flat index, in declared wire order, of the p-th basis vector
-    # when factors are reordered as (wires..., rest...)
-    perm = np.transpose(np.arange(total).reshape(dims), axes=order).reshape(-1)
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(matrix, np.eye(rest_dim, dtype=complex))
-    out = np.zeros((total, total), dtype=complex)
-    out[np.ix_(perm, perm)] = big
-    return out
-
-
 def compile_unitary(circuit: Circuit) -> np.ndarray:
     """Full-dimension unitary of the circuit.
 
     The leftmost gate acts first, so it sits rightmost in the matrix product.
-    An empty gate list compiles to the identity.
+    An empty gate list compiles to the identity. The product is held as a
+    tensor with one row axis per wire plus one column axis, and each gate is
+    contracted into its own wire axes only, at cost D^2 * span.
     """
+    dims = circuit.dims
     total = circuit.total_dim
-    u = np.eye(total, dtype=complex)
+    u = np.eye(total, dtype=complex).reshape(dims + (total,))
     for gate in circuit.gates:
-        u = _embed(_resolve_matrix(gate, circuit.dims), gate.wires, circuit.dims) @ u
-    return u
+        k = len(gate.wires)
+        wire_dims = tuple(dims[w] for w in gate.wires)
+        g = _resolve_matrix(gate, dims).reshape(wire_dims + wire_dims)
+        u = np.tensordot(g, u, axes=(list(range(k, 2 * k)), list(gate.wires)))
+        # tensordot leaves the gate's output axes first, the rest in order
+        u = np.moveaxis(u, list(range(k)), list(gate.wires))
+    return u.reshape(total, total)
 
 
 # ---------------------------------------------------------------------------

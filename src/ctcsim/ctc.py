@@ -5,9 +5,16 @@ register,
 
     E(sigma) = Tr_CR( U (rho_cr x sigma) U+ ),
 
-represented here as a matrix acting on column-stacked vectorizations. The
-engine finds a density matrix sigma* with E(sigma*) = sigma* (one always
-exists for a completely positive trace-preserving E) and then produces the
+represented here as a matrix acting on column-stacked vectorizations. With
+u4 = U.reshape(d_cr, d_ctc, d_cr, d_ctc), so u4[a,k,b,i] = <a,k|U|b,i> (CR
+index first), the image of the matrix unit |i><j| is
+
+    E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho_cr[b,c] conj(u4[a,l,c,j]),
+
+computed for all i, j at once by two tensor contractions; the same half
+contraction with rho_cr also gives the output map below. The engine finds a
+density matrix sigma* with E(sigma*) = sigma* (one always exists for a
+completely positive trace-preserving E) and then produces the
 causality-respecting output
 
     rho_out = Tr_CTC( U (rho_cr x sigma*) U+ ).
@@ -25,12 +32,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize
 
 from .circuit import Circuit, compile_unitary
 from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, ValidationReport,
-                   dagger, kron, partial_trace, require_density,
-                   require_unitary, trace_distance, validate)
+                   dagger, require_density, require_unitary, trace_distance,
+                   validate)
 
 
 class SolverError(RuntimeError):
@@ -107,12 +113,26 @@ class FixedPointResult:
     selection: str
 
 
+def _half_conjugation(u: np.ndarray, rho_cr: np.ndarray, cr_dim: int,
+                      ctc_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """u4 = U.reshape(cr, ctc, cr, ctc) and w[a,k,i,c] = sum_b u4[a,k,b,i] rho[b,c].
+
+    w is U (rho_cr x .) with the CTC input index i left open; contracting it
+    with conj(u4) closes the conjugation for every CTC operand at once.
+    """
+    u4 = u.reshape(cr_dim, ctc_dim, cr_dim, ctc_dim)
+    return u4, np.tensordot(u4, rho_cr, axes=([2], [0]))
+
+
 def induced_superoperator(u, rho_cr, cr_dims, ctc_dims,
                           tol: Tolerances = DEFAULT_TOL) -> Superoperator:
     """Matrix of sigma -> Tr_CR(U (rho_cr x sigma) U+).
 
-    Built column by column from matrix-unit inputs: column j*d+i holds the
-    vectorized image of |i><j|.
+    Column j*d+i holds the column-stacked image of |i><j|, so entry
+    (l*d+k, j*d+i) is E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho[b,c]
+    conj(u4[a,l,c,j]) with u4 = U.reshape(cr, d, cr, d). Built as
+    t[k,i,l,j] = sum_ac w[a,k,i,c] conj(u4[a,l,c,j]) from the half
+    conjugation w, then transposed to (l,k,j,i) and flattened.
     """
     cr_dim = int(np.prod(cr_dims))
     dc = int(np.prod(ctc_dims))
@@ -123,26 +143,20 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims,
     rho = require_density(rho_cr, tol, "rho_cr")
     if rho.shape != (cr_dim, cr_dim):
         raise ValidationError(f"rho_cr dimension {rho.shape[0]} != {cr_dim}")
-    m = np.zeros((dc * dc, dc * dc), dtype=complex)
-    for j in range(dc):
-        for i in range(dc):
-            unit = np.zeros((dc, dc), dtype=complex)
-            unit[i, j] = 1.0
-            joint = u @ kron(rho, unit) @ dagger(u)
-            m[:, j * dc + i] = _vec(partial_trace(joint, (cr_dim, dc), keep=[1]))
-    return Superoperator(d_ctc=dc, matrix=m)
+    u4, w = _half_conjugation(u, rho, cr_dim, dc)
+    t = np.tensordot(w, u4.conj(), axes=([0, 3], [0, 2]))
+    return Superoperator(d_ctc=dc,
+                         matrix=t.transpose(2, 0, 3, 1).reshape(dc * dc, dc * dc))
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
-    """Choi matrix sum_ij E(|i><j|) x |i><j|; PSD iff E is completely positive."""
+    """Choi matrix sum_ij E(|i><j|) x |i><j|; PSD iff E is completely positive.
+
+    An index reshuffle of the superoperator matrix: entry (k*d+i, l*d+j) is
+    E(|i><j|)[k,l], which the matrix holds at (l*d+k, j*d+i).
+    """
     d = s.d_ctc
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            choi += kron(_unvec(s.matrix[:, j * d + i]), unit)
-    return choi
+    return s.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def validate_superoperator(s: Superoperator,
@@ -151,12 +165,9 @@ def validate_superoperator(s: Superoperator,
     (Choi PSD within 1e-9) violations."""
     d = s.d_ctc
     violations: list[tuple[str, float]] = []
-    tp_err = 0.0
-    for j in range(d):
-        for i in range(d):
-            tr = _unvec(s.matrix[:, j * d + i]).trace()
-            expected = 1.0 if i == j else 0.0
-            tp_err = max(tp_err, abs(tr - expected))
+    # row l*d+k of column j*d+i is E(|i><j|)[k,l]; TP means its trace is delta_ij
+    traces = s.matrix.reshape(d, d, d * d).trace(axis1=0, axis2=1)
+    tp_err = float(np.abs(traces - _vec(np.eye(d))).max())
     if tp_err > 1e-10:
         violations.append(("trace preserving", float(tp_err)))
     lam_min = float(scipy.linalg.eigvalsh(_hermitize(choi_matrix(s)))[0])
@@ -245,6 +256,9 @@ def _hermitian_fixed_basis(z: np.ndarray, sdim: int) -> list[np.ndarray]:
 
 def _max_entropy_point(basis: list[np.ndarray], start: np.ndarray) -> np.ndarray:
     """Entropy maximization over the unit-trace PSD slice of span(basis)."""
+    # imported here: scipy.optimize costs about 0.2 s and only this path needs it
+    from scipy.optimize import minimize
+
     def sigma_of(c):
         out = np.zeros_like(basis[0])
         for ck, b in zip(c, basis):
@@ -393,10 +407,17 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
 
 def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
     """Ordinary (linear) evolution for a FIXED time-machine state:
-    Tr_CTC(U (rho_cr x sigma) U+)."""
+    Tr_CTC(U (rho_cr x sigma) U+).
+
+    Closes the half conjugation w of induced_superoperator with sigma on
+    its open CTC input, ws[a,k,c,j] = sum_i w[a,k,i,c] sigma[i,j], then
+    traces the CTC output: out[a,e] = sum_kcj ws[a,k,c,j] conj(u4[e,k,c,j]).
+    """
     u = np.asarray(u, dtype=complex)
-    joint = u @ kron(rho_cr, sigma) @ dagger(u)
-    return partial_trace(joint, (cr_dim, ctc_dim), keep=[0])
+    rho = np.asarray(rho_cr, dtype=complex)
+    u4, w = _half_conjugation(u, rho, cr_dim, ctc_dim)
+    ws = np.tensordot(w, np.asarray(sigma, dtype=complex), axes=([2], [0]))
+    return np.tensordot(ws, u4.conj(), axes=([1, 2, 3], [1, 2, 3]))
 
 
 def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical",

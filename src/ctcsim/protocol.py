@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, compile_unitary
-from .ctc import (FixedPointResult, ctc_evolve, fixed_point_exact,
-                  induced_superoperator)
-from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, dagger, kron,
+from .ctc import (FixedPointResult, ctc_evolve, evolve_given_ctc_state,
+                  fixed_point_exact, induced_superoperator)
+from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, kron,
                    mutual_information, partial_trace, require_density,
                    trace_distance, validate)
 
@@ -274,30 +274,6 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
     return _outcome(rho_out, fp, ensemble, target, per_pure, tol)
 
 
-def _kraus_operators(u: np.ndarray, sigma: np.ndarray, cr_dim: int,
-                     ctc_dim: int, floor: float) -> list[np.ndarray]:
-    """Kraus operators of X -> Tr_CTC(U (X (x) sigma) U+) on the CR factor."""
-    u4 = u.reshape(cr_dim, ctc_dim, cr_dim, ctc_dim)
-    weights, vecs = np.linalg.eigh((sigma + dagger(sigma)) / 2)
-    ops = []
-    for j, w in enumerate(weights):
-        if w <= floor:
-            continue
-        v = vecs[:, j]
-        # (I (x) <k|) U (I (x) |v>), scaled by sqrt(w), for every basis <k|
-        block = np.einsum("akbc,c->kab", u4, v)
-        for k in range(ctc_dim):
-            ops.append(np.sqrt(w) * block[k])
-    return ops
-
-
-def _apply_kraus(ops: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in ops:
-        out += k @ rho @ dagger(k)
-    return out
-
-
 def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
                          selection: str = "canonical",
                          tol: Tolerances = DEFAULT_TOL) -> DiscriminationOutcome:
@@ -305,14 +281,16 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
 
     Solves the self-consistency condition for the ensemble's rho_RA once,
     freezes the resulting sigma, and applies the ordinary channel
-    X -> Tr_CTC(U (X (x) sigma) U+) in explicit Kraus form. The output
-    equals run_discrimination's rho_out: with sigma known, no time machine
-    is needed to produce the mixture-level statistics.
+    X -> Tr_CTC(U (X (x) sigma) U+) directly (no Kraus form), through the
+    output map ctc_evolve uses. Each labeled component |x><x| (x) phi_x is
+    evolved on its own and rho_out is their p-weighted sum, which equals
+    run_discrimination's rho_out by linearity: with sigma known, no time
+    machine is needed to produce the mixture-level statistics.
 
-    The per_pure_outputs field here feeds each labeled pure input through
-    the same frozen channel, so their p-weighted average reproduces rho_out
-    exactly; contrast with run_discrimination, where each pure input gets
-    its own fixed point.
+    The per_pure_outputs field holds the A marginals of those component
+    runs, each labeled pure input fed through the same frozen channel;
+    contrast with run_discrimination, where each pure input gets its own
+    fixed point.
     """
     _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
@@ -323,23 +301,19 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     superop = induced_superoperator(u, rho_ra, circuit.cr_dims,
                                     circuit.ctc_dims, tol)
     fp = fixed_point_exact(superop, selection, tol)
-    ops = _kraus_operators(u, fp.sigma, circuit.cr_dim, circuit.ctc_dim,
-                           tol.psd_floor)
-    rho_out = _apply_kraus(ops, rho_ra)
+    rho_out = np.zeros_like(rho_ra)
+    per_pure = []
+    for label, prob, vec in ensemble.by_label():
+        unit = np.zeros((n, n), dtype=complex)
+        unit[label, label] = 1.0
+        joint = evolve_given_ctc_state(u, kron(unit, np.outer(vec, vec.conj())),
+                                       fp.sigma, circuit.cr_dim, circuit.ctc_dim)
+        rho_out += prob * joint
+        per_pure.append((label, partial_trace(joint, (n, d), keep=[1])))
     report = validate(rho_out, "density", tol)
     if not report.ok:
         raise ValidationError(
             f"simulated output failed validation: {report.message()}")
-    per_pure = []
-    for label, _, vec in ensemble.by_label():
-        pure = np.outer(vec, vec.conj())
-        if n > 1:
-            unit = np.zeros((n, n), dtype=complex)
-            unit[label, label] = 1.0
-            joint = _apply_kraus(ops, kron(unit, pure))
-            per_pure.append((label, partial_trace(joint, (n, d), keep=[1])))
-        else:
-            per_pure.append((label, _apply_kraus(ops, pure)))
     return _outcome(rho_out, fp, ensemble, target, tuple(per_pure), tol)
 
 

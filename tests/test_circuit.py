@@ -11,6 +11,7 @@ from ctcsim.circuit import (Circuit, CircuitFormatError, Gate, build_bhw2,
                             pad_with_ancillas, parse_circuit,
                             serialize_circuit)
 from ctcsim.ctc import ctc_evolve
+from ctcsim.oracle import random_unitary
 from ctcsim.qmat import ValidationError, kron, trace_distance, validate
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -128,6 +129,38 @@ def test_compiled_builders_are_unitary():
                 build_bhw_multi([KET0, KET1, PLUS, MINUS])]
     for c in circuits:
         assert validate(compile_unitary(c), "unitary").ok
+
+
+def embed_reference(matrix, wires, dims):
+    """Slow reference: the gate as a dense full-space matrix (kron with the
+    identity on the other wires, scattered through a wire permutation)."""
+    n, total = len(dims), int(np.prod(dims))
+    rest = [i for i in range(n) if i not in wires]
+    perm = np.transpose(np.arange(total).reshape(dims),
+                        axes=list(wires) + rest).reshape(-1)
+    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
+    out = np.zeros((total, total), dtype=complex)
+    out[np.ix_(perm, perm)] = np.kron(matrix, np.eye(rest_dim))
+    return out
+
+
+def test_compile_matches_dense_embedding_on_mixed_dims():
+    dims = (2, 3, 2, 3)
+    rng = np.random.default_rng(31)
+    wire_lists = [(3, 0), (2, 1, 0), (1, 3), (0,), (3, 1, 2, 0), (2, 0)]
+    gates = []
+    for wires in wire_lists:
+        span = int(np.prod([dims[w] for w in wires]))
+        gates.append(Gate("v", wires, random_unitary(span, rng)))
+    gates.append(Gate("swap", (3, 1)))
+    gates.append(Gate("cnot", (2, 0)))
+    c = Circuit(cr_dims=dims[:2], ctc_dims=dims[2:], gates=tuple(gates))
+    want = np.eye(c.total_dim, dtype=complex)
+    for g in c.gates:
+        m = g.matrix if g.matrix is not None else builtin_matrix(
+            g.name, tuple(dims[w] for w in g.wires))
+        want = embed_reference(m, g.wires, dims) @ want
+    assert np.abs(compile_unitary(c) - want).max() < 1e-12
 
 
 # --- unitary completion -----------------------------------------------------

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,15 @@ def test_floats_are_rounded_for_stability(capsys):
         if "e-" in token and ":" in token:
             digits = token.split(":")[1].strip().split("e")[0]
             assert len(digits.replace("-", "").replace(".", "")) <= 12
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is only needed by the max-entropy search; importing it
+    # eagerly roughly doubles the start-up time of every invocation
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import ctcsim.cli, sys; print('scipy.optimize' in sys.modules)"],
+        env=env, cwd=root, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -311,3 +311,54 @@ def test_ctc_evolve_validates_input():
 def test_solver_error_hierarchy():
     assert issubclass(ConvergenceError, SolverError)
     assert issubclass(SolverError, RuntimeError)
+
+
+# --- contraction kernels against the matrix-unit loops ------------------------
+
+def loop_superoperator(u, rho, cr_dim, dc):
+    """Slow reference: one full conjugation and partial trace per matrix unit."""
+    m = np.zeros((dc * dc, dc * dc), dtype=complex)
+    for j in range(dc):
+        for i in range(dc):
+            unit = np.zeros((dc, dc), dtype=complex)
+            unit[i, j] = 1.0
+            joint = u @ kron(rho, unit) @ dagger(u)
+            m[:, j * dc + i] = vec(partial_trace(joint, (cr_dim, dc), keep=[1]))
+    return m
+
+
+def loop_choi(m, d):
+    """Slow reference: sum_ij E(|i><j|) x |i><j| from the columns of m."""
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for i in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            choi += kron(m[:, j * d + i].reshape(d, d, order="F"), unit)
+    return choi
+
+
+@pytest.mark.parametrize("cr_dims, ctc_dims", [
+    ((3,), (2,)), ((2, 3), (3,)), ((2, 2), (2, 2, 2)),
+    ((2, 2, 2, 2), (2, 2, 2, 2))])
+def test_superoperator_and_choi_match_matrix_unit_loops(cr_dims, ctc_dims):
+    cr_dim, dc = int(np.prod(cr_dims)), int(np.prod(ctc_dims))
+    rng = np.random.default_rng([17, cr_dim, dc])
+    u = random_unitary(cr_dim * dc, rng)
+    rho = random_density(cr_dim, rng)
+    s = induced_superoperator(u, rho, cr_dims, ctc_dims)
+    want = loop_superoperator(u, rho, cr_dim, dc)
+    assert np.abs(s.matrix - want).max() < 1e-12
+    assert np.abs(choi_matrix(s) - loop_choi(want, dc)).max() < 1e-12
+
+
+@pytest.mark.parametrize("cr_dim, dc", [(3, 2), (6, 3), (4, 8)])
+def test_evolve_given_ctc_state_matches_dense_conjugation(cr_dim, dc):
+    rng = np.random.default_rng([23, cr_dim, dc])
+    u = random_unitary(cr_dim * dc, rng)
+    rho = random_density(cr_dim, rng)
+    sigma = random_density(dc, rng)
+    expected = partial_trace(u @ kron(rho, sigma) @ dagger(u), (cr_dim, dc),
+                             keep=[0])
+    got = evolve_given_ctc_state(u, rho, sigma, cr_dim, dc)
+    assert np.abs(got - expected).max() < 1e-12

@@ -274,6 +274,23 @@ def test_simulation_matches_on_random_instances():
         assert trace_distance(real.rho_out, sim.rho_out) < 1e-8
 
 
+def test_simulation_matches_three_label_run_on_mixed_dims():
+    rng = np.random.default_rng(47)
+    circuit = Circuit(cr_dims=(3,), ctc_dims=(2,),
+                      gates=(Gate("v", (1, 0), random_unitary(6, rng)),))
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    states = [row / np.linalg.norm(row) for row in g]
+    ens, _ = labeled_ensemble([(0, 0.5, states[0]), (1, 0.3, states[1]),
+                               (2, 0.2, states[2])])
+    real = run_discrimination(circuit, ens)
+    sim = simulate_without_ctc(circuit, ens)
+    assert np.abs(real.rho_out - sim.rho_out).max() < 1e-10
+    # the frozen channel is linear: its per-label outputs mix to A's marginal
+    mixed = sum(p * out for (_, p, _), (_, out)
+                in zip(ens.by_label(), sim.per_pure_outputs))
+    assert np.abs(mixed - partial_trace(sim.rho_out, (3, 3), keep=[1])).max() < 1e-12
+
+
 # --- Helstrom bound ----------------------------------------------------------
 
 def test_helstrom_orthogonal_pair():
