@@ -9,30 +9,21 @@ usable. Contrast with a plain register gate computing a bit flip, which
 works equally well on mixtures because it never touches the loop.
 """
 
-import numpy as np
-
-from ctcsim import (Circuit, ComputationTask, Gate, build_bhw_multi,
-                    run_computation_mixture, trace_distance)
+from ctcsim import (Circuit, ComputationTask, Gate, experiments,
+                    run_computation_mixture)
 
 
 def main():
-    basis = [np.eye(4, dtype=complex)[:, x] for x in range(4)]
-    circuit = build_bhw_multi(basis)
-    task = ComputationTask(domain_size=4, truth_table=(0, 1, 2, 3),
-                           circuit=circuit)
-    outcome = run_computation_mixture(task)
-
+    res = experiments.computation()
     print("identity function on four inputs via the loop")
     print("  per-input runs:")
-    for x, out in outcome.per_pure_outputs:
-        fx = task.truth_table[x]
-        target = np.outer(basis[fx], basis[fx].conj())
-        print(f"    F({x}) -> distance to |{fx}><{fx}| = "
-              f"{trace_distance(out, target):.3e}")
+    for x, d in res["per_input_output_vs_truth"].items():
+        fx = res["truth_table"][int(x)]
+        print(f"    F({x}) -> distance to |{fx}><{fx}| = {d:.3e}")
     print("  uniform mixture of all four inputs:")
     print(f"    question-answer mutual information: "
-          f"{outcome.mutual_info_bits:.3e} bits")
-    print(f"    counts as success: {outcome.success}")
+          f"{res['mutual_info_bits']:.3e} bits")
+    print(f"    counts as success: {res['success']}")
 
     flip = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("x", (0,), None),))
     task2 = ComputationTask(domain_size=2, truth_table=(1, 0), circuit=flip)

@@ -7,29 +7,24 @@ state back to Bob: the pair comes out in the product state I/2 x I/2, with
 every bit of correlation gone.
 """
 
-import numpy as np
-
-from ctcsim import build_epr_swap, ctc_evolve, mutual_information, trace_distance
+from ctcsim import experiments
 
 
 def main():
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rho_in = np.outer(bell, bell.conj())
-    circuit = build_epr_swap()
-
-    rho_out, fp = ctc_evolve(circuit, rho_in)
+    res = experiments.epr()
+    fp = res["fixed_point"]
 
     print("disentangling a shared pair with one swap through the loop")
     print(f"  consistent loop state:   distance to I/2 = "
-          f"{trace_distance(fp.sigma, np.eye(2) / 2):.3e}")
-    print(f"  fixed-point residual:    {fp.residual:.3e} "
-          f"(space dimension {fp.fixed_space_dim})")
+          f"{res['sigma_vs_half_identity']:.3e}")
+    print(f"  fixed-point residual:    {fp['residual']:.3e} "
+          f"(space dimension {fp['fixed_space_dim']})")
     print(f"  output state:            distance to I/4 = "
-          f"{trace_distance(rho_out, np.eye(4) / 4):.3e}")
+          f"{res['output_vs_quarter_identity']:.3e}")
     print(f"  mutual information in:   "
-          f"{mutual_information(rho_in, (2, 2)):.6f} bits")
+          f"{res['input_mutual_info_bits']:.6f} bits")
     print(f"  mutual information out:  "
-          f"{mutual_information(rho_out, (2, 2)):.3e} bits")
+          f"{res['output_mutual_info_bits']:.3e} bits")
 
 
 if __name__ == "__main__":

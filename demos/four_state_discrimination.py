@@ -6,36 +6,22 @@ a four-dimensional register and routes each designated state to its own
 basis flag through the loop's self-consistent response.
 """
 
-import numpy as np
+from ctcsim import experiments
 
-from ctcsim import build_bhw_multi, ctc_evolve, pad_with_ancillas, trace_distance
+LABELS = dict(zip(experiments.FOUR_STATE_NAMES, ("|0>", "|1>", "|+>", "|->")))
 
 
 def main():
-    names = ("|0>", "|1>", "|+>", "|->")
-    states = [np.array([1, 0], dtype=complex),
-              np.array([0, 1], dtype=complex),
-              np.array([1, 1], dtype=complex) / np.sqrt(2),
-              np.array([1, -1], dtype=complex) / np.sqrt(2)]
-    circuit = build_bhw_multi(states)
-    print(f"register dimensions: input {circuit.cr_dim}, "
-          f"loop {circuit.ctc_dim}")
-
-    outputs = []
-    for name, vec in zip(names, states):
-        padded = pad_with_ancillas(vec, circuit.cr_dim)
-        rho_out, fp = ctc_evolve(circuit, np.outer(padded, padded.conj()))
-        outputs.append(rho_out)
-        flag = int(np.argmax(np.diag(rho_out).real))
-        print(f"  {name}  ->  flag |{flag}>   "
-              f"(loop residual {fp.residual:.1e})")
+    res = experiments.bhw4()
+    for name, fp in res["fixed_points"].items():
+        print(f"  {LABELS[name]}  loop residual {fp['residual']:.1e}")
 
     print()
     print("pairwise output distances (1 means perfectly distinguishable):")
-    for i in range(4):
-        row = "   ".join(f"{trace_distance(outputs[i], outputs[j]):.4f}"
-                         for j in range(4))
-        print(f"  {names[i]}   {row}")
+    for pair, d in res["pairwise_output_distances"].items():
+        first, second = pair.split("-")
+        print(f"  {LABELS[first]} vs {LABELS[second]}   {d:.4f}")
+    print(f"smallest pairwise distance: {res['min_pairwise_distance']:.4f}")
 
 
 if __name__ == "__main__":

@@ -11,34 +11,30 @@ the wrong answer; that shortcut is only valid for linear maps.
 
 import numpy as np
 
-from ctcsim import (build_bhw2, ctc_evolve, helstrom_bound, labeled_ensemble,
-                    run_discrimination, trace_distance)
+from ctcsim import experiments, run_discrimination, trace_distance
+
+THETA = 0.6
 
 
 def main():
-    theta = 0.6
-    zero = np.array([1, 0], dtype=complex)
-    psi = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-    circuit = build_bhw2(psi)
-
-    ens, _ = labeled_ensemble([(0, 0.5, zero), (1, 0.5, psi)])
-    outcome = run_discrimination(circuit, ens)
-
+    res = experiments.mixture(theta=THETA, probs=0.5)
     print("uniform labeled mixture of |0> and psi through the discriminator")
     print(f"  label-output mutual information: "
-          f"{outcome.mutual_info_bits:.3e} bits")
+          f"{res['mutual_info_bits']:.3e} bits")
     print(f"  distance from product form:      "
-          f"{outcome.product_distance:.3e}")
-    print(f"  guessing success probability:    {outcome.success_prob:.4f}")
-    print(f"  best linear strategy would get:  {helstrom_bound(ens):.4f}")
-    print(f"  counts as success:               {outcome.success}")
+          f"{res['product_distance']:.3e}")
+    print(f"  guessing success probability:    {res['success_prob']:.4f}")
+    print(f"  best linear strategy would get:  {res['helstrom_bound']:.4f}")
+    print(f"  counts as success:               {res['success']}")
     print("  per-branch runs (each with its own consistent loop state):")
-    for label, out in outcome.per_pure_outputs:
-        flag = int(np.argmax(np.diag(out).real))
-        print(f"    label {label} alone -> flag |{flag}>")
+    for label, d in res["per_pure_vs_targets"].items():
+        print(f"    label {label} alone -> distance to flag |{label}><{label}| "
+              f"= {d:.3e}")
 
     # the naive prediction evolves each labeled branch and averages: it
     # keeps the label-flag correlation that the real run destroys
+    circuit, ens = experiments.labeled_pair(THETA, 0.5)
+    outcome = run_discrimination(circuit, ens)
     naive = np.zeros((4, 4), dtype=complex)
     for label, out in outcome.per_pure_outputs:
         tag = np.zeros((2, 2), dtype=complex)
@@ -47,19 +43,9 @@ def main():
     print(f"  naive branch average vs truth:   "
           f"{trace_distance(naive, outcome.rho_out):.4f}  (joint state)")
 
-    # the same fallacy at the level of unlabeled states: evolving I/2 is
-    # not the average of evolving |0> and |1>
-    out0, _ = ctc_evolve(circuit, np.outer(zero, zero.conj()))
-    one = np.array([0, 1], dtype=complex)
-    out1, _ = ctc_evolve(circuit, np.outer(one, one.conj()))
-    mixed, _ = ctc_evolve(circuit, np.eye(2, dtype=complex) / 2)
-    print(f"  evolve(I/2) vs branch average:   "
-          f"{trace_distance(mixed, (out0 + out1) / 2):.4f}")
-
     # weights enter nonlinearly: swapping 3/4 and 1/4 moves the output
     for p0 in (0.75, 0.25):
-        e, _ = labeled_ensemble([(0, p0, zero), (1, 1 - p0, psi)])
-        o = run_discrimination(circuit, e)
+        o = run_discrimination(*experiments.labeled_pair(THETA, p0))
         diag = np.diag(o.rho_out.reshape(2, 2, 2, 2)
                        .trace(axis1=0, axis2=2)).real
         print(f"  weights {p0:.2f}/{1 - p0:.2f} -> output register diagonal "

@@ -8,43 +8,18 @@ on the mixture it was frozen for, so it cannot beat the linear limits on
 state discrimination.
 """
 
-import numpy as np
-
-from ctcsim import (Circuit, Gate, build_bhw2, labeled_ensemble, random_unitary,
-                    run_discrimination, simulate_without_ctc, trace_distance)
+from ctcsim import experiments
 
 
 def main():
-    theta = 0.6
-    zero = np.array([1, 0], dtype=complex)
-    psi = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-    circuit = build_bhw2(psi)
-    ens, _ = labeled_ensemble([(0, 0.5, zero), (1, 0.5, psi)])
-
-    with_loop = run_discrimination(circuit, ens)
-    without = simulate_without_ctc(circuit, ens)
-    print("two-state discriminator on the uniform labeled mixture")
-    print(f"  output distance loop vs channel: "
-          f"{trace_distance(with_loop.rho_out, without.rho_out):.3e}")
-    print(f"  success with loop:    {with_loop.success_prob:.4f}")
-    print(f"  success with channel: {without.success_prob:.4f}")
-
-    print()
+    res = experiments.sim_equivalence(trials=10, seed=2024)
     print("random interactions, random two-state ensembles:")
-    worst = 0.0
-    for trial in range(10):
-        rng = np.random.default_rng([2024, trial])
-        u = random_unitary(4, rng)
-        c = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("v", (0, 1), u),))
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        s0, s1 = g[0] / np.linalg.norm(g[0]), g[1] / np.linalg.norm(g[1])
-        p0 = float(rng.uniform(0.1, 0.9))
-        e, _ = labeled_ensemble([(0, p0, s0), (1, 1 - p0, s1)])
-        gap = trace_distance(run_discrimination(c, e).rho_out,
-                             simulate_without_ctc(c, e).rho_out)
-        worst = max(worst, gap)
+    for trial, gap in enumerate(res["per_trial_distances"]):
         print(f"  trial {trial}: loop vs channel distance {gap:.3e}")
-    print(f"  worst disagreement over 10 trials: {worst:.3e}")
+    print(f"  worst disagreement over {res['trials']} trials: "
+          f"{res['max_trace_distance']:.3e}")
+    print(f"  largest fixed-point residual: "
+          f"{res['max_fixed_point_residual']:.3e}")
 
 
 if __name__ == "__main__":

@@ -8,26 +8,17 @@ output is flagged |1>. The flags are exactly orthogonal for every angle,
 even as the two inputs become nearly identical.
 """
 
-import numpy as np
+import math
 
-from ctcsim import build_bhw2, ctc_evolve, helstrom_bound, labeled_ensemble, trace_distance
+from ctcsim import experiments
 
 
 def main():
     print("angle   overlap   output distance   best linear success")
     for theta in (1.2, 0.8, 0.4, 0.2, 0.1):
-        zero = np.array([1, 0], dtype=complex)
-        psi = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-        circuit = build_bhw2(psi)
-
-        out0, _ = ctc_evolve(circuit, np.outer(zero, zero.conj()))
-        out1, _ = ctc_evolve(circuit, np.outer(psi, psi.conj()))
-        separation = trace_distance(out0, out1)
-
-        ens, _ = labeled_ensemble([(0, 0.5, zero), (1, 0.5, psi)])
-        linear = helstrom_bound(ens)
-
-        overlap = abs(np.vdot(zero, psi)) ** 2
+        separation = experiments.bhw2(theta=theta)["output_trace_distance"]
+        linear = experiments.mixture(theta=theta)["helstrom_bound"]
+        overlap = math.cos(theta) ** 2
         print(f" {theta:.1f}    {overlap:.4f}        {separation:.6f}"
               f"         {linear:.6f}")
 

@@ -14,6 +14,7 @@ validation error, 3 numerical solver failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -22,21 +23,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import (CircuitFormatError, Circuit, Gate, build_bhw2,
-                      build_bhw_multi, build_epr_swap, compile_unitary,
-                      pad_with_ancillas, parse_circuit)
-from .ctc import (SolverError, ctc_evolve, fixed_point_cesaro,
-                  fixed_point_exact, induced_superoperator)
-from .oracle import fixed_point_bruteforce, random_unitary
-from .protocol import (helstrom_bound, labeled_ensemble, run_computation_mixture,
-                       run_discrimination, run_superposition,
-                       simulate_without_ctc, ComputationTask)
-from .qmat import (DEFAULT_TOL, ValidationError, mutual_information,
-                   trace_distance)
+from .circuit import (CircuitFormatError, _basis, _matrix_to_json,
+                      compile_unitary, parse_circuit)
+from .ctc import (SolverError, fixed_point_cesaro, fixed_point_exact,
+                  induced_superoperator)
+from .experiments import REGISTRY, fixed_point_record
+from .oracle import fixed_point_bruteforce
+from .qmat import ValidationError, trace_distance
 
 SCHEMA_VERSION = 1
-EXPERIMENTS = ("epr", "bhw2", "bhw4", "mixture", "superposition",
-               "sim-equivalence", "identical-mixtures", "computation")
+EXPERIMENTS = tuple(REGISTRY)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,41 +50,19 @@ def _round_floats(obj):
     return obj
 
 
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _fp_record(fp, include_sigma: bool = False) -> dict:
-    rec = {
-        "residual": float(fp.residual),
-        "fixed_space_dim": int(fp.fixed_space_dim),
-        "method": fp.method,
-        "selection": fp.selection,
-    }
-    if include_sigma:
-        rec["sigma"] = _matrix_json(fp.sigma)
-    return rec
-
-
 def _selection(arg: str) -> str:
     return "max_entropy" if arg == "max-entropy" else arg
-
-
-def _basis_vec(k: int, d: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[k] = 1.0
-    return v
 
 
 def _named_input(name: str, dim: int) -> np.ndarray:
     if name == "mixed":
         return np.eye(dim, dtype=complex) / dim
     if name == "zero":
-        vec = _basis_vec(0, dim)
+        vec = _basis(0, dim)
     elif name == "one":
         if dim < 2:
             raise ValidationError("input 'one' needs CR dimension >= 2")
-        vec = _basis_vec(1, dim)
+        vec = _basis(1, dim)
     elif name in ("plus", "minus"):
         if dim != 2:
             raise ValidationError(f"input '{name}' needs CR dimension 2, got {dim}")
@@ -125,295 +99,6 @@ def _input_state(spec: str, dim: int) -> np.ndarray:
     return _named_input(spec, dim)
 
 
-def _bhw_states(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    zero = _basis_vec(0, 2)
-    psi = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    return zero, psi
-
-
-def _plus_minus() -> tuple[np.ndarray, np.ndarray]:
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)
-    return plus, minus
-
-
-def _check_theta(theta: float) -> float:
-    if not 0 < theta < math.pi / 2:
-        raise ValidationError(f"--theta must be in (0, pi/2), got {theta}")
-    return theta
-
-
-def _check_prob(p: float) -> float:
-    if not 0 < p < 1:
-        raise ValidationError(f"--probs must be in (0, 1), got {p}")
-    return p
-
-
-def _outcome_record(outcome) -> dict:
-    rec = {
-        "success": bool(outcome.success),
-        "success_prob": float(outcome.success_prob),
-        "mutual_info_bits": float(outcome.mutual_info_bits),
-        "product_distance": float(outcome.product_distance),
-        "fixed_point": _fp_record(outcome.fixed_point),
-    }
-    return rec
-
-
-# --- experiment implementations -------------------------------------------
-
-def _run_epr(args, seed: int) -> dict:
-    circuit = build_epr_swap()
-    bell = _named_input("bell", 4)
-    rho_out, fp = ctc_evolve(circuit, bell, _selection(args.selection))
-    eye2 = np.eye(2, dtype=complex)
-    return {
-        "fixed_point": _fp_record(fp),
-        "sigma_vs_half_identity": trace_distance(fp.sigma, eye2 / 2),
-        "output_vs_quarter_identity": trace_distance(rho_out, np.eye(4) / 4),
-        "input_mutual_info_bits": mutual_information(bell, (2, 2)),
-        "output_mutual_info_bits": mutual_information(rho_out, (2, 2)),
-    }
-
-
-def _run_bhw2(args, seed: int) -> dict:
-    theta = _check_theta(args.theta)
-    zero, psi = _bhw_states(theta)
-    circuit = build_bhw2(psi)
-    selection = _selection(args.selection)
-    out_zero, fp_zero = ctc_evolve(circuit, np.outer(zero, zero.conj()), selection)
-    out_psi, fp_psi = ctc_evolve(circuit, np.outer(psi, psi.conj()), selection)
-    proj0 = np.diag([1.0, 0.0]).astype(complex)
-    proj1 = np.diag([0.0, 1.0]).astype(complex)
-    return {
-        "theta": theta,
-        "output_trace_distance": trace_distance(out_zero, out_psi),
-        "output_zero_vs_proj0": trace_distance(out_zero, proj0),
-        "output_psi_vs_proj1": trace_distance(out_psi, proj1),
-        "fixed_point_zero": dict(_fp_record(fp_zero),
-                                 vs_proj0=trace_distance(fp_zero.sigma, proj0)),
-        "fixed_point_psi": dict(_fp_record(fp_psi),
-                                vs_proj1=trace_distance(fp_psi.sigma, proj1)),
-    }
-
-
-def _four_state_circuit() -> tuple[Circuit, list[np.ndarray]]:
-    zero, one = _basis_vec(0, 2), _basis_vec(1, 2)
-    plus, minus = _plus_minus()
-    states = [zero, one, plus, minus]
-    return build_bhw_multi(states), states
-
-
-def _run_bhw4(args, seed: int) -> dict:
-    circuit, states = _four_state_circuit()
-    selection = _selection(args.selection)
-    outputs, records = [], []
-    for vec in states:
-        padded = pad_with_ancillas(vec, circuit.cr_dim)
-        rho_out, fp = ctc_evolve(circuit, np.outer(padded, padded.conj()),
-                                 selection)
-        outputs.append(rho_out)
-        records.append(_fp_record(fp))
-    names = ("zero", "one", "plus", "minus")
-    pairwise = {}
-    min_pair = math.inf
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = trace_distance(outputs[i], outputs[j])
-            pairwise[f"{names[i]}-{names[j]}"] = d
-            min_pair = min(min_pair, d)
-    return {
-        "pairwise_output_distances": pairwise,
-        "min_pairwise_distance": min_pair,
-        "fixed_points": dict(zip(names, records)),
-    }
-
-
-def _mixture_point(theta: float, p0: float, selection: str) -> dict:
-    zero, psi = _bhw_states(theta)
-    circuit = build_bhw2(psi)
-    ensemble, _ = labeled_ensemble([(0, p0, zero), (1, 1.0 - p0, psi)])
-    outcome = run_discrimination(circuit, ensemble, selection)
-    proj0 = np.diag([1.0, 0.0]).astype(complex)
-    proj1 = np.diag([0.0, 1.0]).astype(complex)
-    per_pure = dict(outcome.per_pure_outputs)
-    rec = _outcome_record(outcome)
-    rec.update({
-        "theta": theta,
-        "p0": p0,
-        "helstrom_bound": helstrom_bound(ensemble),
-        "per_pure_vs_targets": {
-            "0": trace_distance(per_pure[0], proj0),
-            "1": trace_distance(per_pure[1], proj1),
-        },
-    })
-    return rec
-
-
-def _run_mixture(args, seed: int) -> dict:
-    selection = _selection(args.selection)
-    p0 = _check_prob(args.probs)
-    if args.sweep is None:
-        return _mixture_point(_check_theta(args.theta), p0, selection)
-    grid = _parse_sweep(args.sweep)
-    rows = []
-    for theta in grid:
-        point = _mixture_point(theta, p0, selection)
-        rows.append({
-            "theta": theta,
-            "mutual_info": point["mutual_info_bits"],
-            "product_distance": point["product_distance"],
-            "helstrom": point["helstrom_bound"],
-        })
-    results = {
-        "p0": p0,
-        "sweep": rows,
-        "max_mutual_info": max(r["mutual_info"] for r in rows),
-        "max_product_distance": max(r["product_distance"] for r in rows),
-    }
-    if args.csv is not None:
-        _write_csv(args.csv, rows)
-    return results
-
-
-def _parse_sweep(spec: str) -> list[float]:
-    try:
-        name, rng = spec.split("=", 1)
-        start, stop, step = (float(x) for x in rng.split(":"))
-    except ValueError as exc:
-        raise ValidationError(
-            f"--sweep must look like theta=START:STOP:STEP, got '{spec}'"
-        ) from exc
-    if name != "theta":
-        raise ValidationError(f"only 'theta' can be swept, got '{name}'")
-    if step <= 0 or stop < start:
-        raise ValidationError(f"bad sweep range '{rng}'")
-    grid = []
-    k = 0
-    while (value := start + k * step) <= stop + 1e-12:
-        grid.append(_check_theta(value))
-        k += 1
-    return grid
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    lines = ["theta,mutual_info,product_distance,helstrom"]
-    for r in rows:
-        lines.append(",".join(f"{r[c]:.12g}" for c in
-                              ("theta", "mutual_info", "product_distance",
-                               "helstrom")))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _run_superposition(args, seed: int) -> dict:
-    theta = _check_theta(args.theta)
-    p0 = _check_prob(args.probs)
-    zero, psi = _bhw_states(theta)
-    circuit = build_bhw2(psi)
-    ensemble, _ = labeled_ensemble([(0, p0, zero), (1, 1.0 - p0, psi)])
-    outcome = run_superposition(circuit, ensemble, _selection(args.selection))
-    rec = _outcome_record(outcome)
-    rec.update({"theta": theta, "p0": p0,
-                "helstrom_bound": helstrom_bound(ensemble)})
-    return rec
-
-
-def _random_instance(seed: int, trial: int):
-    """Seeded random (circuit, ensemble) pair: one CR qubit, one CTC qubit,
-    one Haar-random two-qubit interaction, two random pure states."""
-    rng = np.random.default_rng([seed, trial])
-    u = random_unitary(4, rng)
-    circuit = Circuit(cr_dims=(2,), ctc_dims=(2,),
-                      gates=(Gate("v", (0, 1), u),))
-    states = []
-    for _ in range(2):
-        vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        states.append(vec / np.linalg.norm(vec))
-    p0 = float(rng.uniform(0.1, 0.9))
-    ensemble, _ = labeled_ensemble([(0, p0, states[0]), (1, 1.0 - p0, states[1])])
-    return circuit, ensemble
-
-
-def _run_sim_equivalence(args, seed: int) -> dict:
-    if args.trials < 1:
-        raise ValidationError("--trials must be >= 1")
-    selection = _selection(args.selection)
-    distances, residual_max = [], 0.0
-    for trial in range(args.trials):
-        circuit, ensemble = _random_instance(seed, trial)
-        with_ctc = run_discrimination(circuit, ensemble, selection)
-        without = simulate_without_ctc(circuit, ensemble, selection)
-        distances.append(trace_distance(with_ctc.rho_out, without.rho_out))
-        residual_max = max(residual_max, with_ctc.fixed_point.residual,
-                           without.fixed_point.residual)
-    return {
-        "trials": args.trials,
-        "max_trace_distance": max(distances),
-        "per_trial_distances": distances,
-        "max_fixed_point_residual": residual_max,
-    }
-
-
-def _run_identical_mixtures(args, seed: int) -> dict:
-    circuit, _ = _four_state_circuit()
-    zero, one = _basis_vec(0, 2), _basis_vec(1, 2)
-    plus, minus = _plus_minus()
-    results = {}
-    # recorded under both selection rules; equality is asserted per rule,
-    # not across rules
-    for selection in ("canonical", "max_entropy"):
-        ens_01, _ = labeled_ensemble([(0, 0.5, _pad4(zero)),
-                                      (1, 0.5, _pad4(one))])
-        ens_pm, _ = labeled_ensemble([(0, 0.5, _pad4(plus)),
-                                      (1, 0.5, _pad4(minus))])
-        out_01 = run_discrimination(circuit, ens_01, selection)
-        out_pm = run_discrimination(circuit, ens_pm, selection)
-        results[selection] = {
-            "output_trace_distance": trace_distance(out_01.rho_out,
-                                                    out_pm.rho_out),
-            "fixed_point_basis": _fp_record(out_01.fixed_point),
-            "fixed_point_conjugate": _fp_record(out_pm.fixed_point),
-        }
-    return results
-
-
-def _pad4(vec: np.ndarray) -> np.ndarray:
-    return pad_with_ancillas(vec, 4)
-
-
-def _run_computation(args, seed: int) -> dict:
-    basis = [_basis_vec(x, 4) for x in range(4)]
-    circuit = build_bhw_multi(basis)
-    task = ComputationTask(domain_size=4, truth_table=(0, 1, 2, 3),
-                           circuit=circuit)
-    outcome = run_computation_mixture(task, _selection(args.selection))
-    per_input = {}
-    for label, rho_a in outcome.per_pure_outputs:
-        fx = task.truth_table[label]
-        target = np.outer(basis[fx], basis[fx].conj())
-        per_input[str(label)] = trace_distance(rho_a, target)
-    rec = _outcome_record(outcome)
-    rec.update({
-        "domain_size": task.domain_size,
-        "truth_table": list(task.truth_table),
-        "per_input_output_vs_truth": per_input,
-    })
-    return rec
-
-
-_RUNNERS = {
-    "epr": _run_epr,
-    "bhw2": _run_bhw2,
-    "bhw4": _run_bhw4,
-    "mixture": _run_mixture,
-    "superposition": _run_superposition,
-    "sim-equivalence": _run_sim_equivalence,
-    "identical-mixtures": _run_identical_mixtures,
-    "computation": _run_computation,
-}
-
-
 # --- subcommand drivers ----------------------------------------------------
 
 def _cmd_fixed_point(args, seed: int) -> dict:
@@ -425,7 +110,8 @@ def _cmd_fixed_point(args, seed: int) -> dict:
     u = compile_unitary(circuit)
     superop = induced_superoperator(u, rho, circuit.cr_dims, circuit.ctc_dims)
     fp = fixed_point_exact(superop, selection)
-    results = {"fixed_point": _fp_record(fp, include_sigma=True)}
+    results = {"fixed_point": dict(fixed_point_record(fp),
+                                   sigma=_matrix_to_json(fp.sigma))}
     if args.verify:
         oracle = fixed_point_bruteforce(circuit, rho, trials=8, seed=seed)
         to_exact = [trace_distance(lim, fp.sigma)
@@ -445,6 +131,36 @@ def _cmd_fixed_point(args, seed: int) -> dict:
             },
         }
     return results
+
+
+def _cmd_experiment(args, seed: int) -> tuple[dict, dict]:
+    """Run the registered experiment with the arguments its function takes;
+    return its results and the parameters the report echoes."""
+    if args.sweep is not None and args.name != "mixture":
+        raise ValidationError("--sweep only applies to 'mixture'")
+    if args.csv is not None and args.sweep is None:
+        raise ValidationError("--csv requires --sweep")
+    run, echoes = REGISTRY[args.name]
+    values = {"theta": args.theta, "probs": args.probs,
+              "selection": _selection(args.selection), "trials": args.trials,
+              "seed": seed, "sweep": args.sweep}
+    takes = inspect.signature(run).parameters
+    results = run(**{k: v for k, v in values.items() if k in takes})
+    if args.csv is not None:
+        _write_csv(args.csv, results["sweep"])
+    parameters = {k: getattr(args, k) for k in echoes
+                  if getattr(args, k) is not None}
+    return results, parameters
+
+
+def _write_csv(path: str, rows: list[dict]) -> None:
+    lines = ["theta,mutual_info,product_distance,helstrom"]
+    for r in rows:
+        lines.append(",".join(f"{r[c]:.12g}" for c in
+                              ("theta", "mutual_info", "product_distance",
+                               "helstrom")))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _emit(report: dict, out_path) -> None:
@@ -511,32 +227,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "fixed-point":
             results = _cmd_fixed_point(args, seed)
-            parameters = {"circuit_file": args.circuit_file,
-                          "input": args.input, "selection": args.selection,
-                          "verify": bool(args.verify)}
-            report = {"schema_version": SCHEMA_VERSION,
-                      "tool_version": __version__, "command": "fixed-point",
-                      "parameters": parameters, "seed": seed,
-                      "results": results}
+            report = {"parameters": {"circuit_file": args.circuit_file,
+                                     "input": args.input,
+                                     "selection": args.selection,
+                                     "verify": bool(args.verify)}}
         else:
-            if args.sweep is not None and args.name != "mixture":
-                raise ValidationError("--sweep only applies to 'mixture'")
-            if args.csv is not None and args.sweep is None:
-                raise ValidationError("--csv requires --sweep")
-            results = _RUNNERS[args.name](args, seed)
-            parameters = {"selection": args.selection}
-            if args.name in ("bhw2", "mixture", "superposition"):
-                parameters["theta"] = args.theta
-            if args.name in ("mixture", "superposition"):
-                parameters["probs"] = args.probs
-            if args.name == "sim-equivalence":
-                parameters["trials"] = args.trials
-            if args.sweep is not None:
-                parameters["sweep"] = args.sweep
-            report = {"schema_version": SCHEMA_VERSION,
-                      "tool_version": __version__, "command": "experiment",
-                      "experiment": args.name, "parameters": parameters,
-                      "seed": seed, "results": results}
+            results, parameters = _cmd_experiment(args, seed)
+            report = {"experiment": args.name, "parameters": parameters}
+        report.update(schema_version=SCHEMA_VERSION, tool_version=__version__,
+                      command=args.command, seed=seed, results=results)
         _emit(report, args.out)
     except (ValidationError, CircuitFormatError, OSError,
             json.JSONDecodeError) as exc:

@@ -426,16 +426,13 @@ def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical",
 
     Composes the induced superoperator, the fixed-point solve, and the final
     partial trace. Returns the evolved CR state together with the fixed-point
-    record.
+    record. rho_cr is validated once, by induced_superoperator.
     """
-    rho = require_density(rho_cr, tol, "rho_cr")
-    if rho.shape != (circuit.cr_dim, circuit.cr_dim):
-        raise ValidationError(
-            f"rho_cr dimension {rho.shape[0]} != CR dimension {circuit.cr_dim}")
     u = compile_unitary(circuit)
-    superop = induced_superoperator(u, rho, circuit.cr_dims, circuit.ctc_dims, tol)
+    superop = induced_superoperator(u, rho_cr, circuit.cr_dims, circuit.ctc_dims,
+                                    tol)
     fp = fixed_point_exact(superop, selection, tol)
-    rho_out = evolve_given_ctc_state(u, rho, fp.sigma, circuit.cr_dim,
+    rho_out = evolve_given_ctc_state(u, rho_cr, fp.sigma, circuit.cr_dim,
                                      circuit.ctc_dim)
     report = validate(rho_out, "density", tol)
     if not report.ok:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, compile_unitary
+from .circuit import Circuit, Gate, _basis, compile_unitary
 from .ctc import (FixedPointResult, ctc_evolve, evolve_given_ctc_state,
                   fixed_point_exact, induced_superoperator)
 from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, kron,
@@ -156,7 +156,11 @@ class DiscriminationOutcome:
 
 
 def _extended_circuit(v_circuit: Circuit, n: int) -> Circuit:
-    """Prepend a dimension-n R wire that no gate touches (n >= 2)."""
+    """Prepend a dimension-n R wire that no gate touches; n = 1 returns the
+    circuit as-is (a one-dimensional R factor is implicit, never a declared
+    wire)."""
+    if n == 1:
+        return v_circuit
     gates = tuple(Gate(g.name, tuple(w + 1 for w in g.wires), g.matrix)
                   for g in v_circuit.gates)
     labels = None
@@ -185,17 +189,6 @@ def _success_target(ensemble: LabeledEnsemble) -> np.ndarray:
     return target
 
 
-def _per_pure_outputs(v_circuit: Circuit, ensemble: LabeledEnsemble,
-                      selection: str, tol: Tolerances
-                      ) -> tuple[tuple[int, np.ndarray], ...]:
-    outputs = []
-    for label, _, vec in ensemble.by_label():
-        rho_a, _ = ctc_evolve(v_circuit, np.outer(vec, vec.conj()),
-                              selection, tol)
-        outputs.append((label, rho_a))
-    return tuple(outputs)
-
-
 def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
              ensemble: LabeledEnsemble, target: np.ndarray,
              per_pure: tuple[tuple[int, np.ndarray], ...],
@@ -215,12 +208,19 @@ def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
         fixed_point=fp)
 
 
-def _evolve_joint(v_circuit: Circuit, n: int, rho_in: np.ndarray,
-                  selection: str, tol: Tolerances):
-    """Deutsch evolution of a joint R (x) A input; n = 1 runs the circuit
-    as-is (a one-dimensional R factor is implicit, never a declared wire)."""
-    circuit = v_circuit if n == 1 else _extended_circuit(v_circuit, n)
-    return ctc_evolve(circuit, rho_in, selection, tol)
+def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
+               rho_in: np.ndarray, target: np.ndarray, selection: str,
+               tol: Tolerances) -> DiscriminationOutcome:
+    """The protocol body: Deutsch evolution of the joint R (x) A input, the
+    per-pure-input runs, and the outcome against the target."""
+    _check_scope(v_circuit, ensemble)
+    rho_out, fp = ctc_evolve(_extended_circuit(v_circuit, ensemble.n), rho_in,
+                             selection, tol)
+    per_pure = []
+    for label, _, vec in ensemble.by_label():
+        rho_a, _ = ctc_evolve(v_circuit, np.outer(vec, vec.conj()), selection, tol)
+        per_pure.append((label, rho_a))
+    return _outcome(rho_out, fp, ensemble, target, tuple(per_pure), tol)
 
 
 def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -245,12 +245,8 @@ def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
             basis state per label (the success target would be undefined).
         SolverError: fixed-point solve failed.
     """
-    _check_scope(v_circuit, ensemble)
-    target = _success_target(ensemble)
-    rho_ra = _ensemble_state(ensemble)
-    rho_out, fp = _evolve_joint(v_circuit, ensemble.n, rho_ra, selection, tol)
-    per_pure = _per_pure_outputs(v_circuit, ensemble, selection, tol)
-    return _outcome(rho_out, fp, ensemble, target, per_pure, tol)
+    return _run_joint(v_circuit, ensemble, _ensemble_state(ensemble),
+                      _success_target(ensemble), selection, tol)
 
 
 def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -262,16 +258,13 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
     pure state sum_x sqrt(p_x) |x>_R |phi_x>_A instead of the mixture. With
     a single label this reduces to the plain pure-input run.
     """
-    _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
     n, d = ensemble.n, ensemble.a_dim
     gamma = np.zeros(n * d, dtype=complex)
     for label, prob, vec in ensemble.entries:
         gamma[label * d:(label + 1) * d] += np.sqrt(prob) * vec
-    rho_in = np.outer(gamma, gamma.conj())
-    rho_out, fp = _evolve_joint(v_circuit, n, rho_in, selection, tol)
-    per_pure = _per_pure_outputs(v_circuit, ensemble, selection, tol)
-    return _outcome(rho_out, fp, ensemble, target, per_pure, tol)
+    return _run_joint(v_circuit, ensemble, np.outer(gamma, gamma.conj()),
+                      target, selection, tol)
 
 
 def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -295,7 +288,7 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
     n, d = ensemble.n, ensemble.a_dim
-    circuit = v_circuit if n == 1 else _extended_circuit(v_circuit, n)
+    circuit = _extended_circuit(v_circuit, n)
     rho_ra = _ensemble_state(ensemble)
     u = compile_unitary(circuit)
     superop = induced_superoperator(u, rho_ra, circuit.cr_dims,
@@ -390,15 +383,9 @@ def run_computation_mixture(task: ComputationTask,
     """
     d = task.circuit.cr_dim
     x_count = task.domain_size
-    entries = []
-    for x in range(x_count):
-        vec = np.zeros(d, dtype=complex)
-        vec[x] = 1.0
-        entries.append((x, 1.0 / x_count, vec))
-    ensemble, rho_ra = labeled_ensemble(entries, tol)
+    ensemble, rho_ra = labeled_ensemble(
+        [(x, 1.0 / x_count, _basis(x, d)) for x in range(x_count)], tol)
     target = np.zeros((x_count * d, x_count * d), dtype=complex)
     for x, fx in enumerate(task.truth_table):
         target[x * d + fx, x * d + fx] = 1.0 / x_count
-    rho_out, fp = _evolve_joint(task.circuit, x_count, rho_ra, selection, tol)
-    per_pure = _per_pure_outputs(task.circuit, ensemble, selection, tol)
-    return _outcome(rho_out, fp, ensemble, target, per_pure, tol)
+    return _run_joint(task.circuit, ensemble, rho_ra, target, selection, tol)
