@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, dagger, kron,
-                   require_unitary, validate)
+from .qmat import ValidationError, dagger, kron, require_unitary, validate
 
 BUILTIN_GATES = ("swap", "h", "x", "cnot")
 
@@ -97,7 +96,7 @@ class Gate:
         return self.matrix is None or np.array_equal(self.matrix, other.matrix)
 
 
-def _check_gate(gate: Gate, dims: tuple[int, ...], tol: Tolerances) -> None:
+def _check_gate(gate: Gate, dims: tuple[int, ...]) -> None:
     """Semantic gate checks against the declared wire dimensions."""
     n = len(dims)
     if len(set(gate.wires)) != len(gate.wires):
@@ -123,7 +122,7 @@ def _check_gate(gate: Gate, dims: tuple[int, ...], tol: Tolerances) -> None:
             f"dimensions {wire_dims} (expected {(span, span)})")
     if not np.isfinite(m).all():
         raise ValidationError(f"gate {gate.name!r} matrix has non-finite entries")
-    report = validate(m, "unitary", tol)
+    report = validate(m, "unitary")
     if not report.ok:
         raise ValidationError(f"gate {gate.name!r} matrix not unitary "
                               f"(deviation {report.violations[0][1]:.3e})")
@@ -158,7 +157,7 @@ class Circuit:
             raise ValidationError(
                 f"labels count {len(self.labels)} != wire count {self.n_wires}")
         for g in self.gates:
-            _check_gate(g, self.dims, DEFAULT_TOL)
+            _check_gate(g, self.dims)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -552,7 +551,7 @@ def parse_circuit(doc) -> Circuit:
             matrix = _parse_matrix(raw["matrix"], f"{gpath}.matrix")
         gate = Gate(raw["name"], tuple(raw["wires"]), matrix)
         try:
-            _check_gate(gate, dims, DEFAULT_TOL)
+            _check_gate(gate, dims)
         except ValidationError as exc:
             raise CircuitFormatError(str(exc), gpath) from exc
         if gate.name in BUILTIN_GATES and gate.matrix is not None:

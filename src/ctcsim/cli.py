@@ -23,10 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import (CircuitFormatError, _basis, _matrix_to_json,
-                      compile_unitary, parse_circuit)
-from .ctc import (SolverError, fixed_point_cesaro, fixed_point_exact,
-                  induced_superoperator)
+from .circuit import CircuitFormatError, _basis, _matrix_to_json, parse_circuit
+from .ctc import SolverError, fixed_point_cesaro, solve_loop
 from .experiments import REGISTRY, fixed_point_record
 from .oracle import fixed_point_bruteforce
 from .qmat import ValidationError, trace_distance
@@ -106,10 +104,7 @@ def _cmd_fixed_point(args, seed: int) -> dict:
         doc = json.load(fh)
     circuit = parse_circuit(doc)
     rho = _input_state(args.input, circuit.cr_dim)
-    selection = _selection(args.selection)
-    u = compile_unitary(circuit)
-    superop = induced_superoperator(u, rho, circuit.cr_dims, circuit.ctc_dims)
-    fp = fixed_point_exact(superop, selection)
+    _, superop, fp = solve_loop(circuit, rho, _selection(args.selection))
     results = {"fixed_point": dict(fixed_point_record(fp),
                                    sigma=_matrix_to_json(fp.sigma))}
     if args.verify:

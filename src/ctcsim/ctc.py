@@ -28,15 +28,14 @@ over the fixed space). Both are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .circuit import Circuit, compile_unitary
-from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, ValidationReport,
-                   dagger, require_density, require_unitary, trace_distance,
-                   validate)
+from .qmat import (DEFAULT_TOL, ValidationError, ValidationReport, dagger,
+                   require_density, require_unitary, trace_distance, validate)
 
 
 class SolverError(RuntimeError):
@@ -124,8 +123,7 @@ def _half_conjugation(u: np.ndarray, rho_cr: np.ndarray, cr_dim: int,
     return u4, np.tensordot(u4, rho_cr, axes=([2], [0]))
 
 
-def induced_superoperator(u, rho_cr, cr_dims, ctc_dims,
-                          tol: Tolerances = DEFAULT_TOL) -> Superoperator:
+def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     """Matrix of sigma -> Tr_CR(U (rho_cr x sigma) U+).
 
     Column j*d+i holds the column-stacked image of |i><j|, so entry
@@ -136,11 +134,11 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims,
     """
     cr_dim = int(np.prod(cr_dims))
     dc = int(np.prod(ctc_dims))
-    u = require_unitary(u, tol, "interaction unitary")
+    u = require_unitary(u, "interaction unitary")
     if u.shape != (cr_dim * dc, cr_dim * dc):
         raise ValidationError(
             f"unitary dimension {u.shape[0]} != cr*ctc = {cr_dim * dc}")
-    rho = require_density(rho_cr, tol, "rho_cr")
+    rho = require_density(rho_cr, "rho_cr")
     if rho.shape != (cr_dim, cr_dim):
         raise ValidationError(f"rho_cr dimension {rho.shape[0]} != {cr_dim}")
     u4, w = _half_conjugation(u, rho, cr_dim, dc)
@@ -159,8 +157,7 @@ def choi_matrix(s: Superoperator) -> np.ndarray:
     return s.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
-def validate_superoperator(s: Superoperator,
-                           tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
+def validate_superoperator(s: Superoperator) -> ValidationReport:
     """Report trace-preservation (within 1e-10) and complete-positivity
     (Choi PSD within 1e-9) violations."""
     d = s.d_ctc
@@ -176,8 +173,9 @@ def validate_superoperator(s: Superoperator,
     return ValidationReport("superoperator", tuple(violations))
 
 
-def _schur_fixed_cluster(m: np.ndarray, window: float):
+def _schur_fixed_cluster(m: np.ndarray):
     """Ordered complex Schur form with the eigenvalue-1 cluster leading."""
+    window = DEFAULT_TOL.eigenvalue_one_window
     t, z, sdim = scipy.linalg.schur(
         m, output="complex", sort=lambda lam: abs(lam - 1.0) <= window)
     return t, z, int(sdim)
@@ -204,11 +202,11 @@ def _spectral_projector(t: np.ndarray, z: np.ndarray, sdim: int) -> np.ndarray:
     return z @ q @ dagger(z)
 
 
-def _psd_clip(sigma: np.ndarray, floor: float) -> np.ndarray:
-    """Apply the repair policy: eigenvalues in [-floor, 0) become 0, anything
-    lower is an error; the result is renormalized to unit trace."""
+def _psd_clip(sigma: np.ndarray) -> np.ndarray:
+    """Apply the repair policy: eigenvalues in [-psd_floor, 0) become 0,
+    anything lower is an error; the result is renormalized to unit trace."""
     lam, vecs = scipy.linalg.eigh(_hermitize(sigma))
-    if lam[0] < -floor:
+    if lam[0] < -DEFAULT_TOL.psd_floor:
         raise SolverError(
             f"fixed-point candidate has eigenvalue {lam[0]:.3e} below the PSD floor",
             residual=None)
@@ -218,13 +216,13 @@ def _psd_clip(sigma: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _certify(sigma: np.ndarray, s: Superoperator, fixed_space_dim: int,
-             method: str, selection: str, tol: Tolerances) -> FixedPointResult:
+             method: str, selection: str, bound: float) -> FixedPointResult:
     residual = trace_distance(s.apply(sigma), sigma)
-    if residual > tol.fixed_point_residual:
+    if residual > bound:
         raise SolverError(
             f"fixed-point residual {residual:.3e} exceeds tolerance "
-            f"{tol.fixed_point_residual:.1e}", residual=residual)
-    report = validate(sigma, "density", tol)
+            f"{bound:.1e}", residual=residual)
+    report = validate(sigma, "density")
     if not report.ok:
         raise SolverError(f"fixed-point candidate is not a density matrix: "
                           f"{report.message()}", residual=residual)
@@ -294,8 +292,8 @@ def _max_entropy_point(basis: list[np.ndarray], start: np.ndarray) -> np.ndarray
     return candidate
 
 
-def fixed_point_exact(s: Superoperator, selection: str = "canonical",
-                      tol: Tolerances = DEFAULT_TOL) -> FixedPointResult:
+def fixed_point_exact(s: Superoperator,
+                      selection: str = "canonical") -> FixedPointResult:
     """Fixed point via the spectral projection onto the eigenvalue-1 subspace.
 
     canonical: image of the maximally mixed state under the projection that
@@ -313,7 +311,7 @@ def fixed_point_exact(s: Superoperator, selection: str = "canonical",
     if selection not in ("canonical", "max_entropy"):
         raise ValidationError(f"unknown selection {selection!r}")
     d = s.d_ctc
-    t, z, sdim = _schur_fixed_cluster(s.matrix, tol.eigenvalue_one_window)
+    t, z, sdim = _schur_fixed_cluster(s.matrix)
     if sdim == 0:
         raise SolverError("no superoperator eigenvalue within the detection "
                           "window of 1; input is not a valid CPTP map")
@@ -324,13 +322,13 @@ def fixed_point_exact(s: Superoperator, selection: str = "canonical",
     if selection == "max_entropy" and sdim > 1:
         basis = _hermitian_fixed_basis(z, sdim)
         sigma = _max_entropy_point(basis, sigma)
-        sigma = _psd_clip(sigma, tol.psd_floor)
-    return _certify(sigma, s, sdim, "exact", selection, tol)
+        sigma = _psd_clip(sigma)
+    return _certify(sigma, s, sdim, "exact", selection,
+                    DEFAULT_TOL.fixed_point_residual)
 
 
 def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
-                       tol: float | None = None,
-                       tolerances: Tolerances = DEFAULT_TOL) -> FixedPointResult:
+                       tol: float | None = None) -> FixedPointResult:
     """Fixed point by the running Cesaro mean of plain map iteration.
 
     Evaluates the mean of E^1(init)..E^N(init) at N = 2, 4, 8, ... by operator
@@ -350,13 +348,13 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
             meeting tol; carries the last residual.
     """
     if tol is None:
-        tol = tolerances.fixed_point_residual
+        tol = DEFAULT_TOL.fixed_point_residual
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     d = s.d_ctc
     if init is None:
         init = np.eye(d, dtype=complex) / d
-    init = require_density(init, tolerances, "init")
+    init = require_density(init, "init")
     m = s.matrix
     dim = m.shape[0]
     v0 = _vec(init)
@@ -370,13 +368,11 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
         sig = _hermitize(raw)
         return sig / sig.trace().real
 
-    cert_tol = replace(tolerances, fixed_point_residual=max(
-        tol, tolerances.fixed_point_residual))
-
     def finish(sigma_raw: np.ndarray) -> FixedPointResult:
-        sigma = _psd_clip(sigma_raw, tolerances.psd_floor)
+        sigma = _psd_clip(sigma_raw)
         dim_est = max(1, int(round((m @ mean_op).trace().real)))
-        return _certify(sigma, s, dim_est, "cesaro", "canonical", cert_tol)
+        return _certify(sigma, s, dim_est, "cesaro", "canonical",
+                        max(tol, DEFAULT_TOL.fixed_point_residual))
 
     prev = evaluate(mean_op)
     last_residual = trace_distance(s.apply(prev), prev)
@@ -420,21 +416,36 @@ def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.nd
     return np.tensordot(ws, u4.conj(), axes=([1, 2, 3], [1, 2, 3]))
 
 
-def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical",
-               tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, FixedPointResult]:
-    """Full nonlinear evolution of a CR input through a circuit.
+def solve_loop(circuit: Circuit, rho_cr, selection: str = "canonical"
+               ) -> tuple[np.ndarray, Superoperator, FixedPointResult]:
+    """Deutsch's consistency step for one whole CR input.
 
-    Composes the induced superoperator, the fixed-point solve, and the final
-    partial trace. Returns the evolved CR state together with the fixed-point
-    record. rho_cr is validated once, by induced_superoperator.
+    Compiles the interaction U, builds the induced map E on the CTC register
+    and solves E(sigma) = sigma with fixed_point_exact. Returns
+    (U, E, fixed point). rho_cr is validated once, by induced_superoperator.
     """
     u = compile_unitary(circuit)
-    superop = induced_superoperator(u, rho_cr, circuit.cr_dims, circuit.ctc_dims,
-                                    tol)
-    fp = fixed_point_exact(superop, selection, tol)
-    rho_out = evolve_given_ctc_state(u, rho_cr, fp.sigma, circuit.cr_dim,
-                                     circuit.ctc_dim)
-    report = validate(rho_out, "density", tol)
+    superop = induced_superoperator(u, rho_cr, circuit.cr_dims, circuit.ctc_dims)
+    return u, superop, fixed_point_exact(superop, selection)
+
+
+def _checked_output(rho_out: np.ndarray) -> np.ndarray:
+    """rho_out, once it passes density validation; a failure there is a
+    numerical breakdown of the solve, so it raises SolverError."""
+    report = validate(rho_out, "density")
     if not report.ok:
         raise SolverError(f"evolved state failed validation: {report.message()}")
-    return rho_out, fp
+    return rho_out
+
+
+def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
+               ) -> tuple[np.ndarray, FixedPointResult]:
+    """Full nonlinear evolution of a CR input through a circuit.
+
+    The consistency step (solve_loop) followed by the final partial trace.
+    Returns the evolved CR state together with the fixed-point record.
+    """
+    u, _, fp = solve_loop(circuit, rho_cr, selection)
+    rho_out = evolve_given_ctc_state(u, rho_cr, fp.sigma, circuit.cr_dim,
+                                     circuit.ctc_dim)
+    return _checked_output(rho_out), fp

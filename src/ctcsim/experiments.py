@@ -19,7 +19,8 @@ from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
 from .ctc import FixedPointResult, ctc_evolve
 from .oracle import random_unitary
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, helstrom_bound, labeled_ensemble,
+                       LabeledEnsemble, _ensemble_state, _extended_circuit,
+                       helstrom_bound, labeled_ensemble,
                        run_computation_mixture, run_discrimination,
                        run_superposition, simulate_without_ctc)
 from .qmat import ValidationError, mutual_information, trace_distance
@@ -233,10 +234,12 @@ def sim_equivalence(*, trials: int = 50, seed: int = 0,
     distances, residual_max = [], 0.0
     for trial in range(trials):
         circuit, ensemble = random_instance(seed, trial)
-        with_ctc = run_discrimination(circuit, ensemble, selection)
+        # the joint evolve of run_discrimination, without its per-pure runs
+        with_ctc, fp = ctc_evolve(_extended_circuit(circuit, ensemble.n),
+                                  _ensemble_state(ensemble), selection)
         without = simulate_without_ctc(circuit, ensemble, selection)
-        distances.append(trace_distance(with_ctc.rho_out, without.rho_out))
-        residual_max = max(residual_max, with_ctc.fixed_point.residual,
+        distances.append(trace_distance(with_ctc, without.rho_out))
+        residual_max = max(residual_max, fp.residual,
                            without.fixed_point.residual)
     return {
         "trials": trials,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, compile_unitary
-from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, dagger, kron,
-                   partial_trace, require_density, trace_distance)
+from .qmat import (ValidationError, dagger, kron, partial_trace,
+                   require_density, trace_distance)
 
 RECORD_RESIDUAL = 1e-7     # a limit counts as converged below this
 STOP_RESIDUAL = 1e-11      # iteration target; see note below
@@ -80,8 +80,7 @@ def _apply_map(u, rho, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
 
 
 def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
-                           iters: int = 10 ** 5, seed=0,
-                           tol: Tolerances = DEFAULT_TOL) -> OracleReport:
+                           iters: int = 10 ** 5, seed=0) -> OracleReport:
     """Search for fixed points by plain map iteration from random starts.
 
     Each trial iterates sigma -> Tr_CR(U (rho_cr x sigma) U+), tracking both
@@ -93,7 +92,7 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    rho = require_density(rho_cr, tol, "rho_cr")
+    rho = require_density(rho_cr, "rho_cr")
     if rho.shape != (circuit.cr_dim, circuit.cr_dim):
         raise ValidationError(
             f"rho_cr dimension {rho.shape[0]} != CR dimension {circuit.cr_dim}")

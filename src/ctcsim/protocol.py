@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _basis, compile_unitary
-from .ctc import (FixedPointResult, ctc_evolve, evolve_given_ctc_state,
-                  fixed_point_exact, induced_superoperator)
-from .qmat import (DEFAULT_TOL, Tolerances, ValidationError, kron,
-                   mutual_information, partial_trace, require_density,
-                   trace_distance, validate)
+from .circuit import Circuit, Gate, _basis
+from .ctc import (FixedPointResult, _checked_output, ctc_evolve,
+                  evolve_given_ctc_state, solve_loop)
+from .qmat import (ValidationError, kron, mutual_information, partial_trace,
+                   trace_distance)
 
 SUCCESS_DISTANCE = 1e-6  # trace-distance bound defining protocol success
 
@@ -62,8 +61,7 @@ class LabeledEnsemble:
         return tuple(sorted(self.entries, key=lambda e: e[0]))
 
 
-def labeled_ensemble(entries, tol: Tolerances = DEFAULT_TOL
-                     ) -> tuple[LabeledEnsemble, np.ndarray]:
+def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
     """Validate referee entries and build the labeled mixture on R (x) A.
 
     Args:
@@ -191,8 +189,8 @@ def _success_target(ensemble: LabeledEnsemble) -> np.ndarray:
 
 def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
              ensemble: LabeledEnsemble, target: np.ndarray,
-             per_pure: tuple[tuple[int, np.ndarray], ...],
-             tol: Tolerances) -> DiscriminationOutcome:
+             per_pure: tuple[tuple[int, np.ndarray], ...]
+             ) -> DiscriminationOutcome:
     n, d = ensemble.n, ensemble.a_dim
     dims = (n, d)
     rho_r = partial_trace(rho_out, dims, keep=[0])
@@ -202,30 +200,29 @@ def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
         rho_out=rho_out,
         success=bool(trace_distance(rho_out, target) <= SUCCESS_DISTANCE),
         success_prob=float(joint_probs.max(axis=0).sum()),
-        mutual_info_bits=mutual_information(rho_out, dims, tol),
+        mutual_info_bits=mutual_information(rho_out, dims),
         product_distance=trace_distance(rho_out, kron(rho_r, rho_a)),
         per_pure_outputs=per_pure,
         fixed_point=fp)
 
 
 def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
-               rho_in: np.ndarray, target: np.ndarray, selection: str,
-               tol: Tolerances) -> DiscriminationOutcome:
+               rho_in: np.ndarray, target: np.ndarray,
+               selection: str) -> DiscriminationOutcome:
     """The protocol body: Deutsch evolution of the joint R (x) A input, the
     per-pure-input runs, and the outcome against the target."""
     _check_scope(v_circuit, ensemble)
     rho_out, fp = ctc_evolve(_extended_circuit(v_circuit, ensemble.n), rho_in,
-                             selection, tol)
+                             selection)
     per_pure = []
     for label, _, vec in ensemble.by_label():
-        rho_a, _ = ctc_evolve(v_circuit, np.outer(vec, vec.conj()), selection, tol)
+        rho_a, _ = ctc_evolve(v_circuit, np.outer(vec, vec.conj()), selection)
         per_pure.append((label, rho_a))
-    return _outcome(rho_out, fp, ensemble, target, tuple(per_pure), tol)
+    return _outcome(rho_out, fp, ensemble, target, tuple(per_pure))
 
 
 def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
-                       selection: str = "canonical",
-                       tol: Tolerances = DEFAULT_TOL) -> DiscriminationOutcome:
+                       selection: str = "canonical") -> DiscriminationOutcome:
     """Run the discrimination protocol on the labeled mixture.
 
     The fixed point is solved for the whole rho_RA: the nonlinear evolution
@@ -246,12 +243,11 @@ def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
         SolverError: fixed-point solve failed.
     """
     return _run_joint(v_circuit, ensemble, _ensemble_state(ensemble),
-                      _success_target(ensemble), selection, tol)
+                      _success_target(ensemble), selection)
 
 
 def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
-                      selection: str = "canonical",
-                      tol: Tolerances = DEFAULT_TOL) -> DiscriminationOutcome:
+                      selection: str = "canonical") -> DiscriminationOutcome:
     """Run the protocol on the coherent superposition of labeled inputs.
 
     Identical pipeline to run_discrimination, but the joint input is the
@@ -264,18 +260,17 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
     for label, prob, vec in ensemble.entries:
         gamma[label * d:(label + 1) * d] += np.sqrt(prob) * vec
     return _run_joint(v_circuit, ensemble, np.outer(gamma, gamma.conj()),
-                      target, selection, tol)
+                      target, selection)
 
 
 def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
-                         selection: str = "canonical",
-                         tol: Tolerances = DEFAULT_TOL) -> DiscriminationOutcome:
+                         selection: str = "canonical") -> DiscriminationOutcome:
     """Reproduce the mixture run with ordinary linear evolution.
 
-    Solves the self-consistency condition for the ensemble's rho_RA once,
-    freezes the resulting sigma, and applies the ordinary channel
-    X -> Tr_CTC(U (X (x) sigma) U+) directly (no Kraus form), through the
-    output map ctc_evolve uses. Each labeled component |x><x| (x) phi_x is
+    Solves the self-consistency condition for the ensemble's rho_RA once
+    (solve_loop, as ctc_evolve does), freezes the resulting sigma, and
+    applies the ordinary channel X -> Tr_CTC(U (X (x) sigma) U+) directly
+    (no Kraus form), through the output map ctc_evolve uses. Each labeled component |x><x| (x) phi_x is
     evolved on its own and rho_out is their p-weighted sum, which equals
     run_discrimination's rho_out by linearity: with sigma known, no time
     machine is needed to produce the mixture-level statistics.
@@ -290,10 +285,7 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     n, d = ensemble.n, ensemble.a_dim
     circuit = _extended_circuit(v_circuit, n)
     rho_ra = _ensemble_state(ensemble)
-    u = compile_unitary(circuit)
-    superop = induced_superoperator(u, rho_ra, circuit.cr_dims,
-                                    circuit.ctc_dims, tol)
-    fp = fixed_point_exact(superop, selection, tol)
+    u, _, fp = solve_loop(circuit, rho_ra, selection)
     rho_out = np.zeros_like(rho_ra)
     per_pure = []
     for label, prob, vec in ensemble.by_label():
@@ -303,11 +295,8 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
                                        fp.sigma, circuit.cr_dim, circuit.ctc_dim)
         rho_out += prob * joint
         per_pure.append((label, partial_trace(joint, (n, d), keep=[1])))
-    report = validate(rho_out, "density", tol)
-    if not report.ok:
-        raise ValidationError(
-            f"simulated output failed validation: {report.message()}")
-    return _outcome(rho_out, fp, ensemble, target, tuple(per_pure), tol)
+    return _outcome(_checked_output(rho_out), fp, ensemble, target,
+                    tuple(per_pure))
 
 
 def helstrom_bound(ensemble: LabeledEnsemble) -> float:
@@ -367,8 +356,7 @@ class ComputationTask:
 
 
 def run_computation_mixture(task: ComputationTask,
-                            selection: str = "canonical",
-                            tol: Tolerances = DEFAULT_TOL
+                            selection: str = "canonical"
                             ) -> DiscriminationOutcome:
     """Evaluate a function on the uniform mixture of its basis inputs.
 
@@ -384,8 +372,8 @@ def run_computation_mixture(task: ComputationTask,
     d = task.circuit.cr_dim
     x_count = task.domain_size
     ensemble, rho_ra = labeled_ensemble(
-        [(x, 1.0 / x_count, _basis(x, d)) for x in range(x_count)], tol)
+        [(x, 1.0 / x_count, _basis(x, d)) for x in range(x_count)])
     target = np.zeros((x_count * d, x_count * d), dtype=complex)
     for x, fx in enumerate(task.truth_table):
         target[x * d + fx, x * d + fx] = 1.0 / x_count
-    return _run_joint(task.circuit, ensemble, rho_ra, target, selection, tol)
+    return _run_joint(task.circuit, ensemble, rho_ra, target, selection)

@@ -23,6 +23,8 @@ class ValidationError(ValueError):
 class Tolerances:
     """Numerical tolerances shared across the package.
 
+    Every check reads DEFAULT_TOL; no function takes a per-call override.
+
     Attributes:
         hermiticity: max entrywise deviation allowed for M vs M†, and for
             unit trace / unitarity defect checks.
@@ -143,28 +145,22 @@ def trace_distance(a, b) -> float:
     return float(np.abs(scipy.linalg.eigvalsh(diff)).sum() / 2)
 
 
-def _clipped_spectrum(rho, floor: float) -> np.ndarray:
-    """Eigenvalues with the PSD repair policy applied.
+def von_neumann_entropy(rho) -> float:
+    """−Σ λ log₂ λ in bits, with 0·log 0 = 0.
 
-    Values in [-floor, 0) are clipped to 0; anything below -floor raises.
+    Eigenvalues in [-psd_floor, 0) count as 0; anything lower raises.
     """
     h = _as_matrix(rho)
-    h = (h + dagger(h)) / 2
-    lam = scipy.linalg.eigvalsh(h)
+    lam = scipy.linalg.eigvalsh((h + dagger(h)) / 2)
+    floor = DEFAULT_TOL.psd_floor
     if lam[0] < -floor:
         raise ValidationError(
             f"eigenvalue {lam[0]:.3e} below the PSD floor -{floor:.1e}")
-    return np.clip(lam, 0.0, None)
-
-
-def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOL) -> float:
-    """−Σ λ log₂ λ in bits, with 0·log 0 = 0."""
-    lam = _clipped_spectrum(rho, tol.psd_floor)
     lam = lam[lam > 0]
     return float(-(lam * np.log2(lam)).sum())
 
 
-def mutual_information(rho_ab, dims, tol: Tolerances = DEFAULT_TOL) -> float:
+def mutual_information(rho_ab, dims) -> float:
     """S(A) + S(B) − S(AB) in bits across the bipartition `dims` = (dA, dB).
 
     Numerical noise may produce tiny negatives; values in [−1e−8, 0) are
@@ -175,14 +171,14 @@ def mutual_information(rho_ab, dims, tol: Tolerances = DEFAULT_TOL) -> float:
         raise ValidationError("mutual_information needs exactly two subsystems")
     rho_a = partial_trace(rho_ab, dims, keep=[0])
     rho_b = partial_trace(rho_ab, dims, keep=[1])
-    mi = (von_neumann_entropy(rho_a, tol) + von_neumann_entropy(rho_b, tol)
-          - von_neumann_entropy(rho_ab, tol))
+    mi = (von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
+          - von_neumann_entropy(rho_ab))
     if mi < -1e-8:
         raise ValidationError(f"mutual information {mi:.3e} below -1e-8")
     return max(mi, 0.0)
 
 
-def validate(m, kind: str, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
+def validate(m, kind: str) -> ValidationReport:
     """Check matrix invariants without raising.
 
     Args:
@@ -203,36 +199,36 @@ def validate(m, kind: str, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
     violations: list[tuple[str, float]] = []
     if kind == "density":
         herm = float(np.abs(a - dagger(a)).max())
-        if herm > tol.hermiticity:
+        if herm > DEFAULT_TOL.hermiticity:
             violations.append(("hermiticity", herm))
         tr = float(abs(a.trace() - 1.0))
-        if tr > tol.hermiticity:
+        if tr > DEFAULT_TOL.hermiticity:
             violations.append(("unit trace", tr))
         lam_min = float(scipy.linalg.eigvalsh((a + dagger(a)) / 2)[0])
-        if lam_min < -tol.psd_floor:
+        if lam_min < -DEFAULT_TOL.psd_floor:
             violations.append(("positive semidefinite", -lam_min))
     elif kind == "unitary":
         defect = float(np.abs(dagger(a) @ a - np.eye(a.shape[0])).max())
-        if defect > tol.hermiticity:
+        if defect > DEFAULT_TOL.hermiticity:
             violations.append(("unitarity", defect))
     else:
         raise ValidationError(f"unknown validation kind {kind!r}")
     return ValidationReport(kind, tuple(violations))
 
 
-def require_density(m, tol: Tolerances = DEFAULT_TOL, what: str = "state") -> np.ndarray:
+def require_density(m, what: str = "state") -> np.ndarray:
     """Validate as a density matrix, raising ValidationError on failure."""
     a = _as_matrix(m)
-    report = validate(a, "density", tol)
+    report = validate(a, "density")
     if not report.ok:
         raise ValidationError(f"{what}: {report.message()}")
     return a
 
 
-def require_unitary(m, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+def require_unitary(m, what: str = "matrix") -> np.ndarray:
     """Validate as a unitary, raising ValidationError on failure."""
     a = _as_matrix(m)
-    report = validate(a, "unitary", tol)
+    report = validate(a, "unitary")
     if not report.ok:
         raise ValidationError(f"{what}: {report.message()}")
     return a

@@ -178,12 +178,12 @@ def test_bad_env_seed_is_input_error(monkeypatch, capsys):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
-    import ctcsim.cli as cli_mod
+    import ctcsim.ctc as ctc_mod
 
     def explode(*args, **kwargs):
         raise SolverError("no consistent state found", residual=1.0)
 
-    monkeypatch.setattr(cli_mod, "fixed_point_exact", explode)
+    monkeypatch.setattr(ctc_mod, "fixed_point_exact", explode)
     path = write_circuit(tmp_path, build_epr_swap())
     assert main(["fixed-point", path, "--input", "bell"]) == 3
     assert "no consistent state" in capsys.readouterr().err

@@ -7,7 +7,8 @@ from ctcsim.circuit import Circuit, Gate, build_bhw2, build_epr_swap, compile_un
 from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
                         choi_matrix, ctc_evolve, evolve_given_ctc_state,
                         fixed_point_cesaro, fixed_point_exact,
-                        induced_superoperator, validate_superoperator)
+                        induced_superoperator, solve_loop,
+                        validate_superoperator)
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.qmat import (ValidationError, dagger, kron, mutual_information,
                          partial_trace, trace_distance)
@@ -306,6 +307,19 @@ def test_ctc_evolve_validates_input():
         ctc_evolve(circuit, proj(KET0))  # wrong CR dimension
     with pytest.raises(ValidationError):
         ctc_evolve(circuit, np.eye(4, dtype=complex))  # trace 4
+
+
+def test_solve_loop_is_the_step_behind_ctc_evolve():
+    circuit = build_bhw2(PLUS)
+    rho = proj(PLUS)
+    u, superop, fp = solve_loop(circuit, rho)
+    assert np.array_equal(u, compile_unitary(circuit))
+    assert np.array_equal(superop.matrix, induced_superoperator(
+        u, rho, circuit.cr_dims, circuit.ctc_dims).matrix)
+    assert np.array_equal(fp.sigma, fixed_point_exact(superop).sigma)
+    rho_out, fp_evolved = ctc_evolve(circuit, rho)
+    assert np.array_equal(fp_evolved.sigma, fp.sigma)
+    assert np.array_equal(rho_out, evolve_given_ctc_state(u, rho, fp.sigma, 2, 2))
 
 
 def test_solver_error_hierarchy():

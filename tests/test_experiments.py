@@ -3,7 +3,9 @@
 import numpy as np
 
 from ctcsim.cli import EXPERIMENTS
-from ctcsim.experiments import REGISTRY, random_instance
+from ctcsim.experiments import REGISTRY, random_instance, sim_equivalence
+from ctcsim.protocol import run_discrimination, simulate_without_ctc
+from ctcsim.qmat import trace_distance
 
 
 def instance_arrays(seed, trial):
@@ -39,3 +41,16 @@ def test_random_instance_is_reproducible():
         assert w1 == w2
         for a, b in zip(s1, s2):
             assert np.array_equal(a, b)
+
+
+def test_sim_equivalence_compares_the_mixture_run_with_its_simulation():
+    results = sim_equivalence(trials=4, seed=7)
+    distances, residuals = [], []
+    for trial in range(4):
+        circuit, ensemble = random_instance(7, trial)
+        real = run_discrimination(circuit, ensemble)
+        sim = simulate_without_ctc(circuit, ensemble)
+        distances.append(trace_distance(real.rho_out, sim.rho_out))
+        residuals += [real.fixed_point.residual, sim.fixed_point.residual]
+    assert results["per_trial_distances"] == distances
+    assert results["max_fixed_point_residual"] == max(residuals)

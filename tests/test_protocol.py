@@ -7,6 +7,7 @@ import pytest
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_bhw_multi,
                             build_epr_swap, builtin_matrix,
                             pad_with_ancillas)
+from ctcsim.ctc import SolverError, ctc_evolve
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.protocol import (ComputationTask, DiscriminationOutcome,
                              LabeledEnsemble, helstrom_bound, labeled_ensemble,
@@ -289,6 +290,44 @@ def test_simulation_matches_three_label_run_on_mixed_dims():
     mixed = sum(p * out for (_, p, _), (_, out)
                 in zip(ens.by_label(), sim.per_pure_outputs))
     assert np.abs(mixed - partial_trace(sim.rho_out, (3, 3), keep=[1])).max() < 1e-12
+
+
+def test_simulation_freezes_the_loop_state_of_the_mixture_run():
+    # the loop-free channel uses the loop's own sigma, not a re-derived one
+    rng = np.random.default_rng(47)
+    qutrit = Circuit(cr_dims=(3,), ctc_dims=(2,),
+                     gates=(Gate("v", (1, 0), random_unitary(6, rng)),))
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ens3, _ = labeled_ensemble([(i, p, row / np.linalg.norm(row)) for i, p, row
+                                in zip(range(3), (0.5, 0.3, 0.2), g)])
+    bell = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / np.sqrt(2)
+    cases = [(build_bhw2(PLUS), uniform_ensemble([KET0, PLUS])[0]),
+             (qutrit, ens3),
+             (build_epr_swap(), labeled_ensemble([(0, 1.0, bell)])[0])]
+    for circuit, ens in cases:
+        for selection in ("canonical", "max_entropy"):
+            real = run_discrimination(circuit, ens, selection)
+            sim = simulate_without_ctc(circuit, ens, selection)
+            assert np.array_equal(sim.fixed_point.sigma,
+                                  real.fixed_point.sigma)
+
+
+def test_broken_output_is_a_solver_error_with_and_without_the_loop(monkeypatch):
+    import ctcsim.ctc as ctc_mod
+    import ctcsim.protocol as protocol_mod
+    evolve = ctc_mod.evolve_given_ctc_state
+
+    def doubled(*args):
+        return 2 * evolve(*args)  # trace 2: a numerical breakdown stand-in
+
+    monkeypatch.setattr(ctc_mod, "evolve_given_ctc_state", doubled)
+    monkeypatch.setattr(protocol_mod, "evolve_given_ctc_state", doubled)
+    circuit = build_bhw2(PLUS)
+    ens, _ = uniform_ensemble([KET0, PLUS])
+    with pytest.raises(SolverError, match="failed validation"):
+        ctc_evolve(circuit, proj(PLUS))
+    with pytest.raises(SolverError, match="failed validation"):
+        simulate_without_ctc(circuit, ens)
 
 
 # --- Helstrom bound ----------------------------------------------------------
