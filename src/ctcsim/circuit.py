@@ -34,8 +34,9 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-class CircuitFormatError(ValueError):
-    """A circuit document violates the schema or its semantic invariants."""
+class CircuitFormatError(ValidationError):
+    """A circuit violates the schema or its semantic invariants; the message
+    starts with the JSON path of the offending element."""
 
     def __init__(self, message: str, path: str = "$"):
         self.path = path
@@ -135,7 +136,13 @@ def _check_gate(gate: Gate, dims: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """An ordered gate list over declared CR and CTC wire registers."""
+    """An ordered gate list over declared CR and CTC wire registers.
+
+    Construction checks the dimensions, the labels and every gate, and raises
+    CircuitFormatError with the JSON path of the field at fault ($.cr_dims,
+    $.ctc_dims, $.labels or $.gates[k]). A builtin-named gate that carries
+    its builtin matrix is stored in canonical form, with matrix None.
+    """
 
     cr_dims: tuple[int, ...]
     ctc_dims: tuple[int, ...]
@@ -145,19 +152,28 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "cr_dims", tuple(int(d) for d in self.cr_dims))
         object.__setattr__(self, "ctc_dims", tuple(int(d) for d in self.ctc_dims))
-        object.__setattr__(self, "gates", tuple(self.gates))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         for reg_name, reg in (("cr_dims", self.cr_dims), ("ctc_dims", self.ctc_dims)):
             if not reg:
-                raise ValidationError(f"{reg_name} must not be empty")
+                raise CircuitFormatError("must not be empty", f"$.{reg_name}")
             if any(d < 2 for d in reg):
-                raise ValidationError(f"{reg_name} entries must be >= 2, got {reg}")
+                raise CircuitFormatError(f"entries must be >= 2, got {list(reg)}",
+                                         f"$.{reg_name}")
         if self.labels is not None and len(self.labels) != self.n_wires:
-            raise ValidationError(
-                f"labels count {len(self.labels)} != wire count {self.n_wires}")
-        for g in self.gates:
-            _check_gate(g, self.dims)
+            raise CircuitFormatError(
+                f"labels count {len(self.labels)} != wire count {self.n_wires}",
+                "$.labels")
+        gates = []
+        for k, g in enumerate(self.gates):
+            try:
+                _check_gate(g, self.dims)
+            except ValidationError as exc:
+                raise CircuitFormatError(str(exc), f"$.gates[{k}]") from exc
+            if g.name in BUILTIN_GATES and g.matrix is not None:
+                g = Gate(g.name, g.wires)  # canonical form
+            gates.append(g)
+        object.__setattr__(self, "gates", tuple(gates))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -447,17 +463,17 @@ def build_bhw_multi(states) -> Circuit:
 
 
 def _parse_dim_list(obj, path: str) -> tuple[int, ...]:
-    if not isinstance(obj, list) or not obj:
-        raise CircuitFormatError("expected a nonempty array of integers", path)
-    out = []
+    if not isinstance(obj, list):
+        raise CircuitFormatError("expected an array of integers", path)
     for k, v in enumerate(obj):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-            raise CircuitFormatError("expected an integer >= 2", f"{path}[{k}]")
-        out.append(v)
-    return tuple(out)
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise CircuitFormatError("expected an integer", f"{path}[{k}]")
+    return tuple(obj)
 
 
 def _parse_matrix(obj, path: str) -> np.ndarray:
+    """A nonempty grid of [re, im] pairs with rows of one length, as a
+    complex matrix; its shape is left to the caller to check."""
     if not isinstance(obj, list) or not obj:
         raise CircuitFormatError("expected a nonempty array of rows", path)
     rows = []
@@ -480,14 +496,11 @@ def _parse_matrix(obj, path: str) -> np.ndarray:
                                          f"{path}[{r}][{c}]")
             entries.append(complex(cell[0], cell[1]))
         rows.append(entries)
-    m = np.array(rows, dtype=complex)
-    if m.shape[0] != m.shape[1]:
-        raise CircuitFormatError(f"matrix not square: {m.shape[0]}x{m.shape[1]}", path)
-    return m
+    return np.array(rows, dtype=complex)
 
 
 def parse_circuit(doc) -> Circuit:
-    """Parse and validate a circuit document.
+    """Parse a circuit document and build the Circuit, which validates it.
 
     Args:
         doc: JSON text or an already-decoded dict.
@@ -496,14 +509,15 @@ def parse_circuit(doc) -> Circuit:
         The validated Circuit.
 
     Raises:
-        CircuitFormatError: schema violation, non-unitary gate, out-of-range
-            wire, unknown matrixless gate; the error carries the JSON path of
+        CircuitFormatError: schema violation here, or a semantic one raised
+            by Circuit (non-unitary gate, out-of-range wire, unknown
+            matrixless gate, ...); the message starts with the JSON path of
             the offending element.
     """
     if isinstance(doc, (str, bytes)):
         try:
             data = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise CircuitFormatError(f"not valid JSON: {exc}") from exc
     else:
         data = doc
@@ -518,19 +532,12 @@ def parse_circuit(doc) -> Circuit:
             raise CircuitFormatError(f"missing required key {key!r}")
     cr_dims = _parse_dim_list(data["cr_dims"], "$.cr_dims")
     ctc_dims = _parse_dim_list(data["ctc_dims"], "$.ctc_dims")
-    dims = cr_dims + ctc_dims
-
     labels = None
     if "labels" in data:
-        raw = data["labels"]
-        if (not isinstance(raw, list)
-                or not all(isinstance(s, str) for s in raw)):
+        labels = data["labels"]
+        if (not isinstance(labels, list)
+                or not all(isinstance(s, str) for s in labels)):
             raise CircuitFormatError("expected an array of strings", "$.labels")
-        if len(raw) != len(dims):
-            raise CircuitFormatError(
-                f"labels count {len(raw)} != wire count {len(dims)}", "$.labels")
-        labels = tuple(raw)
-
     if not isinstance(data["gates"], list):
         raise CircuitFormatError("expected an array of gate objects", "$.gates")
     gates = []
@@ -549,14 +556,7 @@ def parse_circuit(doc) -> Circuit:
         matrix = None
         if "matrix" in raw:
             matrix = _parse_matrix(raw["matrix"], f"{gpath}.matrix")
-        gate = Gate(raw["name"], tuple(raw["wires"]), matrix)
-        try:
-            _check_gate(gate, dims)
-        except ValidationError as exc:
-            raise CircuitFormatError(str(exc), gpath) from exc
-        if gate.name in BUILTIN_GATES and gate.matrix is not None:
-            gate = Gate(gate.name, gate.wires, None)  # canonical form
-        gates.append(gate)
+        gates.append(Gate(raw["name"], tuple(raw["wires"]), matrix))
     return Circuit(cr_dims=cr_dims, ctc_dims=ctc_dims, gates=tuple(gates),
                    labels=labels)
 

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import CircuitFormatError, _basis, _matrix_to_json, parse_circuit
+from .circuit import _basis, _matrix_to_json, _parse_matrix, parse_circuit
 from .ctc import SolverError, fixed_point_cesaro, solve_loop
 from .experiments import REGISTRY, fixed_point_record
 from .oracle import fixed_point_bruteforce
@@ -57,9 +57,7 @@ def _named_input(name: str, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex) / dim
     if name == "zero":
         vec = _basis(0, dim)
-    elif name == "one":
-        if dim < 2:
-            raise ValidationError("input 'one' needs CR dimension >= 2")
+    elif name == "one":  # Circuit makes every CR dimension >= 2
         vec = _basis(1, dim)
     elif name in ("plus", "minus"):
         if dim != 2:
@@ -77,21 +75,24 @@ def _named_input(name: str, dim: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def _load_json(path: str):
+    """Decode a UTF-8 JSON file; undecodable bytes are a ValidationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _input_state(spec: str, dim: int) -> np.ndarray:
     """Resolve --input: a named state or @file.json holding a density matrix
     in the [[re, im], ...] grid format used for gate matrices."""
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        try:
-            rows = [[complex(c[0], c[1]) for c in row] for row in doc]
-        except (TypeError, IndexError) as exc:
-            raise ValidationError(
-                f"{spec[1:]}: expected a [[re, im], ...] matrix grid") from exc
-        m = np.array(rows, dtype=complex)
+        path = spec[1:]
+        m = _parse_matrix(_load_json(path), f"{path}: $")
         if m.shape != (dim, dim):
             raise ValidationError(
-                f"{spec[1:]}: matrix is {m.shape[0]}x{m.shape[1]}, circuit CR"
+                f"{path}: matrix is {m.shape[0]}x{m.shape[1]}, circuit CR"
                 f" dimension is {dim}")
         return m
     return _named_input(spec, dim)
@@ -100,9 +101,7 @@ def _input_state(spec: str, dim: int) -> np.ndarray:
 # --- subcommand drivers ----------------------------------------------------
 
 def _cmd_fixed_point(args, seed: int) -> dict:
-    with open(args.circuit_file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    circuit = parse_circuit(doc)
+    circuit = parse_circuit(_load_json(args.circuit_file))
     rho = _input_state(args.input, circuit.cr_dim)
     _, superop, fp = solve_loop(circuit, rho, _selection(args.selection))
     results = {"fixed_point": dict(fixed_point_record(fp),
@@ -232,8 +231,7 @@ def main(argv=None) -> int:
         report.update(schema_version=SCHEMA_VERSION, tool_version=__version__,
                       command=args.command, seed=seed, results=results)
         _emit(report, args.out)
-    except (ValidationError, CircuitFormatError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"ctcsim: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

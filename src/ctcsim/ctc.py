@@ -341,7 +341,7 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
         s: the superoperator.
         init: starting density matrix, default maximally mixed.
         max_iter: cap on N.
-        tol: convergence tolerance, default Tolerances.fixed_point_residual.
+        tol: convergence tolerance, default DEFAULT_TOL.fixed_point_residual.
 
     Raises:
         ConvergenceError: max_iter (or the squaring guard) reached without

@@ -114,7 +114,9 @@ def _parse_sweep(spec: str) -> list[float]:
         ) from exc
     if name != "theta":
         raise ValidationError(f"only 'theta' can be swept, got '{name}'")
-    if step <= 0 or stop < start:
+    # finite, increasing bounds and a positive step give a nonempty grid
+    if (not all(math.isfinite(x) for x in (start, stop, step))
+            or step <= 0 or stop < start):
         raise ValidationError(f"bad sweep range '{rng}'")
     grid = []
     k = 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _basis
+from .circuit import Circuit, Gate, _as_state, _basis
 from .ctc import (FixedPointResult, _checked_output, ctc_evolve,
                   evolve_given_ctc_state, solve_loop)
 from .qmat import (ValidationError, kron, mutual_information, partial_trace,
@@ -75,7 +75,8 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
     Raises:
         ValidationError: empty entries, labels not exactly {0..n-1},
             non-positive probabilities, probabilities not summing to 1
-            within 1e-12, unnormalized or dimension-mismatched states.
+            within 1e-12, non-finite, unnormalized or dimension-mismatched
+            states.
     """
     items = []
     for entry in entries:
@@ -88,13 +89,9 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
         if prob <= 0:
             raise ValidationError(
                 f"label {label}: probability {prob} must be positive")
-        vec = np.asarray(state, dtype=complex)
-        if vec.ndim != 1 or vec.shape[0] < 1:
+        if np.ndim(state) != 1:
             raise ValidationError(f"label {label}: state must be a vector")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-            raise ValidationError(
-                f"label {label}: state norm {np.linalg.norm(vec):.12f} != 1")
-        items.append((int(label), prob, vec))
+        items.append((int(label), prob, _as_state(state, f"label {label}: state")))
     if not items:
         raise ValidationError("ensemble needs at least one entry")
     n = len(items)
@@ -268,12 +265,13 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     """Reproduce the mixture run with ordinary linear evolution.
 
     Solves the self-consistency condition for the ensemble's rho_RA once
-    (solve_loop, as ctc_evolve does), freezes the resulting sigma, and
-    applies the ordinary channel X -> Tr_CTC(U (X (x) sigma) U+) directly
-    (no Kraus form), through the output map ctc_evolve uses. Each labeled component |x><x| (x) phi_x is
-    evolved on its own and rho_out is their p-weighted sum, which equals
-    run_discrimination's rho_out by linearity: with sigma known, no time
-    machine is needed to produce the mixture-level statistics.
+    (solve_loop, as ctc_evolve does) and freezes the resulting sigma. Each
+    labeled component |x><x| (x) phi_x then goes through the ordinary
+    channel X -> Tr_CTC(U (X (x) sigma) U+), computed by
+    evolve_given_ctc_state as in ctc_evolve, and rho_out is the p-weighted
+    sum of those outputs. By linearity it equals run_discrimination's
+    rho_out: with sigma known, no time machine is needed to produce the
+    mixture-level statistics.
 
     The per_pure_outputs field holds the A marginals of those component
     runs, each labeled pure input fed through the same frozen channel;

@@ -71,6 +71,48 @@ def test_circuit_dim_validation():
         Circuit(cr_dims=(2,), ctc_dims=(), gates=())
 
 
+def test_circuit_errors_carry_the_field_path():
+    swap = Gate("swap", (0, 1))
+    cases = [
+        (dict(cr_dims=(1,), ctc_dims=(2,)), r"^\$\.cr_dims: "),
+        (dict(cr_dims=(2,), ctc_dims=()), r"^\$\.ctc_dims: "),
+        (dict(cr_dims=(2,), ctc_dims=(2,), labels=("A",)), r"^\$\.labels: "),
+        (dict(cr_dims=(2,), ctc_dims=(2,), gates=(swap, Gate("swap", (0, 2)))),
+         r"^\$\.gates\[1\]: gate 'swap' wire 2 out of range"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(CircuitFormatError, match=message) as exc:
+            Circuit(**kwargs)
+        assert isinstance(exc.value, ValidationError)
+
+
+def test_circuit_stores_matching_builtin_matrix_canonically():
+    c = Circuit(cr_dims=(2,), ctc_dims=(2,),
+                gates=(Gate("swap", (0, 1), builtin_matrix("swap", (2, 2))),))
+    assert c.gates[0].matrix is None
+    assert parse_circuit(json.loads(serialize_circuit(c))) == c
+
+
+def test_parse_checks_each_gate_once(monkeypatch):
+    import ctcsim.circuit as circuit_mod
+
+    two = json.loads(serialize_circuit(build_bhw2(PLUS)))
+    three = serialize_circuit(build_bhw_multi([KET0, KET1, PLUS]))
+    calls = []
+    check = circuit_mod._check_gate
+
+    def spy(gate, dims):
+        calls.append(gate.name)
+        check(gate, dims)
+
+    monkeypatch.setattr(circuit_mod, "_check_gate", spy)
+    parse_circuit(two)
+    assert calls == ["cu", "swap"]
+    calls.clear()
+    parse_circuit(three)
+    assert calls == ["cv0", "cv1", "cv2", "cv3", "swap", "swap"]
+
+
 def test_circuit_properties_and_labels():
     c = build_epr_swap()
     assert c.dims == (2, 2, 2)
@@ -366,6 +408,10 @@ def test_parse_error_paths():
 
     doc = dict(base, gates=[{"name": "swap", "wires": [0, 3]}])
     with pytest.raises(CircuitFormatError):
+        parse_circuit(doc)
+
+    doc = dict(base, cr_dims=[3])  # swap on qutrit and qubit wires
+    with pytest.raises(CircuitFormatError, match=r"\$\.gates\[0\]: swap"):
         parse_circuit(doc)
 
 

@@ -127,6 +127,29 @@ def test_wrong_size_matrix_file_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ragged_or_undecodable_files_are_input_errors(tmp_path, capsys):
+    path = write_circuit(tmp_path, build_bhw2(PLUS))
+    state = tmp_path / "state.json"
+
+    def assert_input_error(argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ctcsim: error: ") and message in err
+
+    state.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
+                     encoding="utf-8")
+    assert_input_error(["fixed-point", path, "--input", f"@{state}"],
+                       "state.json: $[1]: row length 1 != 2")
+    state.write_bytes(b"[[[1, 0], [0, 0]], [[0, 0], [0, 0]]] \xff")
+    assert_input_error(["fixed-point", path, "--input", f"@{state}"],
+                       "state.json: not valid JSON")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"cr_dims": [2], "ctc_dims": [2], "gates": [],'
+                       b' "labels": ["\xe9", "b"]}')
+    assert_input_error(["fixed-point", str(latin1)],
+                       "latin1.json: not valid JSON")
+
+
 def test_bell_input_needs_two_qubit_register(tmp_path, capsys):
     path = write_circuit(tmp_path, build_bhw2(PLUS))
     assert main(["fixed-point", path, "--input", "bell"]) == 2
@@ -159,6 +182,8 @@ def test_bad_sweep_specs(capsys):
     assert main(["experiment", "mixture", "--sweep", "phi=0.1:0.5:0.2"]) == 2
     assert main(["experiment", "mixture", "--sweep", "theta=0.5:0.1:0.2"]) == 2
     assert main(["experiment", "mixture", "--sweep", "theta=0.1:0.5:0"]) == 2
+    assert main(["experiment", "mixture", "--sweep", "theta=nan:1:0.1"]) == 2
+    assert main(["experiment", "mixture", "--sweep", "theta=0.1:0.2:nan"]) == 2
     capsys.readouterr()
 
 
@@ -333,6 +358,25 @@ def test_seed_changes_sim_equivalence_instances(capsys):
                                 "--trials", "3", "--seed", "2"])
     assert (rep_a["results"]["per_trial_distances"]
             != rep_b["results"]["per_trial_distances"])
+
+
+def test_seed_reaches_sim_equivalence_instances(monkeypatch, capsys):
+    import ctcsim.experiments as experiments_mod
+
+    calls = []
+    draw = experiments_mod.random_instance
+
+    def recording(seed, trial):
+        calls.append((seed, trial))
+        return draw(seed, trial)
+
+    monkeypatch.setattr(experiments_mod, "random_instance", recording)
+    monkeypatch.setenv("CTC_SIM_SEED", "9")
+    assert main(["experiment", "sim-equivalence", "--trials", "2"]) == 0
+    assert main(["experiment", "sim-equivalence", "--trials", "2",
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert calls == [(9, 0), (9, 1), (5, 0), (5, 1)]
 
 
 def test_floats_are_rounded_for_stability(capsys):

@@ -78,6 +78,8 @@ def test_ensemble_validation():
     with pytest.raises(ValidationError):
         labeled_ensemble([(0, 1.0, 2 * KET0)])  # not normalized
     with pytest.raises(ValidationError):
+        labeled_ensemble([(0, 1.0, np.array([np.nan, 0.0]))])  # not finite
+    with pytest.raises(ValidationError):
         labeled_ensemble([(0, 0.0, KET0), (1, 1.0, KET1)])  # zero weight
     with pytest.raises(ValidationError):
         labeled_ensemble([(0, 0.5, KET0), (1, 0.5, basis(1, 3))])  # mixed dims
