@@ -22,8 +22,8 @@ causality-respecting output
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
 nonlinear. Two fixed-point selections are provided for degenerate fixed
 spaces: "canonical" (the spectral projection of the maximally mixed state,
-i.e. the Cesaro limit seeded at I/d) and "max_entropy" (entropy maximization
-over the fixed space). Both are deterministic.
+i.e. the Cesaro limit seeded at I/d) and "max_entropy" (Deutsch's rule: the
+fixed state of largest entropy, in closed form). Both are deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import scipy.linalg
 
 from .circuit import Circuit, compile_unitary
 from .qmat import (DEFAULT_TOL, ValidationError, ValidationReport, dagger,
-                   require_density, require_unitary, trace_distance, validate)
+                   require_density, require_unitary, trace_distance, validate,
+                   von_neumann_entropy)
 
 
 class SolverError(RuntimeError):
@@ -101,7 +102,7 @@ class FixedPointResult:
             E(sigma) - sigma.
         fixed_space_dim: dimension of the eigenvalue-1 subspace (eigenvalues
             within the detection window of 1).
-        method: "exact", "cesaro" or "bruteforce".
+        method: "exact" or "cesaro".
         selection: "canonical" or "max_entropy".
     """
 
@@ -252,44 +253,43 @@ def _hermitian_fixed_basis(z: np.ndarray, sdim: int) -> list[np.ndarray]:
     return basis
 
 
-def _max_entropy_point(basis: list[np.ndarray], start: np.ndarray) -> np.ndarray:
-    """Entropy maximization over the unit-trace PSD slice of span(basis)."""
-    # imported here: scipy.optimize costs about 0.2 s and only this path needs it
-    from scipy.optimize import minimize
+def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarray:
+    """Deutsch's maximum-entropy fixed point, in closed form.
 
-    def sigma_of(c):
-        out = np.zeros_like(basis[0])
-        for ck, b in zip(c, basis):
-            out = out + ck * b
-        return out
+    On the support V of the canonical point sigma = `start` (maximal among
+    fixed states) the adjoint map fixes an algebra A = (+)_k M_{d_k} x I_{m_k}
+    and the fixed states are (+)_k p_k tau_k x omega_k (Wolf, Quantum
+    Channels & Operations, Thm 6.14). Entropy peaks at tau_k = I/d_k and
+    p_k ~ 2^S((I/d_k) x omega_k). The twirl T(X) = sum_j A_j X A_j+ over an
+    orthonormal basis of A takes a generic element of A to a central one,
+    whose eigenspaces are the blocks, and sigma to (+)_k c_k I x omega_k.
+    """
+    lam, vecs = scipy.linalg.eigh(start)
+    keep = lam > DEFAULT_TOL.psd_floor
+    support, lam = vecs[:, keep], lam[keep]
+    # the map restricted to operators on V; the null space of its adjoint
+    # minus I is A, with an orthonormal basis from the smallest singular values
+    m_v = np.kron(support.T, dagger(support)) @ m @ np.kron(support.conj(), support)
+    vh = scipy.linalg.svd(dagger(m_v) - np.eye(len(m_v)))[2]
+    onb = np.stack([_unvec(v) for v in vh[-sdim:].conj()])
 
-    def neg_entropy(c):
-        lam = np.clip(scipy.linalg.eigvalsh(sigma_of(c)), 1e-300, None)
-        return float((lam * np.log2(lam)).sum())
+    def twirl(x):
+        return np.tensordot(onb @ x, onb.conj(), axes=([0, 2], [0, 2]))
 
-    def neg_entropy_grad(c):
-        lam, vecs = scipy.linalg.eigh(sigma_of(c))
-        lam = np.clip(lam, 1e-300, None)
-        grad_op = (vecs * (np.log2(lam) + 1.0 / np.log(2.0))) @ dagger(vecs)
-        return np.array([np.trace(dagger(b) @ grad_op).real for b in basis])
-
-    c0 = np.array([np.trace(dagger(b) @ start).real for b in basis])
-    trace_jac = np.array([b.trace().real for b in basis])
-    constraints = [
-        {"type": "eq", "fun": lambda c: sigma_of(c).trace().real - 1.0,
-         "jac": lambda c: trace_jac},
-        {"type": "ineq",
-         "fun": lambda c: float(scipy.linalg.eigvalsh(sigma_of(c))[0])},
-    ]
-    res = minimize(neg_entropy, c0, jac=neg_entropy_grad, method="SLSQP",
-                   constraints=constraints, tol=1e-8,
-                   options={"maxiter": 1000, "ftol": 1e-14})
-    candidate = _hermitize(sigma_of(res.x))
-    # keep the better of start vs search outcome; the objective is concave so
-    # the search should never lose, but SLSQP can stall at the boundary
-    if neg_entropy(res.x) > neg_entropy(c0) + 1e-12:
-        return start
-    return candidate
+    # fixed pseudo-random weights keep the selection deterministic and give
+    # distinct blocks distinct central values with probability one
+    generic = _hermitize(np.tensordot(
+        np.random.default_rng(0).standard_normal(sdim), onb, axes=1))
+    mu, centre_vecs = scipy.linalg.eigh(twirl(generic))
+    gap = DEFAULT_TOL.eigenvalue_one_window * np.linalg.norm(generic)
+    splits = np.flatnonzero(np.diff(mu) > gap) + 1
+    twirled = support @ twirl(np.diag(lam)) @ dagger(support)
+    out = np.zeros_like(start)
+    for q_k in np.split(support @ centre_vecs, splits, axis=1):
+        state = dagger(q_k) @ twirled @ q_k
+        state /= state.trace().real
+        out += 2 ** von_neumann_entropy(state) * (q_k @ state @ dagger(q_k))
+    return out / out.trace().real
 
 
 def fixed_point_exact(s: Superoperator,
@@ -298,9 +298,9 @@ def fixed_point_exact(s: Superoperator,
 
     canonical: image of the maximally mixed state under the projection that
     kills all decaying and peripheral components (the closed form of Cesaro
-    averaging), Hermitized and renormalized. max_entropy: entropy
-    maximization over the Hermitian unit-trace PSD slice of the fixed
-    subspace (interior search, tolerance 1e-8), seeded at the canonical point.
+    averaging), Hermitized and renormalized. max_entropy: the fixed state
+    of largest entropy, in closed form from the canonical point and the
+    block structure of the fixed space; the canonical point when sdim is 1.
 
     Raises:
         SolverError: no eigenvalue within the detection window of 1 (signals
@@ -320,9 +320,8 @@ def fixed_point_exact(s: Superoperator,
     sigma = _hermitize(sigma)
     sigma = sigma / sigma.trace().real
     if selection == "max_entropy" and sdim > 1:
-        basis = _hermitian_fixed_basis(z, sdim)
-        sigma = _max_entropy_point(basis, sigma)
-        sigma = _psd_clip(sigma)
+        _hermitian_fixed_basis(z, sdim)  # raises unless adjoint-closed
+        sigma = _psd_clip(_max_entropy_point(s.matrix, sdim, sigma))
     return _certify(sigma, s, sdim, "exact", selection,
                     DEFAULT_TOL.fixed_point_residual)
 

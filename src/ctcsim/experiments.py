@@ -31,6 +31,10 @@ _PROJ1 = np.diag([0.0, 1.0]).astype(complex)
 
 FOUR_STATE_NAMES = ("zero", "one", "plus", "minus")
 
+# a --sweep grid spans at most this many steps; a tiny step would otherwise
+# build a list until memory runs out
+MAX_SWEEP_STEPS = 1000
+
 
 def fixed_point_record(fp: FixedPointResult) -> dict:
     """The report fields of a fixed point, without sigma."""
@@ -118,6 +122,9 @@ def _parse_sweep(spec: str) -> list[float]:
     if (not all(math.isfinite(x) for x in (start, stop, step))
             or step <= 0 or stop < start):
         raise ValidationError(f"bad sweep range '{rng}'")
+    if (stop - start) / step > MAX_SWEEP_STEPS:
+        raise ValidationError(f"sweep range '{rng}' spans more than "
+                              f"{MAX_SWEEP_STEPS} steps")
     grid = []
     k = 0
     while (value := start + k * step) <= stop + 1e-12:

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctcsim.circuit import (Circuit, build_bhw2, build_epr_swap,
-                            serialize_circuit)
+from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
+                            complete_unitary, serialize_circuit)
 from ctcsim.cli import EXPERIMENTS, main
 from ctcsim.ctc import SolverError
 
@@ -28,6 +28,10 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def report_sigma(fp):
+    return np.array([[complex(c[0], c[1]) for c in row] for row in fp["sigma"]])
 
 
 # --- fixed-point subcommand --------------------------------------------------
@@ -95,7 +99,28 @@ def test_fixed_point_max_entropy_selection(tmp_path, capsys):
     code, report = run_cli(capsys, ["fixed-point", path,
                                     "--selection", "max-entropy"])
     assert code == 0
-    assert report["results"]["fixed_point"]["selection"] == "max_entropy"
+    fp = report["results"]["fixed_point"]
+    assert fp["selection"] == "max_entropy"
+    # identity interaction: every state is consistent, the entropy maximum is I/2
+    assert fp["fixed_space_dim"] == 4
+    assert np.allclose(report_sigma(fp), np.eye(2) / 2, rtol=0, atol=1e-10)
+
+
+def test_fixed_point_max_entropy_on_leak_circuit(tmp_path, capsys):
+    # CR |0> with a CTC qutrit: |0,0> -> |0,0>, |0,1> -> |0,1>, |0,2> -> |1,1>
+    e = np.eye(6)
+    u = complete_unitary([(e[0], e[0]), (e[1], e[1]), (e[2], e[4])], 6)
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(3,), gates=(Gate("leak", (0, 1), u),))
+    path = write_circuit(tmp_path, circuit)
+    expected = {"canonical": np.diag([1 / 3, 2 / 3, 0]),
+                "max-entropy": np.diag([0.5, 0.5, 0.0])}
+    for selection, sigma in expected.items():
+        code, report = run_cli(capsys, ["fixed-point", path, "--input", "zero",
+                                        "--selection", selection])
+        assert code == 0
+        fp = report["results"]["fixed_point"]
+        assert fp["fixed_space_dim"] == 4
+        assert np.allclose(report_sigma(fp), sigma, rtol=0, atol=1e-10)
 
 
 # --- input errors exit with code 2 -------------------------------------------
@@ -184,6 +209,8 @@ def test_bad_sweep_specs(capsys):
     assert main(["experiment", "mixture", "--sweep", "theta=0.1:0.5:0"]) == 2
     assert main(["experiment", "mixture", "--sweep", "theta=nan:1:0.1"]) == 2
     assert main(["experiment", "mixture", "--sweep", "theta=0.1:0.2:nan"]) == 2
+    # 1,401 points: over the grid cap (a step of 1e-300 would never finish)
+    assert main(["experiment", "mixture", "--sweep", "theta=0.1:1.5:1e-3"]) == 2
     capsys.readouterr()
 
 
@@ -390,12 +417,15 @@ def test_floats_are_rounded_for_stability(capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is only needed by the max-entropy search; importing it
-    # eagerly roughly doubles the start-up time of every invocation
+    # nothing in ctcsim needs scipy.optimize, not even a degenerate
+    # max-entropy solve; importing it costs about 0.2 s per invocation
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import ctcsim.cli, sys; print('scipy.optimize' in sys.modules)"],
-        env=env, cwd=root, capture_output=True, text=True, check=True)
+    code = ("import sys, numpy as np, ctcsim.cli\n"
+            "from ctcsim.ctc import Superoperator, fixed_point_exact\n"
+            "fp = fixed_point_exact(Superoperator(2, np.eye(4)), 'max_entropy')\n"
+            "assert fp.fixed_space_dim == 4\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ctcsim.circuit import Circuit, Gate, build_bhw2, build_epr_swap, compile_unitary
+from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
+                            compile_unitary, complete_unitary)
 from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
                         choi_matrix, ctc_evolve, evolve_given_ctc_state,
                         fixed_point_cesaro, fixed_point_exact,
@@ -11,7 +13,7 @@ from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
                         validate_superoperator)
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.qmat import (ValidationError, dagger, kron, mutual_information,
-                         partial_trace, trace_distance)
+                         partial_trace, trace_distance, von_neumann_entropy)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -176,8 +178,80 @@ def test_selection_rules_differ_on_degenerate_channel():
     assert canonical.fixed_space_dim == 2
     assert trace_distance(canonical.sigma, np.diag([1 / 3, 2 / 3, 0])) < 1e-9
     maxent = fixed_point_exact(s, "max_entropy")
-    assert trace_distance(maxent.sigma, np.diag([0.5, 0.5, 0.0])) < 1e-6
+    assert trace_distance(maxent.sigma, np.diag([0.5, 0.5, 0.0])) < 1e-10
     assert maxent.selection == "max_entropy"
+
+
+def block_channel(blocks, scramble):
+    """Kraus operators of (+)_k X_k -> Tr_2(X_k) x omega_k on blocks
+    C^{d_k} x C^{m_k}, conjugated by `scramble`, and the analytic maximum
+    entropy fixed point (+)_k p_k (I/d_k) x omega_k, p_k ~ 2^{S_k}."""
+    total = sum(d * omega.shape[0] for d, omega in blocks)
+    kraus, parts = [], []
+    offset = 0
+    for d, omega in blocks:
+        m = omega.shape[0]
+        embed = np.eye(total, dtype=complex)[:, offset:offset + d * m]
+        lam, vecs = np.linalg.eigh(omega)
+        for a in range(m):
+            for b in range(m):
+                swap_in = np.sqrt(lam[a]) * np.outer(vecs[:, a], np.eye(m)[b])
+                kraus.append(scramble @ embed @ np.kron(np.eye(d), swap_in)
+                             @ dagger(scramble @ embed))
+        parts.append(scramble @ embed @ np.kron(np.eye(d) / d, omega)
+                     @ dagger(scramble @ embed))
+        offset += d * m
+    weights = np.array([2 ** von_neumann_entropy(p) for p in parts])
+    answer = sum(w * p for w, p in zip(weights / weights.sum(), parts))
+    return kraus, answer
+
+
+def test_max_entropy_weighs_blocks_by_entropy():
+    # M_2 x omega (+) M_1 x omega' on C^6 in a scrambled basis: the fixed
+    # space has dimension 2^2 + 1^2 = 5
+    rng = np.random.default_rng(1)
+    kraus, answer = block_channel([(2, random_density(2, rng)),
+                                   (1, random_density(2, rng))],
+                                  random_unitary(6, rng))
+    s = kraus_superoperator(kraus, 6)
+    assert validate_superoperator(s).ok
+    fp = fixed_point_exact(s, "max_entropy")
+    assert fp.fixed_space_dim == 5
+    assert trace_distance(fp.sigma, answer) < 1e-10
+
+
+def test_max_entropy_on_leak_circuit():
+    # CR |0> with a CTC qutrit: |0,0> -> |0,0>, |0,1> -> |0,1>, |0,2> -> |1,1>
+    # leaks |2> into |1>, so the fixed states are those on span{|0>, |1>}
+    e = np.eye(6)
+    u = complete_unitary([(e[0], e[0]), (e[1], e[1]), (e[2], e[4])], 6)
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(3,), gates=(Gate("leak", (0, 1), u),))
+    rho = proj(KET0)
+    _, canonical = ctc_evolve(circuit, rho)
+    assert canonical.fixed_space_dim == 4
+    assert trace_distance(canonical.sigma, np.diag([1 / 3, 2 / 3, 0])) < 1e-10
+    _, maxent = ctc_evolve(circuit, rho, "max_entropy")
+    assert trace_distance(maxent.sigma, np.diag([0.5, 0.5, 0.0])) < 1e-10
+
+
+def test_max_entropy_on_untouched_ctc_wires():
+    # no gate touches the two CTC qubits: E is the identity, the answer I/4
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(2, 2), gates=(Gate("h", (0,)),))
+    _, fp = ctc_evolve(circuit, proj(PLUS), "max_entropy")
+    assert fp.fixed_space_dim == 16
+    assert trace_distance(fp.sigma, np.eye(4) / 4) < 1e-10
+
+
+def test_near_degenerate_fixed_space_raises():
+    # U = expm(-i eps H) at eps = 1e-5 has a decaying mode with |lambda - 1|
+    # about 1e-10 inside the window around 1; the max-entropy selection must
+    # refuse it, not return a point built from the wrong fixed space
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u = scipy.linalg.expm(-1e-5j * (g + dagger(g)) / 2)
+    s = induced_superoperator(u, random_density(2, 5), (2,), (2,))
+    with pytest.raises(SolverError):
+        fixed_point_exact(s, "max_entropy")
 
 
 def test_max_entropy_matches_canonical_when_unique():
