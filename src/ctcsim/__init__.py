@@ -23,26 +23,24 @@ from .protocol import (ComputationTask, DiscriminationOutcome,
                        LabeledEnsemble, helstrom_bound, labeled_ensemble,
                        run_computation_mixture, run_discrimination,
                        run_superposition, simulate_without_ctc)
-from .qmat import (DEFAULT_TOL, Tolerances, ValidationError,
-                   ValidationReport, dagger, kron, mutual_information,
-                   partial_trace, trace_distance, validate,
-                   von_neumann_entropy)
+from .qmat import (ValidationError, ValidationReport, dagger, kron,
+                   mutual_information, partial_trace, trace_distance,
+                   validate, von_neumann_entropy)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Circuit", "CircuitFormatError", "ComputationTask", "ConvergenceError",
-    "DEFAULT_TOL", "DiscriminationOutcome", "FixedPointResult", "Gate",
-    "LabeledEnsemble", "OracleReport", "SolverError", "Superoperator",
-    "Tolerances", "ValidationError", "ValidationReport", "build_bhw2",
-    "build_bhw_multi", "build_epr_swap", "builtin_matrix", "choi_matrix",
-    "compile_unitary", "complete_unitary", "ctc_evolve", "dagger",
-    "evolve_given_ctc_state", "fixed_point_bruteforce", "fixed_point_cesaro",
-    "fixed_point_exact", "helstrom_bound", "induced_superoperator", "kron",
-    "labeled_ensemble", "mutual_information", "pad_with_ancillas",
-    "parse_circuit", "partial_trace", "random_density", "random_unitary",
-    "run_computation_mixture", "run_discrimination", "run_superposition",
-    "serialize_circuit", "simulate_without_ctc", "trace_distance",
-    "validate", "validate_superoperator", "von_neumann_entropy",
-    "__version__",
+    "DiscriminationOutcome", "FixedPointResult", "Gate", "LabeledEnsemble",
+    "OracleReport", "SolverError", "Superoperator", "ValidationError",
+    "ValidationReport", "build_bhw2", "build_bhw_multi", "build_epr_swap",
+    "builtin_matrix", "choi_matrix", "compile_unitary", "complete_unitary",
+    "ctc_evolve", "dagger", "evolve_given_ctc_state", "fixed_point_bruteforce",
+    "fixed_point_cesaro", "fixed_point_exact", "helstrom_bound",
+    "induced_superoperator", "kron", "labeled_ensemble", "mutual_information",
+    "pad_with_ancillas", "parse_circuit", "partial_trace", "random_density",
+    "random_unitary", "run_computation_mixture", "run_discrimination",
+    "run_superposition", "serialize_circuit", "simulate_without_ctc",
+    "trace_distance", "validate", "validate_superoperator",
+    "von_neumann_entropy", "__version__",
 ]

@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuit import _basis, _matrix_to_json, _parse_matrix, parse_circuit
+from .circuit import (_basis, _matrix_to_json, _parse_matrix, compile_unitary,
+                      parse_circuit)
 from .ctc import SolverError, fixed_point_cesaro, solve_loop
 from .experiments import REGISTRY, fixed_point_record
 from .oracle import fixed_point_bruteforce
@@ -103,7 +104,8 @@ def _input_state(spec: str, dim: int) -> np.ndarray:
 def _cmd_fixed_point(args, seed: int) -> dict:
     circuit = parse_circuit(_load_json(args.circuit_file))
     rho = _input_state(args.input, circuit.cr_dim)
-    _, superop, fp = solve_loop(circuit, rho, _selection(args.selection))
+    superop, fp = solve_loop(compile_unitary(circuit), rho, circuit.cr_dim,
+                             circuit.ctc_dim, _selection(args.selection))
     results = {"fixed_point": dict(fixed_point_record(fp),
                                    sigma=_matrix_to_json(fp.sigma))}
     if args.verify:

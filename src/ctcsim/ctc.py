@@ -34,8 +34,9 @@ import numpy as np
 import scipy.linalg
 
 from .circuit import Circuit, compile_unitary
-from .qmat import (DEFAULT_TOL, ValidationError, ValidationReport, dagger,
-                   require_density, require_unitary, trace_distance, validate,
+from .qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL, PSD_FLOOR,
+                   ValidationError, ValidationReport, dagger, require_density,
+                   require_unitary, trace_distance, validate,
                    von_neumann_entropy)
 
 
@@ -124,8 +125,8 @@ def _half_conjugation(u: np.ndarray, rho_cr: np.ndarray, cr_dim: int,
     return u4, np.tensordot(u4, rho_cr, axes=([2], [0]))
 
 
-def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
-    """Matrix of sigma -> Tr_CR(U (rho_cr x sigma) U+).
+def _loop_map(u: np.ndarray, rho_cr, cr_dim: int, dc: int) -> Superoperator:
+    """The loop map of a trusted (cr*dc)-square unitary; rho_cr is checked.
 
     Column j*d+i holds the column-stacked image of |i><j|, so entry
     (l*d+k, j*d+i) is E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho[b,c]
@@ -133,12 +134,6 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     t[k,i,l,j] = sum_ac w[a,k,i,c] conj(u4[a,l,c,j]) from the half
     conjugation w, then transposed to (l,k,j,i) and flattened.
     """
-    cr_dim = int(np.prod(cr_dims))
-    dc = int(np.prod(ctc_dims))
-    u = require_unitary(u, "interaction unitary")
-    if u.shape != (cr_dim * dc, cr_dim * dc):
-        raise ValidationError(
-            f"unitary dimension {u.shape[0]} != cr*ctc = {cr_dim * dc}")
     rho = require_density(rho_cr, "rho_cr")
     if rho.shape != (cr_dim, cr_dim):
         raise ValidationError(f"rho_cr dimension {rho.shape[0]} != {cr_dim}")
@@ -146,6 +141,18 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     t = np.tensordot(w, u4.conj(), axes=([0, 3], [0, 2]))
     return Superoperator(d_ctc=dc,
                          matrix=t.transpose(2, 0, 3, 1).reshape(dc * dc, dc * dc))
+
+
+def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
+    """Matrix of sigma -> Tr_CR(U (rho_cr x sigma) U+) for a caller's U,
+    which is checked to be a unitary of dimension cr*ctc."""
+    cr_dim = int(np.prod(cr_dims))
+    dc = int(np.prod(ctc_dims))
+    u = require_unitary(u, "interaction unitary")
+    if u.shape != (cr_dim * dc, cr_dim * dc):
+        raise ValidationError(
+            f"unitary dimension {u.shape[0]} != cr*ctc = {cr_dim * dc}")
+    return _loop_map(u, rho_cr, cr_dim, dc)
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
@@ -176,9 +183,9 @@ def validate_superoperator(s: Superoperator) -> ValidationReport:
 
 def _schur_fixed_cluster(m: np.ndarray):
     """Ordered complex Schur form with the eigenvalue-1 cluster leading."""
-    window = DEFAULT_TOL.eigenvalue_one_window
     t, z, sdim = scipy.linalg.schur(
-        m, output="complex", sort=lambda lam: abs(lam - 1.0) <= window)
+        m, output="complex",
+        sort=lambda lam: abs(lam - 1.0) <= EIGENVALUE_ONE_WINDOW)
     return t, z, int(sdim)
 
 
@@ -204,10 +211,10 @@ def _spectral_projector(t: np.ndarray, z: np.ndarray, sdim: int) -> np.ndarray:
 
 
 def _psd_clip(sigma: np.ndarray) -> np.ndarray:
-    """Apply the repair policy: eigenvalues in [-psd_floor, 0) become 0,
+    """Apply the repair policy: eigenvalues in [-PSD_FLOOR, 0) become 0,
     anything lower is an error; the result is renormalized to unit trace."""
     lam, vecs = scipy.linalg.eigh(_hermitize(sigma))
-    if lam[0] < -DEFAULT_TOL.psd_floor:
+    if lam[0] < -PSD_FLOOR:
         raise SolverError(
             f"fixed-point candidate has eigenvalue {lam[0]:.3e} below the PSD floor",
             residual=None)
@@ -265,7 +272,7 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
     whose eigenspaces are the blocks, and sigma to (+)_k c_k I x omega_k.
     """
     lam, vecs = scipy.linalg.eigh(start)
-    keep = lam > DEFAULT_TOL.psd_floor
+    keep = lam > PSD_FLOOR
     support, lam = vecs[:, keep], lam[keep]
     # the map restricted to operators on V; the null space of its adjoint
     # minus I is A, with an orthonormal basis from the smallest singular values
@@ -281,7 +288,7 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
     generic = _hermitize(np.tensordot(
         np.random.default_rng(0).standard_normal(sdim), onb, axes=1))
     mu, centre_vecs = scipy.linalg.eigh(twirl(generic))
-    gap = DEFAULT_TOL.eigenvalue_one_window * np.linalg.norm(generic)
+    gap = EIGENVALUE_ONE_WINDOW * np.linalg.norm(generic)
     splits = np.flatnonzero(np.diff(mu) > gap) + 1
     twirled = support @ twirl(np.diag(lam)) @ dagger(support)
     out = np.zeros_like(start)
@@ -322,8 +329,7 @@ def fixed_point_exact(s: Superoperator,
     if selection == "max_entropy" and sdim > 1:
         _hermitian_fixed_basis(z, sdim)  # raises unless adjoint-closed
         sigma = _psd_clip(_max_entropy_point(s.matrix, sdim, sigma))
-    return _certify(sigma, s, sdim, "exact", selection,
-                    DEFAULT_TOL.fixed_point_residual)
+    return _certify(sigma, s, sdim, "exact", selection, FIXED_POINT_RESIDUAL)
 
 
 def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
@@ -340,14 +346,14 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
         s: the superoperator.
         init: starting density matrix, default maximally mixed.
         max_iter: cap on N.
-        tol: convergence tolerance, default DEFAULT_TOL.fixed_point_residual.
+        tol: convergence tolerance, default FIXED_POINT_RESIDUAL.
 
     Raises:
         ConvergenceError: max_iter (or the squaring guard) reached without
             meeting tol; carries the last residual.
     """
     if tol is None:
-        tol = DEFAULT_TOL.fixed_point_residual
+        tol = FIXED_POINT_RESIDUAL
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     d = s.d_ctc
@@ -371,7 +377,7 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
         sigma = _psd_clip(sigma_raw)
         dim_est = max(1, int(round((m @ mean_op).trace().real)))
         return _certify(sigma, s, dim_est, "cesaro", "canonical",
-                        max(tol, DEFAULT_TOL.fixed_point_residual))
+                        max(tol, FIXED_POINT_RESIDUAL))
 
     prev = evaluate(mean_op)
     last_residual = trace_distance(s.apply(prev), prev)
@@ -404,7 +410,7 @@ def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.nd
     """Ordinary (linear) evolution for a FIXED time-machine state:
     Tr_CTC(U (rho_cr x sigma) U+).
 
-    Closes the half conjugation w of induced_superoperator with sigma on
+    Closes the half conjugation w of the loop map with sigma on
     its open CTC input, ws[a,k,c,j] = sum_i w[a,k,i,c] sigma[i,j], then
     traces the CTC output: out[a,e] = sum_kcj ws[a,k,c,j] conj(u4[e,k,c,j]).
     """
@@ -415,17 +421,17 @@ def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.nd
     return np.tensordot(ws, u4.conj(), axes=([1, 2, 3], [1, 2, 3]))
 
 
-def solve_loop(circuit: Circuit, rho_cr, selection: str = "canonical"
-               ) -> tuple[np.ndarray, Superoperator, FixedPointResult]:
+def solve_loop(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
+               selection: str = "canonical"
+               ) -> tuple[Superoperator, FixedPointResult]:
     """Deutsch's consistency step for one whole CR input.
 
-    Compiles the interaction U, builds the induced map E on the CTC register
-    and solves E(sigma) = sigma with fixed_point_exact. Returns
-    (U, E, fixed point). rho_cr is validated once, by induced_superoperator.
+    Builds the loop map E of a compiled interaction U, which it trusts, and
+    solves E(sigma) = sigma with fixed_point_exact. Returns (E, fixed point).
+    rho_cr is validated once, by the loop-map kernel.
     """
-    u = compile_unitary(circuit)
-    superop = induced_superoperator(u, rho_cr, circuit.cr_dims, circuit.ctc_dims)
-    return u, superop, fixed_point_exact(superop, selection)
+    superop = _loop_map(u, rho_cr, cr_dim, ctc_dim)
+    return superop, fixed_point_exact(superop, selection)
 
 
 def _checked_output(rho_out: np.ndarray) -> np.ndarray:
@@ -437,14 +443,21 @@ def _checked_output(rho_out: np.ndarray) -> np.ndarray:
     return rho_out
 
 
+def _evolve(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
+            selection: str) -> tuple[np.ndarray, FixedPointResult]:
+    """ctc_evolve for a compiled, trusted interaction U."""
+    _, fp = solve_loop(u, rho_cr, cr_dim, ctc_dim, selection)
+    rho_out = evolve_given_ctc_state(u, rho_cr, fp.sigma, cr_dim, ctc_dim)
+    return _checked_output(rho_out), fp
+
+
 def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
                ) -> tuple[np.ndarray, FixedPointResult]:
     """Full nonlinear evolution of a CR input through a circuit.
 
-    The consistency step (solve_loop) followed by the final partial trace.
-    Returns the evolved CR state together with the fixed-point record.
+    Compiles the circuit once, then runs the consistency step (solve_loop)
+    and the final partial trace. Returns the evolved CR state together with
+    the fixed-point record.
     """
-    u, _, fp = solve_loop(circuit, rho_cr, selection)
-    rho_out = evolve_given_ctc_state(u, rho_cr, fp.sigma, circuit.cr_dim,
-                                     circuit.ctc_dim)
-    return _checked_output(rho_out), fp
+    return _evolve(compile_unitary(circuit), rho_cr, circuit.cr_dim,
+                   circuit.ctc_dim, selection)

@@ -15,12 +15,13 @@ import math
 import numpy as np
 
 from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
-                      build_epr_swap, pad_with_ancillas)
-from .ctc import FixedPointResult, ctc_evolve
+                      build_epr_swap, compile_unitary, pad_with_ancillas)
+from .ctc import (FixedPointResult, _checked_output, ctc_evolve,
+                  evolve_given_ctc_state)
 from .oracle import random_unitary
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, _ensemble_state, _extended_circuit,
-                       helstrom_bound, labeled_ensemble,
+                       LabeledEnsemble, _ensemble_state, helstrom_bound,
+                       labeled_ensemble,
                        run_computation_mixture, run_discrimination,
                        run_superposition, simulate_without_ctc)
 from .qmat import ValidationError, mutual_information, trace_distance
@@ -243,13 +244,16 @@ def sim_equivalence(*, trials: int = 50, seed: int = 0,
     distances, residual_max = [], 0.0
     for trial in range(trials):
         circuit, ensemble = random_instance(seed, trial)
-        # the joint evolve of run_discrimination, without its per-pure runs
-        with_ctc, fp = ctc_evolve(_extended_circuit(circuit, ensemble.n),
-                                  _ensemble_state(ensemble), selection)
         without = simulate_without_ctc(circuit, ensemble, selection)
+        # the joint evolve of run_discrimination solves the same loop, I_R (x)
+        # U on rho_RA, so its output follows from the same fixed point
+        fp = without.fixed_point
+        u = np.kron(np.eye(ensemble.n), compile_unitary(circuit))
+        with_ctc = _checked_output(evolve_given_ctc_state(
+            u, _ensemble_state(ensemble), fp.sigma,
+            ensemble.n * circuit.cr_dim, circuit.ctc_dim))
         distances.append(trace_distance(with_ctc, without.rho_out))
-        residual_max = max(residual_max, fp.residual,
-                           without.fixed_point.residual)
+        residual_max = max(residual_max, fp.residual)
     return {
         "trials": trials,
         "max_trace_distance": max(distances),

@@ -14,8 +14,8 @@ the mixture-level run (which fails to discriminate), the per-pure-input runs
 (which succeed on the designated states), the superposition variant, and a
 purely linear simulation that reproduces the mixture output with no time
 machine at all. No gate ever touches R; this is enforced by construction,
-since the discriminator circuit is defined on A and CTC wires only and is
-extended to R (x) A by wire shifting.
+since the discriminator circuit is defined on A and CTC wires only, and its
+compiled unitary U acts on R (x) A (x) CTC as I_R (x) U.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _as_state, _basis
-from .ctc import (FixedPointResult, _checked_output, ctc_evolve,
+from .circuit import Circuit, _as_state, _basis, compile_unitary
+from .ctc import (FixedPointResult, _checked_output, _evolve,
                   evolve_given_ctc_state, solve_loop)
 from .qmat import (ValidationError, kron, mutual_information, partial_trace,
                    trace_distance)
@@ -150,21 +150,6 @@ class DiscriminationOutcome:
     fixed_point: FixedPointResult
 
 
-def _extended_circuit(v_circuit: Circuit, n: int) -> Circuit:
-    """Prepend a dimension-n R wire that no gate touches; n = 1 returns the
-    circuit as-is (a one-dimensional R factor is implicit, never a declared
-    wire)."""
-    if n == 1:
-        return v_circuit
-    gates = tuple(Gate(g.name, tuple(w + 1 for w in g.wires), g.matrix)
-                  for g in v_circuit.gates)
-    labels = None
-    if v_circuit.labels is not None:
-        labels = ("R",) + v_circuit.labels
-    return Circuit(cr_dims=(n,) + v_circuit.cr_dims,
-                   ctc_dims=v_circuit.ctc_dims, gates=gates, labels=labels)
-
-
 def _check_scope(v_circuit: Circuit, ensemble: LabeledEnsemble) -> None:
     if ensemble.a_dim != v_circuit.cr_dim:
         raise ValidationError(
@@ -206,16 +191,18 @@ def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
 def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
                rho_in: np.ndarray, target: np.ndarray,
                selection: str) -> DiscriminationOutcome:
-    """The protocol body: Deutsch evolution of the joint R (x) A input, the
-    per-pure-input runs, and the outcome against the target."""
+    """The protocol body: Deutsch evolution of the joint R (x) A input under
+    I_R (x) U, the per-pure-input runs under U, and the outcome against the
+    target. The discriminator is compiled once."""
     _check_scope(v_circuit, ensemble)
-    rho_out, fp = ctc_evolve(_extended_circuit(v_circuit, ensemble.n), rho_in,
-                             selection)
-    per_pure = []
-    for label, _, vec in ensemble.by_label():
-        rho_a, _ = ctc_evolve(v_circuit, np.outer(vec, vec.conj()), selection)
-        per_pure.append((label, rho_a))
-    return _outcome(rho_out, fp, ensemble, target, tuple(per_pure))
+    u = compile_unitary(v_circuit)
+    d, dc = ensemble.a_dim, v_circuit.ctc_dim
+    rho_out, fp = _evolve(np.kron(np.eye(ensemble.n), u), rho_in,
+                          ensemble.n * d, dc, selection)
+    per_pure = tuple(
+        (label, _evolve(u, np.outer(vec, vec.conj()), d, dc, selection)[0])
+        for label, _, vec in ensemble.by_label())
+    return _outcome(rho_out, fp, ensemble, target, per_pure)
 
 
 def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -264,10 +251,10 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
                          selection: str = "canonical") -> DiscriminationOutcome:
     """Reproduce the mixture run with ordinary linear evolution.
 
-    Solves the self-consistency condition for the ensemble's rho_RA once
-    (solve_loop, as ctc_evolve does) and freezes the resulting sigma. Each
-    labeled component |x><x| (x) phi_x then goes through the ordinary
-    channel X -> Tr_CTC(U (X (x) sigma) U+), computed by
+    Solves the self-consistency condition of I_R (x) U for the ensemble's
+    rho_RA once (solve_loop, as run_discrimination does) and freezes the
+    resulting sigma. Each labeled component |x><x| (x) phi_x then goes
+    through the ordinary channel X -> Tr_CTC(U (X (x) sigma) U+), computed by
     evolve_given_ctc_state as in ctc_evolve, and rho_out is the p-weighted
     sum of those outputs. By linearity it equals run_discrimination's
     rho_out: with sigma known, no time machine is needed to produce the
@@ -280,17 +267,17 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     """
     _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
-    n, d = ensemble.n, ensemble.a_dim
-    circuit = _extended_circuit(v_circuit, n)
+    n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
+    u = np.kron(np.eye(n), compile_unitary(v_circuit))
     rho_ra = _ensemble_state(ensemble)
-    u, _, fp = solve_loop(circuit, rho_ra, selection)
+    _, fp = solve_loop(u, rho_ra, n * d, dc, selection)
     rho_out = np.zeros_like(rho_ra)
     per_pure = []
     for label, prob, vec in ensemble.by_label():
         unit = np.zeros((n, n), dtype=complex)
         unit[label, label] = 1.0
         joint = evolve_given_ctc_state(u, kron(unit, np.outer(vec, vec.conj())),
-                                       fp.sigma, circuit.cr_dim, circuit.ctc_dim)
+                                       fp.sigma, n * d, dc)
         rho_out += prob * joint
         per_pure.append((label, partial_trace(joint, (n, d), keep=[1])))
     return _outcome(_checked_output(rho_out), fp, ensemble, target,

@@ -19,36 +19,17 @@ class ValidationError(ValueError):
     """An input failed matrix validation (shape, hermiticity, trace, ...)."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared across the package.
-
-    Every check reads DEFAULT_TOL; no function takes a per-call override.
-
-    Attributes:
-        hermiticity: max entrywise deviation allowed for M vs M†, and for
-            unit trace / unitarity defect checks.
-        psd_floor: eigenvalues in [-psd_floor, 0) are treated as zero;
-            anything below is an error, never silently repaired.
-        fixed_point_residual: acceptance bound on ½‖E(σ)−σ‖₁ for solver
-            output.
-        eigenvalue_one_window: superoperator eigenvalues within this distance
-            of 1 count as the fixed subspace.
-    """
-
-    hermiticity: float = 1e-10
-    psd_floor: float = 1e-10
-    fixed_point_residual: float = 1e-9
-    eigenvalue_one_window: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("hermiticity", "psd_floor", "fixed_point_residual",
-                     "eigenvalue_one_window"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"tolerance {name} must be positive")
-
-
-DEFAULT_TOL = Tolerances()
+# Numerical tolerances shared across the package; no function takes a
+# per-call override.
+# max entrywise deviation of M from M†, and the unit-trace and unitarity defects
+HERMITICITY_TOL = 1e-10
+# eigenvalues in [-PSD_FLOOR, 0) count as zero; anything lower is an error,
+# never silently repaired
+PSD_FLOOR = 1e-10
+# acceptance bound on ½‖E(σ)−σ‖₁ for solver output
+FIXED_POINT_RESIDUAL = 1e-9
+# superoperator eigenvalues within this distance of 1 form the fixed subspace
+EIGENVALUE_ONE_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,14 +129,13 @@ def trace_distance(a, b) -> float:
 def von_neumann_entropy(rho) -> float:
     """−Σ λ log₂ λ in bits, with 0·log 0 = 0.
 
-    Eigenvalues in [-psd_floor, 0) count as 0; anything lower raises.
+    Eigenvalues in [-PSD_FLOOR, 0) count as 0; anything lower raises.
     """
     h = _as_matrix(rho)
     lam = scipy.linalg.eigvalsh((h + dagger(h)) / 2)
-    floor = DEFAULT_TOL.psd_floor
-    if lam[0] < -floor:
+    if lam[0] < -PSD_FLOOR:
         raise ValidationError(
-            f"eigenvalue {lam[0]:.3e} below the PSD floor -{floor:.1e}")
+            f"eigenvalue {lam[0]:.3e} below the PSD floor -{PSD_FLOOR:.1e}")
     lam = lam[lam > 0]
     return float(-(lam * np.log2(lam)).sum())
 
@@ -183,8 +163,8 @@ def validate(m, kind: str) -> ValidationReport:
 
     Args:
         m: square matrix.
-        kind: "density" (Hermitian, PSD within psd_floor, unit trace) or
-            "unitary" (M†M = I within the hermiticity tolerance).
+        kind: "density" (Hermitian, PSD within PSD_FLOOR, unit trace) or
+            "unitary" (M†M = I within HERMITICITY_TOL).
 
     Returns:
         A ValidationReport listing each violated invariant and its magnitude.
@@ -199,17 +179,17 @@ def validate(m, kind: str) -> ValidationReport:
     violations: list[tuple[str, float]] = []
     if kind == "density":
         herm = float(np.abs(a - dagger(a)).max())
-        if herm > DEFAULT_TOL.hermiticity:
+        if herm > HERMITICITY_TOL:
             violations.append(("hermiticity", herm))
         tr = float(abs(a.trace() - 1.0))
-        if tr > DEFAULT_TOL.hermiticity:
+        if tr > HERMITICITY_TOL:
             violations.append(("unit trace", tr))
         lam_min = float(scipy.linalg.eigvalsh((a + dagger(a)) / 2)[0])
-        if lam_min < -DEFAULT_TOL.psd_floor:
+        if lam_min < -PSD_FLOOR:
             violations.append(("positive semidefinite", -lam_min))
     elif kind == "unitary":
         defect = float(np.abs(dagger(a) @ a - np.eye(a.shape[0])).max())
-        if defect > DEFAULT_TOL.hermiticity:
+        if defect > HERMITICITY_TOL:
             violations.append(("unitarity", defect))
     else:
         raise ValidationError(f"unknown validation kind {kind!r}")

@@ -93,6 +93,22 @@ def test_fixed_point_reads_matrix_file(tmp_path, capsys):
     assert abs(np.trace(sigma) - 1.0) < 1e-9
 
 
+def test_non_psd_matrix_file_is_input_error(tmp_path, capsys):
+    circuit = Circuit(cr_dims=(2, 2), ctc_dims=(2,),
+                      gates=(Gate("swap", (1, 2)),))
+    path = write_circuit(tmp_path, circuit)
+    state = tmp_path / "state.json"
+    # Hermitian with unit trace, but one eigenvalue is -0.5
+    grid = [[[1.5 if i == j == 0 else -0.5 if i == j == 1 else 0.0, 0.0]
+             for j in range(4)] for i in range(4)]
+    state.write_text(json.dumps(grid), encoding="utf-8")
+    assert main(["fixed-point", path, "--input", f"@{state}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rho_cr" in captured.err
+    assert "positive semidefinite" in captured.err
+
+
 def test_fixed_point_max_entropy_selection(tmp_path, capsys):
     circuit = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=())
     path = write_circuit(tmp_path, circuit)

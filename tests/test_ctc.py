@@ -386,8 +386,10 @@ def test_ctc_evolve_validates_input():
 def test_solve_loop_is_the_step_behind_ctc_evolve():
     circuit = build_bhw2(PLUS)
     rho = proj(PLUS)
-    u, superop, fp = solve_loop(circuit, rho)
+    u = compile_unitary(circuit)
+    # the compile is deterministic, so ctc_evolve's own compile is this U
     assert np.array_equal(u, compile_unitary(circuit))
+    superop, fp = solve_loop(u, rho, circuit.cr_dim, circuit.ctc_dim)
     assert np.array_equal(superop.matrix, induced_superoperator(
         u, rho, circuit.cr_dims, circuit.ctc_dims).matrix)
     assert np.array_equal(fp.sigma, fixed_point_exact(superop).sigma)

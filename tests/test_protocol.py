@@ -1,11 +1,14 @@
 """Tests for labeled-ensemble protocols: discrimination, superposition,
 linear simulation, Helstrom bound and computation tasks."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_bhw_multi,
-                            build_epr_swap, builtin_matrix,
+                            build_epr_swap, builtin_matrix, compile_unitary,
                             pad_with_ancillas)
 from ctcsim.ctc import SolverError, ctc_evolve
 from ctcsim.oracle import random_density, random_unitary
@@ -143,6 +146,62 @@ def test_four_state_pairwise_outputs():
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(trace_distance(outs[i], outs[j]) - 1.0) < 1e-9
+
+
+def count_calls(monkeypatch, names):
+    """Count calls to each ctcsim function in `names`, wrapped in every
+    loaded ctcsim module that holds it."""
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "ctcsim"]
+    for name in names:
+        home = next(m for m in modules if hasattr(m, name))
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_run_compiles_once_and_trusts_the_compile(monkeypatch):
+    # the circuit and ensemble are built, and their gates checked, up front
+    circuit = build_bhw2(PLUS)
+    ens, _ = uniform_ensemble([KET0, PLUS])
+    calls = count_calls(monkeypatch,
+                        ("compile_unitary", "_check_gate", "require_unitary"))
+    for run in (run_discrimination, run_superposition, simulate_without_ctc):
+        calls.clear()
+        run(circuit, ens)
+        assert dict(calls) == {"compile_unitary": 1}, run.__name__
+    calls.clear()
+    ctc_evolve(circuit, proj(PLUS))
+    assert dict(calls) == {"compile_unitary": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_joint_unitary_is_the_compile_with_an_idle_r_wire(n):
+    # I_R (x) U equals the compile of the circuit with R prepended as wire 0
+    rng = np.random.default_rng(53)
+    qutrit = Circuit(cr_dims=(3,), ctc_dims=(2,),
+                     gates=(Gate("v", (1, 0), random_unitary(6, rng)),
+                            Gate("h", (1,))))
+    circuits = [build_bhw2(PLUS), build_bhw_multi([KET0, KET1, PLUS, MINUS]),
+                build_bhw_multi([basis(x, 4) for x in range(4)]),
+                build_epr_swap(), qutrit]
+    for v in circuits:
+        if n == 1:  # a one-dimensional R is implicit, never a declared wire
+            shifted = v
+        else:
+            shifted = Circuit(
+                cr_dims=(n,) + v.cr_dims, ctc_dims=v.ctc_dims,
+                gates=tuple(Gate(g.name, tuple(w + 1 for w in g.wires),
+                                 g.matrix) for g in v.gates))
+        assert np.array_equal(np.kron(np.eye(n), compile_unitary(v)),
+                              compile_unitary(shifted))
 
 
 def test_discrimination_dimension_mismatch():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ctcsim.qmat import (DEFAULT_TOL, Tolerances, ValidationError, dagger,
+from ctcsim.qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
+                         HERMITICITY_TOL, PSD_FLOOR, ValidationError, dagger,
                          kron, mutual_information, partial_trace,
                          require_density, require_unitary, trace_distance,
                          validate, von_neumann_entropy)
@@ -168,11 +169,7 @@ def test_require_helpers_raise_with_context():
 
 
 def test_tolerances_defaults_and_positivity():
-    assert DEFAULT_TOL.hermiticity == 1e-10
-    assert DEFAULT_TOL.psd_floor == 1e-10
-    assert DEFAULT_TOL.fixed_point_residual == 1e-9
-    assert DEFAULT_TOL.eigenvalue_one_window == 1e-9
-    with pytest.raises(ValidationError):
-        Tolerances(hermiticity=0.0)
-    with pytest.raises(ValidationError):
-        Tolerances(psd_floor=-1e-10)
+    assert HERMITICITY_TOL == 1e-10
+    assert PSD_FLOOR == 1e-10
+    assert FIXED_POINT_RESIDUAL == 1e-9
+    assert EIGENVALUE_ONE_WINDOW == 1e-9
