@@ -20,10 +20,16 @@ causality-respecting output
     rho_out = Tr_CTC( U (rho_cr x sigma*) U+ ).
 
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
-nonlinear. Two fixed-point selections are provided for degenerate fixed
-spaces: "canonical" (the spectral projection of the maximally mixed state,
-i.e. the Cesaro limit seeded at I/d) and "max_entropy" (Deutsch's rule: the
-fixed state of largest entropy, in closed form). Both are deterministic.
+nonlinear. The exact solver first tries one LU solve of the bordered system
+(M - I with row 0 replaced by the trace row). It takes that answer only
+when the LAPACK condition estimate shows the fixed point is unique and the
+estimate times the residual bounds its error by FIXED_POINT_RESIDUAL.
+Otherwise (a singular or ill-conditioned system: a degenerate or
+near-degenerate fixed space) it falls back to an ordered Schur form. Two
+fixed-point selections are provided for degenerate fixed spaces:
+"canonical" (the spectral projection of the maximally mixed state, i.e. the
+Cesaro limit seeded at I/d) and "max_entropy" (Deutsch's rule: the fixed
+state of largest entropy, in closed form). Both are deterministic.
 """
 
 from __future__ import annotations
@@ -181,6 +187,42 @@ def validate_superoperator(s: Superoperator) -> ValidationReport:
     return ValidationReport("superoperator", tuple(violations))
 
 
+def _lu_fixed_point(s: Superoperator) -> np.ndarray | None:
+    """The unique fixed point from one LU solve of the bordered system, or
+    None when the solve cannot vouch for it (acceptance rule: see
+    fixed_point_exact).
+
+    A is M - I with row 0 replaced by the trace row vec(I), so a trace-1
+    fixed point solves A v = e_0 (for a trace-preserving M, row 0 of M - I
+    is implied by the others) and ||A^-1||_1 ||A v - e_0||_1 bounds the
+    distance of v to it. A second eigenvalue lambda within the window of 1
+    has a trace-zero eigenvector x with ||A x|| <= |lambda - 1| ||x||, so it
+    forces ||A^-1||_2 >= 1e9; the factor 1e-3 in the cut covers the change
+    to the 1-norm (at most sqrt(n)) and the usual underestimate of the
+    estimate, so an accepted answer is one the Schur window also calls
+    unique.
+    """
+    n = s.matrix.shape[0]
+    a = s.matrix - np.eye(n)
+    a[0] = _vec(np.eye(s.d_ctc))
+    # getrf flags an exactly singular A with info > 0 and warns about
+    # nothing, where scipy.linalg.lu_factor would raise a LinAlgWarning
+    lu, piv, info = scipy.linalg.lapack.zgetrf(a)
+    if info != 0:
+        return None
+    anorm = np.linalg.norm(a, 1)
+    rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
+    # rcond estimates 1 / (||A||_1 ||A^-1||_1); both comparisons are
+    # written so that a NaN rejects the answer
+    if info != 0 or not rcond * anorm >= EIGENVALUE_ONE_WINDOW / 1e-3:
+        return None
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    v, _ = scipy.linalg.lapack.zgetrs(lu, piv, e0)
+    error_bound = np.abs(a @ v - e0).sum() / (rcond * anorm)
+    return _unvec(v) if error_bound <= FIXED_POINT_RESIDUAL else None
+
+
 def _schur_fixed_cluster(m: np.ndarray):
     """Ordered complex Schur form with the eigenvalue-1 cluster leading."""
     t, z, sdim = scipy.linalg.schur(
@@ -301,13 +343,24 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
 
 def fixed_point_exact(s: Superoperator,
                       selection: str = "canonical") -> FixedPointResult:
-    """Fixed point via the spectral projection onto the eigenvalue-1 subspace.
+    """Fixed point of a loop map, unique ones by LU, the rest by ordered Schur.
 
+    LU first: one solve of the bordered system A v = e_0, where A is M - I
+    with row 0 replaced by the trace row. Its answer is taken, with
+    fixed_space_dim 1, when the LAPACK estimate of ||A^-1||_1 is at most
+    1e-3 / EIGENVALUE_ONE_WINDOW and that estimate times ||A v - e_0||_1, a
+    bound on the distance to the true fixed point, is at most
+    FIXED_POINT_RESIDUAL. A degenerate fixed space makes A singular, and a
+    near-degenerate one makes it ill-conditioned, so both fall back.
+
+    Schur fallback: the spectral projection onto the eigenvalues within
+    EIGENVALUE_ONE_WINDOW of 1 (their count is fixed_space_dim).
     canonical: image of the maximally mixed state under the projection that
     kills all decaying and peripheral components (the closed form of Cesaro
-    averaging), Hermitized and renormalized. max_entropy: the fixed state
-    of largest entropy, in closed form from the canonical point and the
-    block structure of the fixed space; the canonical point when sdim is 1.
+    averaging). max_entropy: the fixed state of largest entropy, in closed
+    form from the canonical point and the block structure of the fixed
+    space; the canonical point when fixed_space_dim is 1. Either path's
+    sigma is Hermitized, renormalized and certified.
 
     Raises:
         SolverError: no eigenvalue within the detection window of 1 (signals
@@ -318,12 +371,15 @@ def fixed_point_exact(s: Superoperator,
     if selection not in ("canonical", "max_entropy"):
         raise ValidationError(f"unknown selection {selection!r}")
     d = s.d_ctc
-    t, z, sdim = _schur_fixed_cluster(s.matrix)
-    if sdim == 0:
-        raise SolverError("no superoperator eigenvalue within the detection "
-                          "window of 1; input is not a valid CPTP map")
-    projector = _spectral_projector(t, z, sdim)
-    sigma = _unvec(projector @ _vec(np.eye(d, dtype=complex) / d))
+    sigma = _lu_fixed_point(s)
+    sdim = 1
+    if sigma is None:
+        t, z, sdim = _schur_fixed_cluster(s.matrix)
+        if sdim == 0:
+            raise SolverError("no superoperator eigenvalue within the detection "
+                              "window of 1; input is not a valid CPTP map")
+        projector = _spectral_projector(t, z, sdim)
+        sigma = _unvec(projector @ _vec(np.eye(d, dtype=complex) / d))
     sigma = _hermitize(sigma)
     sigma = sigma / sigma.trace().real
     if selection == "max_entropy" and sdim > 1:

@@ -445,3 +445,20 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_fixed_point_on_untouched_ctc_wires_writes_nothing_to_stderr(tmp_path):
+    # an x on the CR wire and the mixed input give E = I exactly, so the
+    # bordered LU system is exactly singular; the solver must fall back to
+    # Schur without printing a LinAlgWarning
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(2, 2), gates=(Gate("x", (0,)),))
+    path = write_circuit(tmp_path, circuit)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    out = subprocess.run([sys.executable, "-m", "ctcsim.cli", "fixed-point",
+                          path], env=env, cwd=root, capture_output=True,
+                         text=True)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["results"]["fixed_point"]["fixed_space_dim"] == 16

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import ctcsim.ctc as ctc_module
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
                             compile_unitary, complete_unitary)
 from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
-                        choi_matrix, ctc_evolve, evolve_given_ctc_state,
-                        fixed_point_cesaro, fixed_point_exact,
-                        induced_superoperator, solve_loop,
+                        _hermitize, _lu_fixed_point, _schur_fixed_cluster,
+                        _spectral_projector, choi_matrix, ctc_evolve,
+                        evolve_given_ctc_state, fixed_point_cesaro,
+                        fixed_point_exact, induced_superoperator, solve_loop,
                         validate_superoperator)
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.qmat import (ValidationError, dagger, kron, mutual_information,
@@ -277,6 +281,111 @@ def test_residuals_match_independent_recomputation():
             apply_map_directly(u, rho, fp.sigma, 2, 2), fp.sigma)
         assert abs(recomputed - fp.residual) < 1e-12
         assert recomputed <= 1e-9
+
+
+# --- LU path and Schur fallback ---------------------------------------------
+
+CTC_DIMS_UP_TO_8 = [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2)]
+
+
+@st.composite
+def loop_circuits(draw):
+    """A circuit of 1-4 Haar gates on mixed qubit/qutrit wires, CTC
+    dimension at most 8, and a random CR input."""
+    cr_dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1,
+                                  max_size=2)))
+    ctc_dims = draw(st.sampled_from(CTC_DIMS_UP_TO_8))
+    dims = cr_dims + ctc_dims
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gates = []
+    for k in range(draw(st.integers(1, 4))):
+        wires = tuple(draw(st.lists(st.integers(0, len(dims) - 1), min_size=1,
+                                    max_size=3, unique=True)))
+        span = int(np.prod([dims[w] for w in wires]))
+        gates.append(Gate(f"g{k}", wires, random_unitary(span, rng)))
+    circuit = Circuit(cr_dims=cr_dims, ctc_dims=ctc_dims, gates=tuple(gates))
+    return circuit, random_density(circuit.cr_dim, rng)
+
+
+def schur_canonical_point(s):
+    """The Schur fallback's canonical sigma and fixed_space_dim, computed
+    without the LU path."""
+    t, z, sdim = _schur_fixed_cluster(s.matrix)
+    d = s.d_ctc
+    sigma = _hermitize((_spectral_projector(t, z, sdim) @ vec(np.eye(d) / d)
+                        ).reshape(d, d, order="F"))
+    return sigma / sigma.trace().real, sdim
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(loop_circuits())
+def test_lu_path_agrees_with_schur_projector(case):
+    circuit, rho = case
+    s = induced_superoperator(compile_unitary(circuit), rho, circuit.cr_dims,
+                              circuit.ctc_dims)
+    schur_sigma, sdim = schur_canonical_point(s)
+    fp = fixed_point_exact(s)
+    if _lu_fixed_point(s) is None:
+        event("Schur fallback")
+        assert fp.fixed_space_dim == sdim
+        return
+    event("LU accepted")
+    assert sdim == 1 and fp.fixed_space_dim == 1
+    assert np.abs(fp.sigma - schur_sigma).max() < 1e-10
+
+
+def untouched_ctc_superoperator():
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(2, 2), gates=(Gate("h", (0,)),))
+    return induced_superoperator(compile_unitary(circuit), proj(PLUS),
+                                 circuit.cr_dims, circuit.ctc_dims)
+
+
+def block_superoperator():
+    rng = np.random.default_rng(1)
+    kraus, _ = block_channel([(2, random_density(2, rng)),
+                              (1, random_density(2, rng))],
+                             random_unitary(6, rng))
+    return kraus_superoperator(kraus, 6)
+
+
+@pytest.mark.parametrize("make, fixed_space_dim", [
+    (lambda: Superoperator(d_ctc=3, matrix=np.eye(9)), 9),
+    (untouched_ctc_superoperator, 16),
+    (block_superoperator, 5)], ids=["identity", "untouched-ctc", "blocks"])
+def test_degenerate_loops_never_take_the_lu_path(make, fixed_space_dim):
+    s = make()
+    assert _lu_fixed_point(s) is None
+    for selection in ("canonical", "max_entropy"):
+        assert fixed_point_exact(s, selection).fixed_space_dim == fixed_space_dim
+
+
+def near_degenerate_superoperator(eps):
+    """U = expm(-i eps H) on one CR and one CTC qubit: the second eigenvalue
+    of the loop map sits about eps^2 from 1."""
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u = scipy.linalg.expm(-1j * eps * (g + dagger(g)) / 2)
+    return induced_superoperator(u, random_density(2, 5), (2,), (2,))
+
+
+@pytest.mark.parametrize("eps, lu_taken, fixed_space_dim", [
+    (1e-2, True, 1), (1e-4, False, 1), (3e-5, False, 2), (1e-5, False, 2)])
+def test_near_degenerate_loops_fall_back_to_schur(monkeypatch, eps, lu_taken,
+                                                  fixed_space_dim):
+    # the condition estimate of the bordered system grows as 1/eps^2
+    # (1.2e4 at 1e-2, 1.2e10 at 1e-5); above 1e6 the Schur window decides
+    schur_calls = []
+
+    def counted(m):
+        schur_calls.append(m.shape)
+        return _schur_fixed_cluster(m)
+
+    monkeypatch.setattr(ctc_module, "_schur_fixed_cluster", counted)
+    s = near_degenerate_superoperator(eps)
+    fp = fixed_point_exact(s)
+    assert (not schur_calls) == lu_taken
+    assert (_lu_fixed_point(s) is not None) == lu_taken
+    assert fp.fixed_space_dim == fixed_space_dim
 
 
 # --- Cesaro solver -----------------------------------------------------------
