@@ -390,13 +390,23 @@ def fixed_point_exact(s: Superoperator,
 
 def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
                        tol: float | None = None) -> FixedPointResult:
-    """Fixed point by the running Cesaro mean of plain map iteration.
+    """Fixed point by repeated squaring of the lazy map L = (I + E)/2.
 
-    Evaluates the mean of E^1(init)..E^N(init) at N = 2, 4, 8, ... by operator
-    doubling and stops once half the trace norm of E(mean) - mean AND of the
-    step from the previous doubling are both <= tol. Repeated squaring is
-    guarded: eigenvalues numerically above 1 explode under doubling, so the
-    iteration stops early (and reports non-convergence) if the powers blow up.
+    L^N = 2^-N sum_k C(N, k) E^k averages the iterates of E with binomial
+    weights. Each eigenvalue lambda != 1 of a CPTP map has |(1 + lambda)/2| < 1,
+    so L^N converges geometrically to the spectral projection onto the fixed
+    space, the same limit as the uniform Cesaro mean, and peripheral
+    (rotating) components die too. Evaluates E(L^N(init)) at N = 1, 2, 4, ...
+    with one matrix product per doubling and stops once half the trace norm
+    of E(sigma) - sigma AND of the step from the previous doubling are both
+    <= tol. fixed_space_dim is estimated as round(tr L^N).
+
+    Two guards: squaring blows up eigenvalues numerically above 1, so the
+    iteration stops early when the powers do; and a map that does not
+    preserve trace moves the iterate's trace away from 1 (L pulls an
+    eigenvalue below -1 inside the unit disc, and a map without eigenvalue 1
+    drives the trace to 0), so a trace beyond 1 +- 0.5, far outside the
+    drift of squaring, stops it too.
 
     Args:
         s: the superoperator.
@@ -405,8 +415,8 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
         tol: convergence tolerance, default FIXED_POINT_RESIDUAL.
 
     Raises:
-        ConvergenceError: max_iter (or the squaring guard) reached without
-            meeting tol; carries the last residual.
+        ConvergenceError: max_iter or either guard reached without meeting
+            tol; carries the last residual (None before the first one).
     """
     if tol is None:
         tol = FIXED_POINT_RESIDUAL
@@ -415,51 +425,38 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
     d = s.d_ctc
     if init is None:
         init = np.eye(d, dtype=complex) / d
-    init = require_density(init, "init")
+    v0 = _vec(require_density(init, "init"))
     m = s.matrix
-    dim = m.shape[0]
-    v0 = _vec(init)
-
-    power = m.copy()                       # M^N
-    mean_op = (np.eye(dim, dtype=complex) + m) / 2.0   # (1/N) sum_{n<N} M^n
-    n = 2
-
-    def evaluate(op):
-        raw = _unvec(m @ (op @ v0))        # mean over E^1..E^N
-        sig = _hermitize(raw)
-        return sig / sig.trace().real
-
-    def finish(sigma_raw: np.ndarray) -> FixedPointResult:
-        sigma = _psd_clip(sigma_raw)
-        dim_est = max(1, int(round((m @ mean_op).trace().real)))
-        return _certify(sigma, s, dim_est, "cesaro", "canonical",
-                        max(tol, FIXED_POINT_RESIDUAL))
-
-    prev = evaluate(mean_op)
-    last_residual = trace_distance(s.apply(prev), prev)
-    if last_residual <= tol:
-        # the N=2 mean already sits on a fixed point (e.g. constant maps)
-        return finish(prev)
-    while n * 2 <= max_iter:
-        squared = power @ power
-        if not np.isfinite(squared).all() or np.abs(squared).max() > 1e6:
+    power = (np.eye(m.shape[0], dtype=complex) + m) / 2   # L^N
+    n = 1
+    prev = last_residual = None
+    while True:
+        raw = _unvec(m @ (power @ v0))     # E(L^N(init))
+        trace = raw.trace().real
+        if not abs(trace - 1) <= 0.5:
+            raise ConvergenceError(
+                f"iterate trace {trace:.3e} at N={n}: the map does not "
+                f"preserve trace", residual=last_residual)
+        current = _hermitize(raw) / trace
+        last_residual = trace_distance(s.apply(current), current)
+        # at N = 1 the residual alone decides (e.g. constant maps)
+        if last_residual <= tol and (
+                prev is None or trace_distance(current, prev) <= tol):
+            dim_est = max(1, int(round(power.trace().real)))
+            return _certify(_psd_clip(current), s, dim_est, "cesaro",
+                            "canonical", max(tol, FIXED_POINT_RESIDUAL))
+        if n * 2 > max_iter:
+            raise ConvergenceError(
+                f"Cesaro iteration did not converge within N={max_iter} "
+                f"(last residual {last_residual:.3e})", residual=last_residual)
+        power = power @ power
+        if not np.isfinite(power).all() or np.abs(power).max() > 1e6:
             raise ConvergenceError(
                 f"power iteration blew up at N={n} with residual "
                 f"{last_residual:.3e} (eigenvalues numerically above 1)",
                 residual=last_residual)
-        power = squared
-        mean_op = mean_op @ (np.eye(dim, dtype=complex) + power) / 2.0
         n *= 2
-        current = evaluate(mean_op)
-        r_fixed = trace_distance(s.apply(current), current)
-        r_step = trace_distance(current, prev)
-        last_residual = r_fixed
-        if r_fixed <= tol and r_step <= tol:
-            return finish(current)
         prev = current
-    raise ConvergenceError(
-        f"Cesaro iteration did not converge within N={max_iter} "
-        f"(last residual {last_residual:.3e})", residual=last_residual)
 
 
 def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the fixed-point engine: superoperators, solvers, evolution."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import ctcsim.ctc as ctc_module
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
-                            compile_unitary, complete_unitary)
+                            compile_unitary, complete_unitary, parse_circuit,
+                            serialize_circuit)
 from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
                         _hermitize, _lu_fixed_point, _schur_fixed_cluster,
                         _spectral_projector, choi_matrix, ctc_evolve,
@@ -443,6 +446,40 @@ def test_cesaro_init_validation():
         fixed_point_cesaro(s, init=np.eye(2, dtype=complex))  # trace 2
     with pytest.raises(ValidationError):
         fixed_point_cesaro(s, tol=-1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [0.5, 1.1, -1.1, 0.0])
+def test_cesaro_rejects_maps_that_do_not_preserve_trace(c):
+    # the iterate's trace leaves 1: it shrinks toward 0 (c = 0.5, -1.1 and
+    # the zero map) or grows (c = 1.1); no 0/0 on the way
+    with pytest.raises(ConvergenceError):
+        fixed_point_cesaro(Superoperator(d_ctc=2, matrix=c * np.eye(4)))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_cesaro_converges_on_slow_loops(eps):
+    # the second eigenvalue sits about eps^2 from 1: slow to converge, but
+    # the fixed point is unique
+    s = near_degenerate_superoperator(eps)
+    fp = fixed_point_cesaro(s)
+    assert fp.residual <= 1e-9
+    assert trace_distance(fp.sigma, fixed_point_exact(s).sigma) <= 1e-8
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(loop_circuits())
+def test_cesaro_agrees_with_exact_on_random_loops(case):
+    circuit, rho = case
+    assert parse_circuit(json.loads(serialize_circuit(circuit))) == circuit
+    s = induced_superoperator(compile_unitary(circuit), rho, circuit.cr_dims,
+                              circuit.ctc_dims)
+    assert validate_superoperator(s).ok
+    event("LU accepted" if _lu_fixed_point(s) is not None else "Schur fallback")
+    # fixed_space_dim is not compared: round(tr L^N) overcounts on some
+    # degenerate loops
+    assert trace_distance(fixed_point_cesaro(s).sigma,
+                          fixed_point_exact(s).sigma) <= 1e-8
 
 
 # --- evolution ---------------------------------------------------------------
