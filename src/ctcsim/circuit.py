@@ -74,7 +74,8 @@ class Gate:
     """One gate: a name, the wires it acts on, and optionally its matrix.
 
     matrix is None for builtin gates, whose canonical matrix is resolved from
-    the wire dimensions at compile time.
+    the wire dimensions at compile time. Otherwise it is a read-only copy of
+    the caller's array, so a gate cannot change after its circuit checked it.
     """
 
     name: str
@@ -84,8 +85,9 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         if self.matrix is not None:
-            object.__setattr__(self, "matrix",
-                               np.asarray(self.matrix, dtype=complex))
+            m = np.array(self.matrix, dtype=complex)
+            m.setflags(write=False)
+            object.__setattr__(self, "matrix", m)
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -212,13 +214,21 @@ def _resolve_matrix(gate: Gate, dims: tuple[int, ...]) -> np.ndarray:
 
 
 def compile_unitary(circuit: Circuit) -> np.ndarray:
-    """Full-dimension unitary of the circuit.
+    """Full-dimension unitary of the circuit, compiled once per Circuit.
 
     The leftmost gate acts first, so it sits rightmost in the matrix product.
     An empty gate list compiles to the identity. The product is held as a
     tensor with one row axis per wire plus one column axis, and each gate is
     contracted into its own wire axes only, at cost D^2 * span.
+
+    The first call stores U on the circuit and every later call returns that
+    same read-only array. This is sound because a Circuit cannot change after
+    construction: it is frozen and each Gate holds a read-only copy of its
+    matrix. The stored U lives exactly as long as its circuit.
     """
+    u = circuit.__dict__.get("_unitary")
+    if u is not None:
+        return u
     dims = circuit.dims
     total = circuit.total_dim
     u = np.eye(total, dtype=complex).reshape(dims + (total,))
@@ -229,7 +239,10 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
         u = np.tensordot(g, u, axes=(list(range(k, 2 * k)), list(gate.wires)))
         # tensordot leaves the gate's output axes first, the rest in order
         u = np.moveaxis(u, list(range(k)), list(gate.wires))
-    return u.reshape(total, total)
+    u = u.reshape(total, total)
+    u.setflags(write=False)
+    object.__setattr__(circuit, "_unitary", u)
+    return u
 
 
 # ---------------------------------------------------------------------------

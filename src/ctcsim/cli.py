@@ -27,7 +27,7 @@ from .circuit import (_basis, _matrix_to_json, _parse_matrix, compile_unitary,
                       parse_circuit)
 from .ctc import SolverError, fixed_point_cesaro, solve_loop
 from .experiments import REGISTRY, fixed_point_record
-from .oracle import fixed_point_bruteforce
+from .oracle import MAX_ITERS, fixed_point_bruteforce
 from .qmat import ValidationError, trace_distance
 
 SCHEMA_VERSION = 1
@@ -110,6 +110,11 @@ def _cmd_fixed_point(args, seed: int) -> dict:
                                    sigma=_matrix_to_json(fp.sigma))}
     if args.verify:
         oracle = fixed_point_bruteforce(circuit, rho, trials=8, seed=seed)
+        if oracle.converged == 0:
+            raise SolverError(
+                f"--verify verified nothing: the brute-force oracle converged "
+                f"on 0 of {oracle.trials} trials within {MAX_ITERS} "
+                f"iterations each")
         to_exact = [trace_distance(lim, fp.sigma)
                     for lim in oracle.distinct_limits]
         cesaro = fixed_point_cesaro(superop)

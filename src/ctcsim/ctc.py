@@ -508,9 +508,10 @@ def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
                ) -> tuple[np.ndarray, FixedPointResult]:
     """Full nonlinear evolution of a CR input through a circuit.
 
-    Compiles the circuit once, then runs the consistency step (solve_loop)
-    and the final partial trace. Returns the evolved CR state together with
-    the fixed-point record.
+    Takes the circuit's unitary from compile_unitary, which builds it on the
+    first call for that Circuit and reuses it after, then runs the
+    consistency step (solve_loop) and the final partial trace. Returns the
+    evolved CR state together with the fixed-point record.
     """
     return _evolve(compile_unitary(circuit), rho_cr, circuit.cr_dim,
                    circuit.ctc_dim, selection)

@@ -25,6 +25,7 @@ RECORD_RESIDUAL = 1e-7     # a limit counts as converged below this
 STOP_RESIDUAL = 1e-11      # iteration target; see note below
 DEDUP_DISTANCE = 1e-6
 CHECK_EVERY = 64
+MAX_ITERS = 10 ** 5        # default iteration cap per trial
 
 # The stop target is far below the recording bar on purpose: at spectral gap
 # g, a residual r certifies distance <= ~r/g to the true fixed point, so
@@ -80,7 +81,7 @@ def _apply_map(u, rho, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
 
 
 def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
-                           iters: int = 10 ** 5, seed=0) -> OracleReport:
+                           iters: int = MAX_ITERS, seed=0) -> OracleReport:
     """Search for fixed points by plain map iteration from random starts.
 
     Each trial iterates sigma -> Tr_CR(U (rho_cr x sigma) U+), tracking both

@@ -1,5 +1,6 @@
 """Tests for circuit representation, builders, and the JSON format."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from ctcsim.circuit import (Circuit, CircuitFormatError, Gate, build_bhw2,
                             pad_with_ancillas, parse_circuit,
                             serialize_circuit)
 from ctcsim.ctc import ctc_evolve
-from ctcsim.oracle import random_unitary
+from ctcsim.oracle import random_density, random_unitary
 from ctcsim.qmat import ValidationError, kron, trace_distance, validate
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -203,6 +204,66 @@ def test_compile_matches_dense_embedding_on_mixed_dims():
             g.name, tuple(dims[w] for w in g.wires))
         want = embed_reference(m, g.wires, dims) @ want
     assert np.abs(compile_unitary(c) - want).max() < 1e-12
+
+
+# --- compile once per circuit -----------------------------------------------
+
+def brickwork(seed, cr=3):
+    """Haar two-qubit gates on neighbouring wires plus builtin h and cnot,
+    over `cr` CR qubits and one CTC qubit."""
+    n = cr + 1
+    gates = [Gate("haar", (w, w + 1), random_unitary(4, [seed, w]))
+             for w in range(n - 1)]
+    gates += [Gate("h", (n - 1,)), Gate("cnot", (0, n - 1))]
+    return Circuit(cr_dims=(2,) * cr, ctc_dims=(2,), gates=tuple(gates))
+
+
+def test_compile_returns_the_same_array_on_each_call():
+    c = brickwork(0)
+    assert compile_unitary(c) is compile_unitary(c)
+
+
+def test_compiled_unitary_and_gate_matrix_are_read_only():
+    c = brickwork(1)
+    u = compile_unitary(c)
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        c.gates[0].matrix[0, 0] = 2.0
+
+
+def test_mutating_the_source_array_changes_neither_gate_nor_compile():
+    source = random_unitary(4, 7)
+    c = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("v", (0, 1), source),))
+    kept = source.copy()
+    u = compile_unitary(c).copy()
+    source[:] = 0.0   # no longer unitary; the circuit must not notice
+    assert np.array_equal(c.gates[0].matrix, kept)
+    assert np.array_equal(compile_unitary(c), u)
+    assert np.array_equal(compile_unitary(Circuit(
+        cr_dims=(2,), ctc_dims=(2,), gates=(Gate("v", (0, 1), kept),))), u)
+
+
+def test_replacing_gates_compiles_afresh():
+    c = brickwork(2)
+    u = compile_unitary(c)
+    swapped = dataclasses.replace(c, gates=c.gates + (Gate("swap", (0, 3)),))
+    v = compile_unitary(swapped)
+    assert v is not u
+    assert np.array_equal(v, compile_unitary(Circuit(
+        cr_dims=c.cr_dims, ctc_dims=c.ctc_dims, gates=swapped.gates)))
+    assert not np.array_equal(v, u)
+
+
+def test_reused_circuit_evolves_like_fresh_ones():
+    reused = brickwork(3)
+    for j in range(4):
+        rho = random_density(8, [3, j])
+        out, fp = ctc_evolve(reused, rho)
+        want_out, want_fp = ctc_evolve(brickwork(3), rho)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(fp.sigma, want_fp.sigma)
+        assert fp.residual == want_fp.residual
 
 
 # --- unitary completion -----------------------------------------------------

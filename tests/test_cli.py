@@ -257,6 +257,24 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "no consistent state" in capsys.readouterr().err
 
 
+def test_verify_that_verified_nothing_exits_3(tmp_path, capsys, monkeypatch):
+    import ctcsim.cli as cli_mod
+    from ctcsim.oracle import MAX_ITERS, OracleReport
+
+    def nothing_converged(circuit, rho, trials, seed):
+        return OracleReport(trials=trials, converged=0, distinct_limits=(),
+                            max_pairwise_distance=0.0)
+
+    monkeypatch.setattr(cli_mod, "fixed_point_bruteforce", nothing_converged)
+    path = write_circuit(tmp_path, build_epr_swap())
+    code = main(["fixed-point", path, "--input", "bell", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "0 of 8 trials" in captured.err
+    assert f"within {MAX_ITERS} iterations" in captured.err
+
+
 # --- experiments -------------------------------------------------------------
 
 def test_experiment_epr(capsys):

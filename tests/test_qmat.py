@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from ctcsim.qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
                          HERMITICITY_TOL, PSD_FLOOR, ValidationError, dagger,
                          kron, mutual_information, partial_trace,
                          require_density, require_unitary, trace_distance,
                          validate, von_neumann_entropy)
+from ctcsim.oracle import random_unitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -149,6 +153,78 @@ def test_validate_density_rejects_non_hermitian_and_negative():
     report = validate(np.diag([1.5, -0.5]).astype(complex), "density")
     assert not report.ok
     assert "positive semidefinite" in report.message()
+
+
+def rank_deficient(d, rank, seed):
+    """G G+ / tr(G G+) for a complex Gaussian d x rank matrix G."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ dagger(g)
+    return m / m.trace().real
+
+
+@pytest.fixture
+def no_eigvalsh(monkeypatch):
+    """States inside the floor must be certified by the Cholesky factor of
+    h + PSD_FLOOR I alone, without the eigensolver."""
+    def fail(*args, **kwargs):
+        raise AssertionError("eigvalsh ran on an accepted state")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 12, 33, 64, 100, 128])
+def test_psd_check_accepts_pure_and_rank_deficient_states(d, no_eigvalsh):
+    for rank in sorted({1, 2, d // 2, d - 1}):
+        report = validate(rank_deficient(d, rank, [d, rank]), "density")
+        assert report.ok, (d, rank, report.message())
+
+
+def spectrum_state(lam, seed):
+    """Q diag(lam) Q+ for a Haar-random Q."""
+    q = random_unitary(len(lam), seed)
+    return (q * np.asarray(lam, dtype=float)) @ dagger(q)
+
+
+def test_psd_check_tolerates_negatives_above_the_floor(no_eigvalsh):
+    lam = [1.0 + 0.5 * PSD_FLOOR, -0.5 * PSD_FLOOR, 0.0]
+    assert validate(np.diag(lam).astype(complex), "density").ok
+    assert validate(spectrum_state(lam, 4), "density").ok
+
+
+def test_psd_check_rejects_below_the_floor_with_the_eigvalsh_magnitude():
+    lam = [1.0 + 2 * PSD_FLOOR, -2 * PSD_FLOOR, 0.0]
+    for m in (np.diag(lam).astype(complex), spectrum_state(lam, 5)):
+        report = validate(m, "density")
+        lam_min = scipy.linalg.eigvalsh((m + dagger(m)) / 2)[0]
+        assert report.violations == (("positive semidefinite", -lam_min),)
+        assert abs(-lam_min - 2 * PSD_FLOOR) < 1e-14
+
+
+@st.composite
+def hermitian_unit_trace(draw):
+    """Q diag(lam) Q+ of unit trace whose smallest eigenvalue lies near
+    -PSD_FLOOR: lam holds -k * PSD_FLOOR, some zeros and positive weights."""
+    d = draw(st.integers(1, 24))
+    if d == 1:
+        return np.ones((1, 1), dtype=complex)
+    rank = draw(st.integers(1, d - 1))
+    k = draw(st.one_of(st.floats(-1.0, 3.0), st.floats(0.9, 1.1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.random(rank) + 0.01
+    weights *= (1.0 + k * PSD_FLOOR) / weights.sum()
+    lam = np.concatenate([[-k * PSD_FLOOR], np.zeros(d - 1 - rank), weights])
+    return spectrum_state(lam, rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hermitian_unit_trace())
+def test_psd_check_agrees_with_the_eigvalsh_rule(m):
+    lam_min = scipy.linalg.eigvalsh((m + dagger(m)) / 2)[0]
+    # within 1% of the floor, rounding may fall on either side of the cut
+    assume(not -1.01 * PSD_FLOOR <= lam_min <= -0.99 * PSD_FLOOR)
+    event("rejected" if lam_min < -PSD_FLOOR else "accepted")
+    assert validate(m, "density").ok == (lam_min >= -PSD_FLOOR)
 
 
 def test_validate_rejects_malformed_input():
