@@ -89,6 +89,11 @@ class Gate:
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so the copy's
+        # matrix is read-only too
+        return (type(self), (self.name, self.wires, self.matrix))
+
     def __eq__(self, other):
         if not isinstance(other, Gate):
             return NotImplemented
@@ -196,6 +201,12 @@ class Circuit:
     @property
     def total_dim(self) -> int:
         return self.cr_dim * self.ctc_dim
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which checks the
+        # gates again; the copy compiles its own read-only U when asked
+        return (type(self), (self.cr_dims, self.ctc_dims, self.gates,
+                             self.labels))
 
     def __eq__(self, other):
         if not isinstance(other, Circuit):

@@ -14,6 +14,7 @@ validation error, 3 numerical solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -215,8 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call; parse_args returns a
+    fresh Namespace each time, so calls share nothing else."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.seed is not None:
         seed = args.seed
     else:

@@ -1,10 +1,11 @@
 """Independent brute-force verification of fixed points.
 
 This module deliberately shares no solver code with the engine: it applies
-the defining map Tr_CR(U (rho x sigma) U+) directly with the linear-algebra
-primitives and compiled circuit unitary, iterating from many random starts.
-It exists to certify the exact solver's answers and to expose degenerate
-(non-unique) fixed spaces empirically.
+the defining map Tr_CR(U (rho x sigma) U+) directly with numpy and the
+compiled circuit unitary, iterating from many random starts. It exists to
+certify the exact solver's answers and to expose degenerate (non-unique)
+fixed spaces empirically. All trials iterate together as one stack, one
+batched step per iteration.
 
 Randomness: all generators are numpy PCG64 via numpy.random.default_rng.
 Per-trial generators are seeded as default_rng([master_seed, trial_index]),
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, compile_unitary
-from .qmat import (ValidationError, dagger, kron, partial_trace,
-                   require_density, trace_distance)
+from .qmat import ValidationError, dagger, require_density, trace_distance
 
 RECORD_RESIDUAL = 1e-7     # a limit counts as converged below this
 STOP_RESIDUAL = 1e-11      # iteration target; see note below
@@ -75,67 +75,67 @@ class OracleReport:
     max_pairwise_distance: float
 
 
-def _apply_map(u, rho, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
-    joint = u @ kron(rho, sigma) @ dagger(u)
-    return partial_trace(joint, (cr_dim, ctc_dim), keep=[1])
-
-
 def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
                            iters: int = MAX_ITERS, seed=0) -> OracleReport:
     """Search for fixed points by plain map iteration from random starts.
 
-    Each trial iterates sigma -> Tr_CR(U (rho_cr x sigma) U+), tracking both
-    the plain iterate and its running Cesaro mean (the mean washes out
-    peripheral eigenvalue oscillation); every 64 steps the better of the two
-    is measured and the trial stops once its residual is <= 1e-11 or the
-    iteration cap is reached. Limits with residual <= 1e-7 are recorded;
-    non-convergence just lowers `converged`.
+    The trials form one (trials, dc, dc) stack, mapped each step by one
+    broadcast Kronecker product with rho_cr, one batched conjugation by U and
+    one reshaped trace; a running sum gives each trial's Cesaro mean (it
+    washes out peripheral eigenvalue oscillation). Every 64 steps and at the
+    cap, one batched eigvalsh scores every live trial's plain iterate and its
+    Hermitized, normalized mean; a trial keeps its best candidate and leaves
+    the `live` index array once that residual is <= 1e-11. Limits with
+    residual <= 1e-7 are recorded; non-convergence just lowers `converged`.
+    Peak memory: three (2 * trials, D, D) stacks, D = circuit.total_dim.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     rho = require_density(rho_cr, "rho_cr")
-    if rho.shape != (circuit.cr_dim, circuit.cr_dim):
-        raise ValidationError(
-            f"rho_cr dimension {rho.shape[0]} != CR dimension {circuit.cr_dim}")
+    cr, dc = circuit.cr_dim, circuit.ctc_dim
+    if rho.shape != (cr, cr):
+        raise ValidationError(f"rho_cr dimension {rho.shape[0]} != CR dimension {cr}")
     u = compile_unitary(circuit)
-    dc = circuit.ctc_dim
-    cr = circuit.cr_dim
+    uh = dagger(u)
 
-    def residual_of(sigma):
-        return trace_distance(_apply_map(u, rho, sigma, cr, dc), sigma)
+    def apply_map(stack):
+        joint = rho[:, None, :, None] * stack[:, None, :, None, :]
+        joint = u @ joint.reshape(-1, cr * dc, cr * dc) @ uh
+        return joint.reshape(-1, cr, dc, cr, dc).trace(axis1=1, axis2=3)
 
-    limits: list[np.ndarray] = []
-    converged = 0
-    for trial in range(trials):
-        start = random_density(dc, [seed, trial])
-        sigma = start
-        acc = np.zeros((dc, dc), dtype=complex)
-        best_sigma, best_res = None, np.inf
-        for it in range(1, iters + 1):
-            sigma = _apply_map(u, rho, sigma, cr, dc)
-            acc += sigma
-            if it % CHECK_EVERY == 0 or it == iters:
-                mean = acc / it
-                mean = (mean + dagger(mean)) / 2
-                mean = mean / mean.trace().real
-                for cand in (sigma, mean):
-                    r = residual_of(cand)
-                    if r < best_res:
-                        best_sigma, best_res = cand, r
-                if best_res <= STOP_RESIDUAL:
-                    break
-        if best_res <= RECORD_RESIDUAL:
-            converged += 1
-            limits.append(best_sigma)
+    def hermitize(stack):
+        return (stack + stack.conj().transpose(0, 2, 1)) / 2
+
+    sigma = np.stack([random_density(dc, [seed, t]) for t in range(trials)])
+    acc, live = np.zeros_like(sigma), np.arange(trials)
+    best, best_res = sigma.copy(), np.full(trials, np.inf)
+    for it in range(1, iters + 1):
+        sigma = apply_map(sigma)
+        acc += sigma
+        if it % CHECK_EVERY and it != iters:
+            continue
+        mean = hermitize(acc / it)
+        mean /= mean.trace(axis1=1, axis2=2).real[:, None, None]
+        cands = np.concatenate((sigma, mean))
+        res = np.abs(np.linalg.eigvalsh(hermitize(apply_map(cands) - cands))).sum(1) / 2
+        plain_res, mean_res = np.split(res, 2)
+        take_mean = mean_res < plain_res  # ties go to the plain iterate
+        cand_res = np.where(take_mean, mean_res, plain_res)
+        better = cand_res < best_res[live]  # ... and to an earlier best
+        best[live[better]] = np.where(take_mean[:, None, None], mean, sigma)[better]
+        best_res[live[better]] = cand_res[better]
+        keep = best_res[live] > STOP_RESIDUAL
+        live, sigma, acc = live[keep], sigma[keep], acc[keep]
+        if not live.size:
+            break
+    limits = best[best_res <= RECORD_RESIDUAL]
 
     distinct: list[np.ndarray] = []
     for lim in limits:
         if all(trace_distance(lim, seen) > DEDUP_DISTANCE for seen in distinct):
             distinct.append(lim)
-    max_pair = 0.0
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            max_pair = max(max_pair, trace_distance(distinct[i], distinct[j]))
-    return OracleReport(trials=trials, converged=converged,
+    max_pair = max((trace_distance(a, b) for i, a in enumerate(distinct)
+                    for b in distinct[i + 1:]), default=0.0)
+    return OracleReport(trials=trials, converged=len(limits),
                         distinct_limits=tuple(distinct),
                         max_pairwise_distance=max_pair)

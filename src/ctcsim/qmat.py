@@ -175,12 +175,14 @@ def validate(m, kind: str) -> ValidationReport:
 
     Returns:
         A ValidationReport listing each violated invariant and its magnitude.
-        Malformed input (not square, non-finite entries) is itself reported
-        as a violation, never raised.
+        Malformed input (not square, 0 x 0, non-finite entries) is itself
+        reported as a violation, never raised.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return ValidationReport(kind, (("square shape", float("nan")),))
+    if a.size == 0:
+        return ValidationReport(kind, (("nonempty shape", float("nan")),))
     if not np.isfinite(a).all():
         return ValidationReport(kind, (("finite entries", float("nan")),))
     violations: list[tuple[str, float]] = []

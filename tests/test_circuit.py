@@ -1,7 +1,9 @@
 """Tests for circuit representation, builders, and the JSON format."""
 
+import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -242,6 +244,22 @@ def test_mutating_the_source_array_changes_neither_gate_nor_compile():
     assert np.array_equal(compile_unitary(c), u)
     assert np.array_equal(compile_unitary(Circuit(
         cr_dims=(2,), ctc_dims=(2,), gates=(Gate("v", (0, 1), kept),))), u)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda c: pickle.loads(pickle.dumps(c))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_keep_gate_matrices_and_compile_read_only(clone):
+    c = build_bhw2(PLUS)
+    u = compile_unitary(c)
+    twin = clone(c)
+    assert twin == c and twin is not c
+    assert all(not g.matrix.flags.writeable
+               for g in twin.gates if g.matrix is not None)
+    assert not compile_unitary(twin).flags.writeable
+    assert np.array_equal(compile_unitary(twin), u)
+    with pytest.raises(ValueError):
+        twin.gates[0].matrix[0, 0] = 2.0
 
 
 def test_replacing_gates_compiles_afresh():

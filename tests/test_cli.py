@@ -401,6 +401,21 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_options_of_one_call_do_not_reach_the_next(tmp_path, capsys,
+                                                   monkeypatch):
+    # main reuses one parser; every call must still start from the defaults
+    monkeypatch.delenv("CTC_SIM_SEED", raising=False)
+    path = write_circuit(tmp_path, build_epr_swap())
+    _, first = run_cli(capsys, ["fixed-point", path, "--input", "bell",
+                                "--verify", "--selection", "max-entropy",
+                                "--seed", "7"])
+    _, second = run_cli(capsys, ["fixed-point", path])
+    assert first["parameters"]["verify"] and first["seed"] == 7
+    assert second["parameters"] == {"circuit_file": path, "input": "mixed",
+                                    "selection": "canonical", "verify": False}
+    assert second["seed"] == 0 and "verify" not in second["results"]
+
+
 def test_seed_resolution(monkeypatch, capsys):
     monkeypatch.delenv("CTC_SIM_SEED", raising=False)
     _, report = run_cli(capsys, ["experiment", "epr"])

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from ctcsim.circuit import build_bhw2, build_epr_swap, compile_unitary
-from ctcsim.ctc import ctc_evolve
-from ctcsim.oracle import (OracleReport, fixed_point_bruteforce,
+from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
+                            compile_unitary)
+from ctcsim.ctc import ctc_evolve, fixed_point_exact, induced_superoperator
+from ctcsim.oracle import (CHECK_EVERY, DEDUP_DISTANCE, RECORD_RESIDUAL,
+                           STOP_RESIDUAL, OracleReport, fixed_point_bruteforce,
                            random_density, random_unitary)
 from ctcsim.qmat import (ValidationError, dagger, kron, partial_trace,
                          trace_distance, validate)
@@ -120,3 +125,118 @@ def test_bruteforce_validation():
         fixed_point_bruteforce(circuit, proj(BELL), trials=0)
     with pytest.raises(ValidationError):
         fixed_point_bruteforce(circuit, np.eye(4, dtype=complex))  # trace 4
+
+
+# --- the batch against one trial at a time -----------------------------------
+
+def serial_bruteforce(circuit, rho, trials, iters, seed):
+    """The oracle run one trial at a time, as a reference for the batch.
+
+    Returns the converged limits in trial order and the step each trial
+    stopped at."""
+    u = compile_unitary(circuit)
+    dims = (circuit.cr_dim, circuit.ctc_dim)
+
+    def apply_map(sigma):
+        return partial_trace(u @ kron(rho, sigma) @ dagger(u), dims, keep=[1])
+
+    limits, stops = [], []
+    for trial in range(trials):
+        sigma = random_density(circuit.ctc_dim, [seed, trial])
+        acc = np.zeros_like(sigma)
+        best_sigma, best_res = None, np.inf
+        for it in range(1, iters + 1):
+            sigma = apply_map(sigma)
+            acc += sigma
+            if it % CHECK_EVERY == 0 or it == iters:
+                mean = (acc / it + dagger(acc / it)) / 2
+                mean = mean / mean.trace().real
+                for cand in (sigma, mean):
+                    r = trace_distance(apply_map(cand), cand)
+                    if r < best_res:
+                        best_sigma, best_res = cand, r
+                if best_res <= STOP_RESIDUAL:
+                    break
+        stops.append(it)
+        if best_res <= RECORD_RESIDUAL:
+            limits.append(best_sigma)
+    return limits, stops
+
+
+def assert_matches_serial(circuit, rho, trials, iters, seed):
+    """Run both oracles; return the serial stop steps."""
+    report = fixed_point_bruteforce(circuit, rho, trials=trials, iters=iters,
+                                    seed=seed)
+    limits, stops = serial_bruteforce(circuit, rho, trials, iters, seed)
+    distinct = []
+    for lim in limits:
+        if all(trace_distance(lim, seen) > DEDUP_DISTANCE for seen in distinct):
+            distinct.append(lim)
+    assert report.converged == len(limits)
+    assert len(report.distinct_limits) == len(distinct)
+    for got, want in zip(report.distinct_limits, distinct):
+        assert np.abs(got - want).max() <= 1e-12
+    return stops
+
+
+@st.composite
+def small_loop_circuits(draw):
+    """1-3 Haar gates on qubit and qutrit wires, CR and CTC dimension at
+    most 4 each, and a random CR input."""
+    registers = st.sampled_from(((2,), (3,), (2, 2)))
+    cr_dims, ctc_dims = draw(registers), draw(registers)
+    dims = cr_dims + ctc_dims
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gates = []
+    for k in range(draw(st.integers(1, 3))):
+        wires = tuple(draw(st.lists(st.integers(0, len(dims) - 1), min_size=1,
+                                    max_size=3, unique=True)))
+        span = int(np.prod([dims[w] for w in wires]))
+        gates.append(Gate(f"g{k}", wires, random_unitary(span, rng)))
+    circuit = Circuit(cr_dims=cr_dims, ctc_dims=ctc_dims, gates=tuple(gates))
+    return circuit, random_density(circuit.cr_dim, rng)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_loop_circuits(), st.integers(1, 4), st.integers(1, 200),
+       st.integers(0, 2 ** 32 - 1))
+def test_batch_matches_serial_oracle(case, trials, iters, seed):
+    circuit, rho = case
+    assert_matches_serial(circuit, rho, trials, iters, seed)
+
+
+def test_batch_matches_serial_when_the_cap_decides():
+    # U = I: every start is its own limit; 10 steps end before any
+    # 64-step check, so only the check at the cap scores them
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=())
+    stops = assert_matches_serial(circuit, proj(PLUS), 6, 10, 3)
+    assert stops == [10] * 6
+
+
+def test_batch_matches_serial_when_trials_stop_at_different_checks():
+    # a weakly coupled qutrit loop: how long a trial takes depends on how
+    # much of its start lies along the slow modes
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    u = scipy.linalg.expm(-0.1j * (g + dagger(g)))
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(3,), gates=(Gate("u", (0, 1), u),))
+    stops = assert_matches_serial(circuit, random_density(2, 1), 8, 3000, 0)
+    assert len(set(stops)) > 1 and max(stops) < 3000
+
+
+# One trial at a time, the oracle spent over 100 ms on each example that
+# reaches it (32 trials of at least 64 steps) on a 2-vCPU Xeon; the batch
+# took under 35 ms there.
+@settings(max_examples=60, deadline=60, derandomize=True, database=None)
+@given(small_loop_circuits())
+def test_oracle_limits_lie_at_a_unique_exact_fixed_point(case):
+    circuit, rho = case
+    fp = fixed_point_exact(induced_superoperator(
+        compile_unitary(circuit), rho, circuit.cr_dims, circuit.ctc_dims))
+    if fp.fixed_space_dim != 1:
+        event("degenerate fixed space")
+        return
+    report = fixed_point_bruteforce(circuit, rho, iters=320)
+    event(f"converged {report.converged} of {report.trials}")
+    for lim in report.distinct_limits:
+        assert trace_distance(lim, fp.sigma) <= 1e-6

@@ -236,6 +236,16 @@ def test_validate_rejects_malformed_input():
         validate(I2, "projector")
 
 
+@pytest.mark.parametrize("kind", ["density", "unitary"])
+def test_validate_reports_an_empty_matrix(kind):
+    report = validate(np.zeros((0, 0)), kind)
+    assert [name for name, _ in report.violations] == ["nonempty shape"]
+    assert np.isnan(report.violations[0][1])
+    require = require_density if kind == "density" else require_unitary
+    with pytest.raises(ValidationError, match="nonempty shape"):
+        require(np.zeros((0, 0)))
+
+
 def test_require_helpers_raise_with_context():
     with pytest.raises(ValidationError, match="rho_test"):
         require_density(np.diag([2.0, 0.0]).astype(complex), what="rho_test")
