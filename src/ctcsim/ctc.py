@@ -120,33 +120,45 @@ class FixedPointResult:
     selection: str
 
 
-def _half_conjugation(u: np.ndarray, rho_cr: np.ndarray, cr_dim: int,
+def _half_conjugation(u: np.ndarray, rho: np.ndarray, cr_dim: int,
                       ctc_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """u4 = U.reshape(cr, ctc, cr, ctc) and w[a,k,i,c] = sum_b u4[a,k,b,i] rho[b,c].
 
     w is U (rho_cr x .) with the CTC input index i left open; contracting it
-    with conj(u4) closes the conjugation for every CTC operand at once.
+    with conj(u4) closes the conjugation for every CTC operand at once. A
+    batch rho[b,x,c] gives w[a,k,i,x,c].
     """
     u4 = u.reshape(cr_dim, ctc_dim, cr_dim, ctc_dim)
-    return u4, np.tensordot(u4, rho_cr, axes=([2], [0]))
+    return u4, np.tensordot(u4, rho, axes=([2], [0]))
 
 
-def _loop_map(u: np.ndarray, rho_cr, cr_dim: int, dc: int) -> Superoperator:
+def _loop_map(u: np.ndarray, rho_cr, cr_dim: int, dc: int
+              ) -> tuple[Superoperator, np.ndarray, np.ndarray]:
     """The loop map of a trusted (cr*dc)-square unitary; rho_cr is checked.
 
     Column j*d+i holds the column-stacked image of |i><j|, so entry
     (l*d+k, j*d+i) is E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho[b,c]
-    conj(u4[a,l,c,j]) with u4 = U.reshape(cr, d, cr, d). Built as
-    t[k,i,l,j] = sum_ac w[a,k,i,c] conj(u4[a,l,c,j]) from the half
-    conjugation w, then transposed to (l,k,j,i) and flattened.
+    conj(u4[a,l,c,j]) with u4 = U.reshape(cr, d, cr, d). Built as t[k,i,l,j]
+    = sum_ac w[a,k,i,c] conj(u4[a,l,c,j]) from the half conjugation w, then
+    transposed to (l,k,j,i) and flattened. Returns it with u4 and w.
     """
     rho = require_density(rho_cr, "rho_cr")
     if rho.shape != (cr_dim, cr_dim):
         raise ValidationError(f"rho_cr dimension {rho.shape[0]} != {cr_dim}")
     u4, w = _half_conjugation(u, rho, cr_dim, dc)
     t = np.tensordot(w, u4.conj(), axes=([0, 3], [0, 2]))
-    return Superoperator(d_ctc=dc,
-                         matrix=t.transpose(2, 0, 3, 1).reshape(dc * dc, dc * dc))
+    return (Superoperator(d_ctc=dc, matrix=t.transpose(2, 0, 3, 1).reshape(
+        dc * dc, dc * dc)), u4, w)
+
+
+def _trace_output(u4: np.ndarray, w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Tr_CTC(U (rho x sigma) U+) from the half conjugation w of rho.
+
+    Closes w with sigma, ws[a,k,c,j] = sum_i w[a,k,i,c] sigma[i,j], then
+    traces the CTC output: out[a,e] = sum_kcj ws[a,k,c,j] conj(u4[e,k,c,j]);
+    a batch w[a,k,i,x,c] gives out[a,x,e]."""
+    ws = np.tensordot(w, sigma, axes=([2], [0]))
+    return np.tensordot(ws, u4.conj(), axes=([1, -2, -1], [1, 2, 3]))
 
 
 def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
@@ -158,7 +170,7 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     if u.shape != (cr_dim * dc, cr_dim * dc):
         raise ValidationError(
             f"unitary dimension {u.shape[0]} != cr*ctc = {cr_dim * dc}")
-    return _loop_map(u, rho_cr, cr_dim, dc)
+    return _loop_map(u, rho_cr, cr_dim, dc)[0]
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
@@ -461,17 +473,9 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
 
 def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
     """Ordinary (linear) evolution for a FIXED time-machine state:
-    Tr_CTC(U (rho_cr x sigma) U+).
-
-    Closes the half conjugation w of the loop map with sigma on
-    its open CTC input, ws[a,k,c,j] = sum_i w[a,k,i,c] sigma[i,j], then
-    traces the CTC output: out[a,e] = sum_kcj ws[a,k,c,j] conj(u4[e,k,c,j]).
-    """
-    u = np.asarray(u, dtype=complex)
-    rho = np.asarray(rho_cr, dtype=complex)
-    u4, w = _half_conjugation(u, rho, cr_dim, ctc_dim)
-    ws = np.tensordot(w, np.asarray(sigma, dtype=complex), axes=([2], [0]))
-    return np.tensordot(ws, u4.conj(), axes=([1, 2, 3], [1, 2, 3]))
+    Tr_CTC(U (rho_cr x sigma) U+)."""
+    u, rho, sigma = (np.asarray(m, dtype=complex) for m in (u, rho_cr, sigma))
+    return _trace_output(*_half_conjugation(u, rho, cr_dim, ctc_dim), sigma)
 
 
 def solve_loop(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
@@ -483,7 +487,7 @@ def solve_loop(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
     solves E(sigma) = sigma with fixed_point_exact. Returns (E, fixed point).
     rho_cr is validated once, by the loop-map kernel.
     """
-    superop = _loop_map(u, rho_cr, cr_dim, ctc_dim)
+    superop = _loop_map(u, rho_cr, cr_dim, ctc_dim)[0]
     return superop, fixed_point_exact(superop, selection)
 
 
@@ -498,10 +502,11 @@ def _checked_output(rho_out: np.ndarray) -> np.ndarray:
 
 def _evolve(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
             selection: str) -> tuple[np.ndarray, FixedPointResult]:
-    """ctc_evolve for a compiled, trusted interaction U."""
-    _, fp = solve_loop(u, rho_cr, cr_dim, ctc_dim, selection)
-    rho_out = evolve_given_ctc_state(u, rho_cr, fp.sigma, cr_dim, ctc_dim)
-    return _checked_output(rho_out), fp
+    """ctc_evolve for a compiled, trusted interaction U: one half conjugation
+    w of rho_cr builds the loop map and, closed with sigma*, the output."""
+    superop, u4, w = _loop_map(u, rho_cr, cr_dim, ctc_dim)
+    fp = fixed_point_exact(superop, selection)
+    return _checked_output(_trace_output(u4, w, fp.sigma)), fp
 
 
 def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"

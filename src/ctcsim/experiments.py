@@ -16,14 +16,13 @@ import numpy as np
 
 from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
                       build_epr_swap, compile_unitary, pad_with_ancillas)
-from .ctc import (FixedPointResult, _checked_output, ctc_evolve,
-                  evolve_given_ctc_state)
+from .ctc import FixedPointResult, ctc_evolve
 from .oracle import random_unitary
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, _ensemble_state, helstrom_bound,
-                       labeled_ensemble,
+                       LabeledEnsemble, _ensemble_state, _simulate,
+                       _solve_marginal, helstrom_bound, labeled_ensemble,
                        run_computation_mixture, run_discrimination,
-                       run_superposition, simulate_without_ctc)
+                       run_superposition)
 from .qmat import ValidationError, mutual_information, trace_distance
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
@@ -244,15 +243,13 @@ def sim_equivalence(*, trials: int = 50, seed: int = 0,
     distances, residual_max = [], 0.0
     for trial in range(trials):
         circuit, ensemble = random_instance(seed, trial)
-        without = simulate_without_ctc(circuit, ensemble, selection)
-        # the joint evolve of run_discrimination solves the same loop, I_R (x)
-        # U on rho_RA, so its output follows from the same fixed point
-        fp = without.fixed_point
-        u = np.kron(np.eye(ensemble.n), compile_unitary(circuit))
-        with_ctc = _checked_output(evolve_given_ctc_state(
-            u, _ensemble_state(ensemble), fp.sigma,
-            ensemble.n * circuit.cr_dim, circuit.ctc_dim))
-        distances.append(trace_distance(with_ctc, without.rho_out))
+        # run_discrimination and simulate_without_ctc minus the statistics
+        # this report never reads: one loop solve, on Tr_R rho_RA
+        u = compile_unitary(circuit)
+        fp, with_ctc = _solve_marginal(u, _ensemble_state(ensemble), ensemble.n,
+                                       circuit.cr_dim, circuit.ctc_dim, selection)
+        without, _ = _simulate(u, ensemble, fp.sigma, circuit.ctc_dim)
+        distances.append(trace_distance(with_ctc, without))
         residual_max = max(residual_max, fp.residual)
     return {
         "trials": trials,

@@ -13,9 +13,9 @@ the labeled components. The operations here expose that gap side by side:
 the mixture-level run (which fails to discriminate), the per-pure-input runs
 (which succeed on the designated states), the superposition variant, and a
 purely linear simulation that reproduces the mixture output with no time
-machine at all. No gate ever touches R; this is enforced by construction,
-since the discriminator circuit is defined on A and CTC wires only, and its
-compiled unitary U acts on R (x) A (x) CTC as I_R (x) U.
+machine at all. No gate ever touches R (the discriminator is defined on A
+and CTC wires only), so Tr_R commutes with the evolution: the loop sees only
+rho_A = Tr_R rho_RA, never the labels, and every protocol solves it there.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import Circuit, _as_state, _basis, compile_unitary
 from .ctc import (FixedPointResult, _checked_output, _evolve,
-                  evolve_given_ctc_state, solve_loop)
+                  _half_conjugation, _trace_output, solve_loop)
 from .qmat import (ValidationError, kron, mutual_information, partial_trace,
                    trace_distance)
 
@@ -111,14 +111,16 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
     return ensemble, _ensemble_state(ensemble)
 
 
+def _labeled_state(blocks: np.ndarray) -> np.ndarray:
+    """sum_x |x><x|_R (x) blocks[x] for an (n, d, d) stack; (n*d)-square."""
+    n, d, _ = blocks.shape
+    return np.einsum("xy,xbc->xbyc", np.eye(n), blocks).reshape(n * d, n * d)
+
+
 def _ensemble_state(ensemble: LabeledEnsemble) -> np.ndarray:
     """rho_RA of the ensemble; an n*a_dim square matrix (n = 1 included)."""
-    n, d = ensemble.n, ensemble.a_dim
-    rho = np.zeros((n * d, n * d), dtype=complex)
-    for label, prob, vec in ensemble.entries:
-        block = prob * np.outer(vec, vec.conj())
-        rho[label * d:(label + 1) * d, label * d:(label + 1) * d] += block
-    return rho
+    return _labeled_state(np.stack([prob * np.outer(vec, vec.conj())
+                                    for _, prob, vec in ensemble.by_label()]))
 
 
 @dataclass(frozen=True)
@@ -163,21 +165,18 @@ def _success_target(ensemble: LabeledEnsemble) -> np.ndarray:
     if d < n:
         raise ValidationError(
             f"success target needs A dimension >= {n} labels, got {d}")
-    target = np.zeros((n * d, n * d), dtype=complex)
-    for label, prob, _ in ensemble.entries:
-        target[label * d + label, label * d + label] = prob
-    return target
+    return np.diag(np.concatenate([prob * _basis(label, d)
+                                   for label, prob, _ in ensemble.by_label()]))
 
 
 def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
              ensemble: LabeledEnsemble, target: np.ndarray,
              per_pure: tuple[tuple[int, np.ndarray], ...]
              ) -> DiscriminationOutcome:
-    n, d = ensemble.n, ensemble.a_dim
-    dims = (n, d)
+    dims = (ensemble.n, ensemble.a_dim)
     rho_r = partial_trace(rho_out, dims, keep=[0])
     rho_a = partial_trace(rho_out, dims, keep=[1])
-    joint_probs = np.diag(rho_out).real.reshape(n, d)
+    joint_probs = np.diag(rho_out).real.reshape(dims)
     return DiscriminationOutcome(
         rho_out=rho_out,
         success=bool(trace_distance(rho_out, target) <= SUCCESS_DISTANCE),
@@ -188,17 +187,35 @@ def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
         fixed_point=fp)
 
 
+def _solve_marginal(u: np.ndarray, rho_ra: np.ndarray, n: int, d: int, dc: int,
+                    selection: str) -> tuple[FixedPointResult, np.ndarray]:
+    """Deutsch evolution of rho_RA under I_R (x) U, solved on the marginal.
+
+    Tr_R commutes with I_R (x) U, so the loop of rho_RA is the loop of U on
+    rho_A = Tr_R rho_RA, solved once (solve_loop). All n^2 blocks of rho_RA
+    then pass the frozen channel Phi_sigma(X) = Tr_CTC U (X (x) sigma) U+ in
+    one contraction with its transfer tensor t[a,b,e,c] = Phi_sigma(|b><c|)[a,e]
+    (d^4 entries, where a half conjugation of the blocks would hold
+    n^2 d^2 dc^2). Returns (fixed point, checked output)."""
+    blocks = rho_ra.reshape(n, d, n, d)
+    _, fp = solve_loop(u, np.trace(blocks, axis1=0, axis2=2), d, dc, selection)
+    u4 = u.reshape(d, dc, d, dc)
+    t = np.tensordot(np.tensordot(u4, fp.sigma, axes=([3], [0])), u4.conj(),
+                     axes=([1, 3], [1, 3]))
+    out = np.tensordot(blocks, t, axes=([1, 3], [1, 3]))   # out[r,s,a,e]
+    return fp, _checked_output(out.transpose(0, 2, 1, 3).reshape(n * d, n * d))
+
+
 def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
                rho_in: np.ndarray, target: np.ndarray,
                selection: str) -> DiscriminationOutcome:
-    """The protocol body: Deutsch evolution of the joint R (x) A input under
-    I_R (x) U, the per-pure-input runs under U, and the outcome against the
-    target. The discriminator is compiled once."""
+    """The protocol body: the joint R (x) A run (_solve_marginal), the
+    per-pure-input runs under U, each with its own fixed point, and the
+    outcome against the target. The discriminator is compiled once."""
     _check_scope(v_circuit, ensemble)
     u = compile_unitary(v_circuit)
     d, dc = ensemble.a_dim, v_circuit.ctc_dim
-    rho_out, fp = _evolve(np.kron(np.eye(ensemble.n), u), rho_in,
-                          ensemble.n * d, dc, selection)
+    fp, rho_out = _solve_marginal(u, rho_in, ensemble.n, d, dc, selection)
     per_pure = tuple(
         (label, _evolve(u, np.outer(vec, vec.conj()), d, dc, selection)[0])
         for label, _, vec in ensemble.by_label())
@@ -209,9 +226,10 @@ def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
                        selection: str = "canonical") -> DiscriminationOutcome:
     """Run the discrimination protocol on the labeled mixture.
 
-    The fixed point is solved for the whole rho_RA: the nonlinear evolution
-    sees the mixture, not its components. Per-pure-input outputs are reported
-    alongside so the contrast with component-wise behaviour is explicit.
+    The fixed point is solved for the whole mixture, on rho_A = Tr_R rho_RA:
+    the nonlinear evolution sees the mixture, not its components.
+    Per-pure-input outputs are reported alongside so the contrast with
+    component-wise behaviour is explicit.
 
     Args:
         v_circuit: discriminator over A (CR wires) and CTC wires.
@@ -238,50 +256,46 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
     pure state sum_x sqrt(p_x) |x>_R |phi_x>_A instead of the mixture. With
     a single label this reduces to the plain pure-input run.
     """
-    target = _success_target(ensemble)
-    n, d = ensemble.n, ensemble.a_dim
-    gamma = np.zeros(n * d, dtype=complex)
-    for label, prob, vec in ensemble.entries:
-        gamma[label * d:(label + 1) * d] += np.sqrt(prob) * vec
+    gamma = np.concatenate([np.sqrt(prob) * vec
+                            for _, prob, vec in ensemble.by_label()])
     return _run_joint(v_circuit, ensemble, np.outer(gamma, gamma.conj()),
-                      target, selection)
+                      _success_target(ensemble), selection)
+
+
+def _simulate(u: np.ndarray, ensemble: LabeledEnsemble, sigma: np.ndarray,
+              dc: int) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """The loop-free simulation for a frozen sigma: every phi_x passes
+    Phi_sigma in one batch. Returns the checked mixture sum_x p_x |x><x| (x)
+    Phi_sigma(phi_x) and the (label, Phi_sigma(phi_x)) pairs."""
+    entries = ensemble.by_label()
+    phis = np.stack([np.outer(vec, vec.conj()) for _, _, vec in entries], axis=1)
+    outs = np.moveaxis(_trace_output(
+        *_half_conjugation(u, phis, ensemble.a_dim, dc), sigma), 1, 0)
+    probs = np.array([prob for _, prob, _ in entries])
+    return (_checked_output(_labeled_state(probs[:, None, None] * outs)),
+            tuple(enumerate(outs)))
 
 
 def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
                          selection: str = "canonical") -> DiscriminationOutcome:
     """Reproduce the mixture run with ordinary linear evolution.
 
-    Solves the self-consistency condition of I_R (x) U for the ensemble's
-    rho_RA once (solve_loop, as run_discrimination does) and freezes the
-    resulting sigma. Each labeled component |x><x| (x) phi_x then goes
-    through the ordinary channel X -> Tr_CTC(U (X (x) sigma) U+), computed by
-    evolve_given_ctc_state as in ctc_evolve, and rho_out is the p-weighted
-    sum of those outputs. By linearity it equals run_discrimination's
-    rho_out: with sigma known, no time machine is needed to produce the
-    mixture-level statistics.
-
-    The per_pure_outputs field holds the A marginals of those component
-    runs, each labeled pure input fed through the same frozen channel;
-    contrast with run_discrimination, where each pure input gets its own
-    fixed point.
+    Solves the loop for the ensemble once, on its marginal as
+    run_discrimination does, and freezes the resulting sigma. Each labeled
+    component |x><x| (x) phi_x goes through the ordinary channel X ->
+    Tr_CTC(U (X (x) sigma) U+), and rho_out is the p-weighted sum of those
+    outputs, which by linearity is run_discrimination's rho_out: with sigma
+    known, no time machine is needed for the mixture-level statistics.
+    per_pure_outputs holds those component outputs, all through the one
+    frozen channel (run_discrimination gives each its own fixed point).
     """
     _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
-    n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
-    u = np.kron(np.eye(n), compile_unitary(v_circuit))
-    rho_ra = _ensemble_state(ensemble)
-    _, fp = solve_loop(u, rho_ra, n * d, dc, selection)
-    rho_out = np.zeros_like(rho_ra)
-    per_pure = []
-    for label, prob, vec in ensemble.by_label():
-        unit = np.zeros((n, n), dtype=complex)
-        unit[label, label] = 1.0
-        joint = evolve_given_ctc_state(u, kron(unit, np.outer(vec, vec.conj())),
-                                       fp.sigma, n * d, dc)
-        rho_out += prob * joint
-        per_pure.append((label, partial_trace(joint, (n, d), keep=[1])))
-    return _outcome(_checked_output(rho_out), fp, ensemble, target,
-                    tuple(per_pure))
+    u = compile_unitary(v_circuit)
+    fp, _ = _solve_marginal(u, _ensemble_state(ensemble), ensemble.n,
+                            ensemble.a_dim, v_circuit.ctc_dim, selection)
+    rho_out, per_pure = _simulate(u, ensemble, fp.sigma, v_circuit.ctc_dim)
+    return _outcome(rho_out, fp, ensemble, target, per_pure)
 
 
 def helstrom_bound(ensemble: LabeledEnsemble) -> float:
@@ -358,7 +372,6 @@ def run_computation_mixture(task: ComputationTask,
     x_count = task.domain_size
     ensemble, rho_ra = labeled_ensemble(
         [(x, 1.0 / x_count, _basis(x, d)) for x in range(x_count)])
-    target = np.zeros((x_count * d, x_count * d), dtype=complex)
-    for x, fx in enumerate(task.truth_table):
-        target[x * d + fx, x * d + fx] = 1.0 / x_count
+    target = np.diag(np.concatenate([_basis(fx, d) / x_count
+                                     for fx in task.truth_table]))
     return _run_joint(task.circuit, ensemble, rho_ra, target, selection)

@@ -6,14 +6,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_bhw_multi,
                             build_epr_swap, builtin_matrix, compile_unitary,
                             pad_with_ancillas)
-from ctcsim.ctc import SolverError, ctc_evolve
+from ctcsim.ctc import (SolverError, ctc_evolve, evolve_given_ctc_state,
+                        fixed_point_exact, induced_superoperator)
+from ctcsim.experiments import random_instance
 from ctcsim.oracle import random_density, random_unitary
-from ctcsim.protocol import (ComputationTask, DiscriminationOutcome,
-                             LabeledEnsemble, helstrom_bound, labeled_ensemble,
+from ctcsim.protocol import (SUCCESS_DISTANCE, ComputationTask,
+                             DiscriminationOutcome, LabeledEnsemble,
+                             helstrom_bound, labeled_ensemble,
                              run_computation_mixture, run_discrimination,
                              run_superposition, simulate_without_ctc)
 from ctcsim.qmat import (ValidationError, kron, mutual_information,
@@ -376,19 +381,107 @@ def test_simulation_freezes_the_loop_state_of_the_mixture_run():
 def test_broken_output_is_a_solver_error_with_and_without_the_loop(monkeypatch):
     import ctcsim.ctc as ctc_mod
     import ctcsim.protocol as protocol_mod
-    evolve = ctc_mod.evolve_given_ctc_state
+    trace_output = ctc_mod._trace_output
 
     def doubled(*args):
-        return 2 * evolve(*args)  # trace 2: a numerical breakdown stand-in
+        return 2 * trace_output(*args)  # trace 2: a numerical breakdown stand-in
 
-    monkeypatch.setattr(ctc_mod, "evolve_given_ctc_state", doubled)
-    monkeypatch.setattr(protocol_mod, "evolve_given_ctc_state", doubled)
+    monkeypatch.setattr(ctc_mod, "_trace_output", doubled)
+    monkeypatch.setattr(protocol_mod, "_trace_output", doubled)
     circuit = build_bhw2(PLUS)
     ens, _ = uniform_ensemble([KET0, PLUS])
     with pytest.raises(SolverError, match="failed validation"):
         ctc_evolve(circuit, proj(PLUS))
     with pytest.raises(SolverError, match="failed validation"):
         simulate_without_ctc(circuit, ens)
+
+
+# --- the loop sees only Tr_R rho_RA -------------------------------------------
+
+def lifted_reference(circuit, ens):
+    """(sigma, rho_out) of the mixture run, the superposition run and the
+    loop-free simulation, each solved on the whole R (x) A register under
+    I_R (x) U with public functions only."""
+    n, d, dc = ens.n, circuit.cr_dim, circuit.ctc_dim
+    u = np.kron(np.eye(n), compile_unitary(circuit))
+
+    def loop(rho):
+        fp = fixed_point_exact(induced_superoperator(u, rho, (n * d,), (dc,)))
+        return fp.sigma, evolve_given_ctc_state(u, rho, fp.sigma, n * d, dc)
+
+    parts = [(p, kron(proj(basis(x, n)), proj(v))) for x, p, v in ens.by_label()]
+    sigma, mixture = loop(sum(p * part for p, part in parts))
+    gamma = sum(np.sqrt(p) * np.kron(basis(x, n), v) for x, p, v in ens.by_label())
+    simulated = sum(p * evolve_given_ctc_state(u, part, sigma, n * d, dc)
+                    for p, part in parts)
+    return {run_discrimination: (sigma, mixture),
+            run_superposition: loop(proj(gamma)),
+            simulate_without_ctc: (sigma, simulated)}
+
+
+def qutrit_case():
+    rng = np.random.default_rng(47)
+    circuit = Circuit(cr_dims=(3,), ctc_dims=(2,),
+                      gates=(Gate("v", (1, 0), random_unitary(6, rng)),))
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return circuit, labeled_ensemble([(i, p, row / np.linalg.norm(row)) for i, p, row
+                                      in zip(range(3), (0.5, 0.3, 0.2), g)])[0]
+
+
+def epr_case():
+    bell = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / np.sqrt(2)
+    return build_epr_swap(), labeled_ensemble([(0, 1.0, bell)])[0]
+
+
+LIFT_CASES = {**{f"random-{t}": lambda t=t: random_instance(0, t) for t in range(5)},
+              "qutrit-n3": qutrit_case, "epr-n1": epr_case}
+
+
+@pytest.mark.parametrize("case", list(LIFT_CASES))
+def test_marginal_solve_matches_the_lifted_loop(case):
+    # every protocol solves its loop on Tr_R rho_RA and applies the frozen
+    # channel blockwise; the lift I_R (x) U must give the same states
+    circuit, ens = LIFT_CASES[case]()
+    for run, (sigma, rho_out) in lifted_reference(circuit, ens).items():
+        outcome = run(circuit, ens)
+        assert np.abs(outcome.fixed_point.sigma - sigma).max() <= 1e-12, run.__name__
+        assert np.abs(outcome.rho_out - rho_out).max() <= 1e-12, run.__name__
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 1),
+       st.integers(2, 3))
+def test_labels_never_reach_the_loop(seed, n, extra, dc):
+    # BLSS: the labeled mixture, the superposition and the unlabeled mixture
+    # sum_x p_x phi_x hand the loop one rho_A, so they share one sigma
+    d = max(n, 2) + extra
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(cr_dims=(d,), ctc_dims=(dc,),
+                      gates=(Gate("v", (0, 1), random_unitary(d * dc, rng)),))
+    g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    states = [row / np.linalg.norm(row) for row in g]
+    probs = rng.dirichlet(np.ones(n))
+    ens, _ = labeled_ensemble(list(zip(range(n), probs, states)))
+    mixture = run_discrimination(circuit, ens).fixed_point
+    simulated = simulate_without_ctc(circuit, ens).fixed_point
+    assert np.array_equal(simulated.sigma, mixture.sigma)
+    assert simulated.residual == mixture.residual
+    _, unlabeled = ctc_evolve(circuit, sum(p * proj(v) for p, v in zip(probs, states)))
+    superposed = run_superposition(circuit, ens).fixed_point
+    for fp in (unlabeled, superposed):
+        assert np.abs(fp.sigma - mixture.sigma).max() <= 1e-12
+
+
+def test_sixteen_haar_states_in_dimension_sixteen():
+    # beyond toy size: the lift would need a 4096-square U, the marginal
+    # solve a 256-square one
+    states = [random_unitary(16, [16, x])[:, 0] for x in range(16)]
+    circuit = build_bhw_multi(states)
+    ens, _ = uniform_ensemble(states)
+    outcome = run_discrimination(circuit, ens)
+    assert not outcome.success
+    for label, out in outcome.per_pure_outputs:
+        assert trace_distance(out, proj(basis(label, 16))) <= SUCCESS_DISTANCE
 
 
 # --- Helstrom bound ----------------------------------------------------------
