@@ -19,10 +19,10 @@ from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
 from .ctc import FixedPointResult, ctc_evolve
 from .oracle import random_unitary
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, _ensemble_state, _simulate,
-                       _solve_marginal, helstrom_bound, labeled_ensemble,
-                       run_computation_mixture, run_discrimination,
-                       run_superposition)
+                       LabeledEnsemble, _checked_ensemble, _ensemble_state,
+                       _joint_output, _simulate, _solve_marginal,
+                       helstrom_bound, run_computation_mixture,
+                       run_discrimination, run_superposition)
 from .qmat import ValidationError, mutual_information, trace_distance
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
@@ -78,7 +78,7 @@ def labeled_pair(theta: float, p0: float) -> tuple[Circuit, LabeledEnsemble]:
     """The two-state discriminator for psi(theta) and the referee ensemble
     {(0, p0, |0>), (1, 1 - p0, psi)}."""
     zero, psi = _bhw_states(theta)
-    ensemble, _ = labeled_ensemble([(0, p0, zero), (1, 1.0 - p0, psi)])
+    ensemble = _checked_ensemble([(0, p0, zero), (1, 1.0 - p0, psi)])
     return build_bhw2(psi), ensemble
 
 
@@ -104,7 +104,7 @@ def random_instance(seed: int, trial: int) -> tuple[Circuit, LabeledEnsemble]:
         vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         states.append(vec / np.linalg.norm(vec))
     p0 = float(rng.uniform(0.1, 0.9))
-    ensemble, _ = labeled_ensemble([(0, p0, states[0]), (1, 1.0 - p0, states[1])])
+    ensemble = _checked_ensemble([(0, p0, states[0]), (1, 1.0 - p0, states[1])])
     return circuit, ensemble
 
 
@@ -245,10 +245,11 @@ def sim_equivalence(*, trials: int = 50, seed: int = 0,
         circuit, ensemble = random_instance(seed, trial)
         # run_discrimination and simulate_without_ctc minus the statistics
         # this report never reads: one loop solve, on Tr_R rho_RA
-        u = compile_unitary(circuit)
-        fp, with_ctc = _solve_marginal(u, _ensemble_state(ensemble), ensemble.n,
-                                       circuit.cr_dim, circuit.ctc_dim, selection)
-        without, _ = _simulate(u, ensemble, fp.sigma, circuit.ctc_dim)
+        u, rho_ra = compile_unitary(circuit), _ensemble_state(ensemble)
+        n, d, dc = ensemble.n, circuit.cr_dim, circuit.ctc_dim
+        fp = _solve_marginal(u, rho_ra, n, d, dc, selection)
+        with_ctc = _joint_output(u, rho_ra, fp.sigma, n, d, dc)
+        without, _ = _simulate(u, ensemble, fp.sigma, dc)
         distances.append(trace_distance(with_ctc, without))
         residual_max = max(residual_max, fp.residual)
     return {
@@ -264,8 +265,8 @@ def identical_mixtures() -> dict:
     give the same output. Recorded under both selection rules; equality is
     asserted per rule, not across rules."""
     circuit, (zero, one, plus, minus) = _four_state_inputs()
-    ens_01, _ = labeled_ensemble([(0, 0.5, zero), (1, 0.5, one)])
-    ens_pm, _ = labeled_ensemble([(0, 0.5, plus), (1, 0.5, minus)])
+    ens_01 = _checked_ensemble([(0, 0.5, zero), (1, 0.5, one)])
+    ens_pm = _checked_ensemble([(0, 0.5, plus), (1, 0.5, minus)])
     results = {}
     for selection in ("canonical", "max_entropy"):
         out_01 = run_discrimination(circuit, ens_01, selection)

@@ -78,6 +78,12 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
             within 1e-12, non-finite, unnormalized or dimension-mismatched
             states.
     """
+    ensemble = _checked_ensemble(entries)
+    return ensemble, _ensemble_state(ensemble)
+
+
+def _checked_ensemble(entries) -> LabeledEnsemble:
+    """labeled_ensemble's checks and ensemble, without building rho_RA."""
     items = []
     for entry in entries:
         if len(entry) != 3:
@@ -107,8 +113,7 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
         if vec.shape[0] != d:
             raise ValidationError(
                 f"label {lbl}: state dimension {vec.shape[0]} != {d}")
-    ensemble = LabeledEnsemble(entries=tuple(items))
-    return ensemble, _ensemble_state(ensemble)
+    return LabeledEnsemble(entries=tuple(items))
 
 
 def _labeled_state(blocks: np.ndarray) -> np.ndarray:
@@ -188,34 +193,37 @@ def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
 
 
 def _solve_marginal(u: np.ndarray, rho_ra: np.ndarray, n: int, d: int, dc: int,
-                    selection: str) -> tuple[FixedPointResult, np.ndarray]:
-    """Deutsch evolution of rho_RA under I_R (x) U, solved on the marginal.
+                    selection: str) -> FixedPointResult:
+    """The loop of rho_RA under I_R (x) U: Tr_R commutes with I_R (x) U, so
+    it is the loop of U on rho_A = Tr_R rho_RA, solved once (solve_loop)."""
+    marginal = np.trace(rho_ra.reshape(n, d, n, d), axis1=0, axis2=2)
+    return solve_loop(u, marginal, d, dc, selection)[1]
 
-    Tr_R commutes with I_R (x) U, so the loop of rho_RA is the loop of U on
-    rho_A = Tr_R rho_RA, solved once (solve_loop). All n^2 blocks of rho_RA
-    then pass the frozen channel Phi_sigma(X) = Tr_CTC U (X (x) sigma) U+ in
-    one contraction with its transfer tensor t[a,b,e,c] = Phi_sigma(|b><c|)[a,e]
-    (d^4 entries, where a half conjugation of the blocks would hold
-    n^2 d^2 dc^2). Returns (fixed point, checked output)."""
-    blocks = rho_ra.reshape(n, d, n, d)
-    _, fp = solve_loop(u, np.trace(blocks, axis1=0, axis2=2), d, dc, selection)
+
+def _joint_output(u: np.ndarray, rho_ra: np.ndarray, sigma: np.ndarray,
+                  n: int, d: int, dc: int) -> np.ndarray:
+    """(id_R (x) Phi_sigma)(rho_RA), checked: the n^2 blocks pass the frozen
+    channel Phi_sigma(X) = Tr_CTC U (X (x) sigma) U+ as out[r,s,a,e], in one
+    contraction with its transfer tensor t[a,b,e,c] = Phi_sigma(|b><c|)[a,e]
+    (d^4 entries, where a half conjugation would hold n^2 d^2 dc^2)."""
     u4 = u.reshape(d, dc, d, dc)
-    t = np.tensordot(np.tensordot(u4, fp.sigma, axes=([3], [0])), u4.conj(),
+    t = np.tensordot(np.tensordot(u4, sigma, axes=([3], [0])), u4.conj(),
                      axes=([1, 3], [1, 3]))
-    out = np.tensordot(blocks, t, axes=([1, 3], [1, 3]))   # out[r,s,a,e]
-    return fp, _checked_output(out.transpose(0, 2, 1, 3).reshape(n * d, n * d))
+    out = np.tensordot(rho_ra.reshape(n, d, n, d), t, axes=([1, 3], [1, 3]))
+    return _checked_output(out.transpose(0, 2, 1, 3).reshape(n * d, n * d))
 
 
 def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
                rho_in: np.ndarray, target: np.ndarray,
                selection: str) -> DiscriminationOutcome:
-    """The protocol body: the joint R (x) A run (_solve_marginal), the
+    """The protocol body: the joint R (x) A run on the marginal, the
     per-pure-input runs under U, each with its own fixed point, and the
     outcome against the target. The discriminator is compiled once."""
     _check_scope(v_circuit, ensemble)
     u = compile_unitary(v_circuit)
-    d, dc = ensemble.a_dim, v_circuit.ctc_dim
-    fp, rho_out = _solve_marginal(u, rho_in, ensemble.n, d, dc, selection)
+    n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
+    fp = _solve_marginal(u, rho_in, n, d, dc, selection)
+    rho_out = _joint_output(u, rho_in, fp.sigma, n, d, dc)
     per_pure = tuple(
         (label, _evolve(u, np.outer(vec, vec.conj()), d, dc, selection)[0])
         for label, _, vec in ensemble.by_label())
@@ -292,8 +300,8 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
     u = compile_unitary(v_circuit)
-    fp, _ = _solve_marginal(u, _ensemble_state(ensemble), ensemble.n,
-                            ensemble.a_dim, v_circuit.ctc_dim, selection)
+    fp = _solve_marginal(u, _ensemble_state(ensemble), ensemble.n,
+                         ensemble.a_dim, v_circuit.ctc_dim, selection)
     rho_out, per_pure = _simulate(u, ensemble, fp.sigma, v_circuit.ctc_dim)
     return _outcome(rho_out, fp, ensemble, target, per_pure)
 

@@ -123,7 +123,7 @@ def trace_distance(a, b) -> float:
         raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     diff = ma - mb
     diff = (diff + dagger(diff)) / 2
-    return float(np.abs(scipy.linalg.eigvalsh(diff)).sum() / 2)
+    return float(np.abs(np.linalg.eigvalsh(diff)).sum() / 2)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -132,7 +132,7 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues in [-PSD_FLOOR, 0) count as 0; anything lower raises.
     """
     h = _as_matrix(rho)
-    lam = scipy.linalg.eigvalsh((h + dagger(h)) / 2)
+    lam = np.linalg.eigvalsh((h + dagger(h)) / 2)
     if lam[0] < -PSD_FLOOR:
         raise ValidationError(
             f"eigenvalue {lam[0]:.3e} below the PSD floor -{PSD_FLOOR:.1e}")
@@ -193,11 +193,11 @@ def validate(m, kind: str) -> ValidationReport:
         tr = float(abs(a.trace() - 1.0))
         if tr > HERMITICITY_TOL:
             violations.append(("unit trace", tr))
-        h = (a + dagger(a)) / 2
-        shifted = h + PSD_FLOOR * np.eye(a.shape[0])
+        shifted = (a + dagger(a)) / 2
+        shifted.flat[::a.shape[0] + 1] += PSD_FLOOR
         if scipy.linalg.lapack.zpotrf(shifted, clean=False,
                                       overwrite_a=True)[1] != 0:
-            lam_min = float(scipy.linalg.eigvalsh(h)[0])
+            lam_min = float(scipy.linalg.eigvalsh((a + dagger(a)) / 2)[0])
             if lam_min < -PSD_FLOOR:
                 violations.append(("positive semidefinite", -lam_min))
     elif kind == "unitary":

@@ -208,6 +208,67 @@ def test_compile_matches_dense_embedding_on_mixed_dims():
     assert np.abs(compile_unitary(c) - want).max() < 1e-12
 
 
+# --- a first gate on every wire ---------------------------------------------
+
+def identity_start_compile(c):
+    """The compile with every gate, the first included, contracted into the
+    identity tensor: the reference for the copied first gate."""
+    dims, total = c.dims, c.total_dim
+    u = np.eye(total, dtype=complex).reshape(dims + (total,))
+    for g in c.gates:
+        k = len(g.wires)
+        wire_dims = tuple(dims[w] for w in g.wires)
+        m = builtin_matrix(g.name, wire_dims) if g.matrix is None else g.matrix
+        u = np.tensordot(m.reshape(wire_dims + wire_dims), u,
+                         axes=(list(range(k, 2 * k)), list(g.wires)))
+        u = np.moveaxis(u, list(range(k)), list(g.wires))
+    return u.reshape(total, total)
+
+
+@pytest.mark.parametrize("cr_dims, ctc_dims",
+                         [((2, 2, 2), (2, 2, 2)), ((3,), (2,)), ((2, 3), (2,))])
+def test_one_gate_on_every_wire_compiles_to_its_matrix(cr_dims, ctc_dims):
+    dims = cr_dims + ctc_dims
+    m = random_unitary(int(np.prod(dims)), [61, len(dims)])
+    c = Circuit(cr_dims=cr_dims, ctc_dims=ctc_dims,
+                gates=(Gate("u", tuple(range(len(dims))), m),))
+    u = compile_unitary(c)
+    assert np.array_equal(u, m)
+    # a copy: the compile shares no memory with the gate
+    assert not np.shares_memory(u, c.gates[0].matrix)
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
+    builtin = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("swap", (0, 1)),))
+    assert np.array_equal(compile_unitary(builtin), SWAP4)
+
+
+@pytest.mark.parametrize("wires", [(1, 0), (2, 0, 1), (0, 2, 1)])
+def test_first_gate_on_every_wire_out_of_order_matches_the_embedding(wires):
+    dims = (2, 3, 2)[:len(wires)]
+    m = random_unitary(int(np.prod(dims)), [67, len(wires)])
+    c = Circuit(cr_dims=dims[:-1], ctc_dims=dims[-1:],
+                gates=(Gate("v", wires, m),))
+    assert np.array_equal(compile_unitary(c), embed_reference(m, wires, dims))
+
+
+def test_first_gate_on_every_wire_then_more_gates_equals_an_identity_start():
+    rng = np.random.default_rng(71)
+    haar = Circuit(
+        cr_dims=(2, 2, 2), ctc_dims=(2, 2, 2),
+        gates=(Gate("u", tuple(range(6)), random_unitary(64, rng)),
+               Gate("h", (3,)), Gate("cnot", (5, 0)),
+               Gate("v", (4, 1), random_unitary(4, rng))))
+    qutrit = Circuit(
+        cr_dims=(3, 2), ctc_dims=(2,),
+        gates=(Gate("u", (0, 1, 2), random_unitary(12, rng)),
+               Gate("v", (2, 0), random_unitary(6, rng)), Gate("x", (1,))))
+    bhw = [build_bhw2(PLUS), build_bhw_multi([KET0, KET1, PLUS, MINUS])]
+    for c in [haar, qutrit] + bhw:
+        assert c.gates[0].wires == tuple(range(c.n_wires))
+        assert len(c.gates) > 1
+        assert np.array_equal(compile_unitary(c), identity_start_compile(c))
+
+
 # --- compile once per circuit -----------------------------------------------
 
 def brickwork(seed, cr=3):

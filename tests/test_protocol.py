@@ -14,7 +14,7 @@ from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_bhw_multi,
                             pad_with_ancillas)
 from ctcsim.ctc import (SolverError, ctc_evolve, evolve_given_ctc_state,
                         fixed_point_exact, induced_superoperator)
-from ctcsim.experiments import random_instance
+from ctcsim.experiments import random_instance, sim_equivalence
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.protocol import (SUCCESS_DISTANCE, ComputationTask,
                              DiscriminationOutcome, LabeledEnsemble,
@@ -376,6 +376,18 @@ def test_simulation_freezes_the_loop_state_of_the_mixture_run():
             sim = simulate_without_ctc(circuit, ens, selection)
             assert np.array_equal(sim.fixed_point.sigma,
                                   real.fixed_point.sigma)
+
+
+def test_simulation_and_sim_equivalence_build_only_what_they_use(monkeypatch):
+    # the simulation reads sigma and never the joint output of the loop; a
+    # sim-equivalence trial builds its rho_RA once, for the loop and output
+    circuit, ens = random_instance(0, 0)
+    calls = count_calls(monkeypatch, ("_joint_output", "_ensemble_state"))
+    simulate_without_ctc(circuit, ens)
+    assert dict(calls) == {"_ensemble_state": 1}
+    calls.clear()
+    sim_equivalence(trials=3, seed=0)
+    assert dict(calls) == {"_ensemble_state": 3, "_joint_output": 3}
 
 
 def test_broken_output_is_a_solver_error_with_and_without_the_loop(monkeypatch):

@@ -227,6 +227,45 @@ def test_psd_check_agrees_with_the_eigvalsh_rule(m):
     assert validate(m, "density").ok == (lam_min >= -PSD_FLOOR)
 
 
+def reference_spectra(a, b):
+    """trace_distance(a, b) and von_neumann_entropy(a) from scipy's eigvalsh."""
+    diff = a - b
+    lam = scipy.linalg.eigvalsh((a + dagger(a)) / 2)
+    lam = lam[lam > 0]
+    return (np.abs(scipy.linalg.eigvalsh((diff + dagger(diff)) / 2)).sum() / 2,
+            -(lam * np.log2(lam)).sum())
+
+
+def assert_spectra_match_scipy(a, b):
+    want_distance, want_entropy = reference_spectra(a, b)
+    assert abs(trace_distance(a, b) - want_distance) <= 1e-14
+    # entropy reaches log2(d) bits, so the bound is relative above 1 bit
+    assert (abs(von_neumann_entropy(a) - want_entropy)
+            <= 1e-14 * max(1.0, want_entropy))
+
+
+@st.composite
+def state_pairs(draw):
+    """Two d-dimensional density matrices, d <= 32, of random ranks."""
+    d = draw(st.integers(1, 32))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    ranks = [draw(st.integers(1, d)) for _ in range(2)]
+    return tuple(rank_deficient(d, r, [seed, k]) for k, r in enumerate(ranks))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(state_pairs())
+def test_spectra_agree_with_scipy_eigvalsh(pair):
+    assert_spectra_match_scipy(*pair)
+
+
+@pytest.mark.parametrize("d", [64, 128])
+def test_spectra_agree_with_scipy_eigvalsh_at_large_dimension(d):
+    for rank in (1, d // 2, d):
+        assert_spectra_match_scipy(rank_deficient(d, rank, [d, rank, 0]),
+                                   rank_deficient(d, d - rank + 1, [d, rank, 1]))
+
+
 def test_validate_rejects_malformed_input():
     assert not validate(np.ones((2, 3)), "density").ok
     bad = np.eye(2, dtype=complex)
