@@ -21,12 +21,11 @@ causality-respecting output
 
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
 nonlinear. The exact solver first tries one LU solve of the bordered system
-(M - I with row 0 replaced by the trace row). It takes that answer only
-when the LAPACK condition estimate shows the fixed point is unique and the
-estimate times the residual bounds its error by FIXED_POINT_RESIDUAL.
-Otherwise (a singular or ill-conditioned system: a degenerate or
-near-degenerate fixed space) it falls back to an ordered Schur form. Two
-fixed-point selections are provided for degenerate fixed spaces:
+(M - I with row 0 replaced by the trace row), and otherwise falls back to an
+ordered Schur form. Either path takes its answer only when a LAPACK
+condition estimate times the residual bounds its error by
+FIXED_POINT_RESIDUAL; the Schur path also needs the eigenvalue-1 cluster to
+be a fixed space to round-off. Two selections serve degenerate fixed spaces:
 "canonical" (the spectral projection of the maximally mixed state, i.e. the
 Cesaro limit seeded at I/d) and "max_entropy" (Deutsch's rule: the fixed
 state of largest entropy, in closed form). Both are deterministic.
@@ -108,7 +107,8 @@ class FixedPointResult:
         residual: recomputed certificate, half the trace norm of
             E(sigma) - sigma.
         fixed_space_dim: dimension of the eigenvalue-1 subspace (eigenvalues
-            within the detection window of 1).
+            within the detection window of 1). From fixed_point_cesaro it is
+            round(tr L^N) at the stopping N, an estimate that can over-count.
         method: "exact" or "cesaro".
         selection: "canonical" or "max_entropy".
     """
@@ -264,6 +264,34 @@ def _spectral_projector(t: np.ndarray, z: np.ndarray, sdim: int) -> np.ndarray:
     return z @ q @ dagger(z)
 
 
+def _check_cluster(t: np.ndarray, z: np.ndarray, sdim: int,
+                   r: np.ndarray) -> None:
+    """Raise SolverError unless the leading cluster of M = Z T Z+ is a fixed
+    space and v (residual r = M v - v) lies within FIXED_POINT_RESIDUAL of it.
+
+    A fixed space of a CPTP map has a semisimple eigenvalue 1 (Wolf, ch. 6),
+    so the spread max |lambda - 1| over diag(T11) must be round-off, at most
+    1e3 eps_mach n. With y = Z+ v, the trailing rows of (T - I) y = Z+ r give
+    y2 = (T22 - I)^-1 Z2+ r, so the Hilbert-Schmidt distance ||y2||_2 <=
+    ||y2||_1 of v to the span is at most the resolvent bound ||(T22 -
+    I)^-1||_1 ||Z2+ r||_1; ztrcon estimates 1 / (||T22 - I||_1 ||(T22 -
+    I)^-1||_1) in O(n^2) (Higham, ch. 15). No T22: the bound is 0.
+    """
+    n = t.shape[0]
+    spread = float(np.abs(t.diagonal()[:sdim] - 1).max())
+    floor, bound = 1e3 * np.finfo(float).eps * n, 0.0
+    if sdim < n:
+        a = t[sdim:, sdim:] - np.eye(n - sdim)
+        scale = scipy.linalg.lapack.ztrcon(a)[0] * np.linalg.norm(a, 1)
+        bound = float(np.abs(dagger(z[:, sdim:]) @ r).sum() / scale)
+    if not (spread <= floor and bound <= FIXED_POINT_RESIDUAL):
+        failed = "resolvent bound" if spread <= floor else "cluster spread"
+        raise SolverError(
+            f"eigenvalue-1 cluster of size {sdim} not certified, {failed} too "
+            f"large: spread {spread:.3e} (floor {floor:.1e}), resolvent bound "
+            f"{bound:.3e} (tolerance {FIXED_POINT_RESIDUAL:.1e})")
+
+
 def _psd_clip(sigma: np.ndarray) -> np.ndarray:
     """Apply the repair policy: eigenvalues in [-PSD_FLOOR, 0) become 0,
     anything lower is an error; the result is renormalized to unit trace."""
@@ -278,12 +306,12 @@ def _psd_clip(sigma: np.ndarray) -> np.ndarray:
 
 
 def _certify(sigma: np.ndarray, s: Superoperator, fixed_space_dim: int,
-             method: str, selection: str, bound: float) -> FixedPointResult:
+             method: str, selection: str) -> FixedPointResult:
     residual = trace_distance(s.apply(sigma), sigma)
-    if residual > bound:
+    if residual > FIXED_POINT_RESIDUAL:
         raise SolverError(
             f"fixed-point residual {residual:.3e} exceeds tolerance "
-            f"{bound:.1e}", residual=residual)
+            f"{FIXED_POINT_RESIDUAL:.1e}", residual=residual)
     report = validate(sigma, "density")
     if not report.ok:
         raise SolverError(f"fixed-point candidate is not a density matrix: "
@@ -291,27 +319,6 @@ def _certify(sigma: np.ndarray, s: Superoperator, fixed_space_dim: int,
     return FixedPointResult(sigma=sigma, residual=residual,
                             fixed_space_dim=fixed_space_dim,
                             method=method, selection=selection)
-
-
-def _hermitian_fixed_basis(z: np.ndarray, sdim: int) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt, real coefficients) Hermitian basis of the
-    fixed subspace. CPTP maps commute with the adjoint, so the subspace is
-    adjoint-closed and its Hermitian part has real dimension sdim."""
-    basis: list[np.ndarray] = []
-    for k in range(sdim):
-        f = _unvec(z[:, k])
-        for g in (_hermitize(f), (f - dagger(f)) / 2j):
-            w = g.copy()
-            for b in basis:
-                w = w - b * np.trace(dagger(b) @ w).real
-            nw = float(np.sqrt(np.trace(dagger(w) @ w).real))
-            if nw > 1e-9:
-                basis.append(w / nw)
-    if len(basis) != sdim:
-        raise SolverError(
-            f"fixed subspace not adjoint-closed ({len(basis)} Hermitian "
-            f"directions for cluster size {sdim})")
-    return basis
 
 
 def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarray:
@@ -357,13 +364,11 @@ def fixed_point_exact(s: Superoperator,
                       selection: str = "canonical") -> FixedPointResult:
     """Fixed point of a loop map, unique ones by LU, the rest by ordered Schur.
 
-    LU first: one solve of the bordered system A v = e_0, where A is M - I
-    with row 0 replaced by the trace row. Its answer is taken, with
-    fixed_space_dim 1, when the LAPACK estimate of ||A^-1||_1 is at most
-    1e-3 / EIGENVALUE_ONE_WINDOW and that estimate times ||A v - e_0||_1, a
-    bound on the distance to the true fixed point, is at most
-    FIXED_POINT_RESIDUAL. A degenerate fixed space makes A singular, and a
-    near-degenerate one makes it ill-conditioned, so both fall back.
+    LU first: one solve of A v = e_0, A = M - I with row 0 replaced by the
+    trace row, taken with fixed_space_dim 1 when the LAPACK estimate of
+    ||A^-1||_1 is at most 1e-3 / EIGENVALUE_ONE_WINDOW and, times
+    ||A v - e_0||_1 (a bound on the distance to the fixed point), at most
+    FIXED_POINT_RESIDUAL. A (near-)degenerate fixed space fails this.
 
     Schur fallback: the spectral projection onto the eigenvalues within
     EIGENVALUE_ONE_WINDOW of 1 (their count is fixed_space_dim).
@@ -371,20 +376,20 @@ def fixed_point_exact(s: Superoperator,
     kills all decaying and peripheral components (the closed form of Cesaro
     averaging). max_entropy: the fixed state of largest entropy, in closed
     form from the canonical point and the block structure of the fixed
-    space; the canonical point when fixed_space_dim is 1. Either path's
-    sigma is Hermitized, renormalized and certified.
+    space. Either path's sigma is Hermitized, renormalized and certified;
+    a Schur sigma also by the cluster spread and resolvent bound.
 
     Raises:
         SolverError: no eigenvalue within the detection window of 1 (signals
-            a non-CPTP or numerically broken input), or certification failure
-            (residual above tolerance, or the result fails density
-            validation).
+            a non-CPTP or numerically broken input), a Schur spread or bound
+            too large (both named in the message), or a residual above
+            tolerance, or a result that fails density validation.
     """
     if selection not in ("canonical", "max_entropy"):
         raise ValidationError(f"unknown selection {selection!r}")
     d = s.d_ctc
     sigma = _lu_fixed_point(s)
-    sdim = 1
+    sdim, t = 1, None
     if sigma is None:
         t, z, sdim = _schur_fixed_cluster(s.matrix)
         if sdim == 0:
@@ -395,23 +400,25 @@ def fixed_point_exact(s: Superoperator,
     sigma = _hermitize(sigma)
     sigma = sigma / sigma.trace().real
     if selection == "max_entropy" and sdim > 1:
-        _hermitian_fixed_basis(z, sdim)  # raises unless adjoint-closed
         sigma = _psd_clip(_max_entropy_point(s.matrix, sdim, sigma))
-    return _certify(sigma, s, sdim, "exact", selection, FIXED_POINT_RESIDUAL)
+    if t is not None:
+        _check_cluster(t, z, sdim, s.matrix @ _vec(sigma) - _vec(sigma))
+    return _certify(sigma, s, sdim, "exact", selection)
 
 
-def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
-                       tol: float | None = None) -> FixedPointResult:
+def fixed_point_cesaro(s: Superoperator,
+                       max_iter: int = 2 ** 40) -> FixedPointResult:
     """Fixed point by repeated squaring of the lazy map L = (I + E)/2.
 
     L^N = 2^-N sum_k C(N, k) E^k averages the iterates of E with binomial
     weights. Each eigenvalue lambda != 1 of a CPTP map has |(1 + lambda)/2| < 1,
     so L^N converges geometrically to the spectral projection onto the fixed
     space, the same limit as the uniform Cesaro mean, and peripheral
-    (rotating) components die too. Evaluates E(L^N(init)) at N = 1, 2, 4, ...
+    (rotating) components die too. Evaluates E(L^N(I/d)) at N = 1, 2, 4, ...
     with one matrix product per doubling and stops once half the trace norm
     of E(sigma) - sigma AND of the step from the previous doubling are both
-    <= tol. fixed_space_dim is estimated as round(tr L^N).
+    <= FIXED_POINT_RESIDUAL. fixed_space_dim is round(tr L^N) at the
+    stopping N, an estimate that can over-count (a constant map gives 2).
 
     Two guards: squaring blows up eigenvalues numerically above 1, so the
     iteration stops early when the powers do; and a map that does not
@@ -422,28 +429,19 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
 
     Args:
         s: the superoperator.
-        init: starting density matrix, default maximally mixed.
         max_iter: cap on N.
-        tol: convergence tolerance, default FIXED_POINT_RESIDUAL.
 
     Raises:
-        ConvergenceError: max_iter or either guard reached without meeting
-            tol; carries the last residual (None before the first one).
+        ConvergenceError: max_iter or either guard reached before
+            convergence; carries the last residual (None before the first one).
     """
-    if tol is None:
-        tol = FIXED_POINT_RESIDUAL
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
-    d = s.d_ctc
-    if init is None:
-        init = np.eye(d, dtype=complex) / d
-    v0 = _vec(require_density(init, "init"))
+    v0 = _vec(np.eye(s.d_ctc, dtype=complex) / s.d_ctc)
     m = s.matrix
     power = (np.eye(m.shape[0], dtype=complex) + m) / 2   # L^N
     n = 1
     prev = last_residual = None
     while True:
-        raw = _unvec(m @ (power @ v0))     # E(L^N(init))
+        raw = _unvec(m @ (power @ v0))     # E(L^N(I/d))
         trace = raw.trace().real
         if not abs(trace - 1) <= 0.5:
             raise ConvergenceError(
@@ -452,11 +450,12 @@ def fixed_point_cesaro(s: Superoperator, init=None, max_iter: int = 2 ** 40,
         current = _hermitize(raw) / trace
         last_residual = trace_distance(s.apply(current), current)
         # at N = 1 the residual alone decides (e.g. constant maps)
-        if last_residual <= tol and (
-                prev is None or trace_distance(current, prev) <= tol):
+        if last_residual <= FIXED_POINT_RESIDUAL and (
+                prev is None
+                or trace_distance(current, prev) <= FIXED_POINT_RESIDUAL):
             dim_est = max(1, int(round(power.trace().real)))
             return _certify(_psd_clip(current), s, dim_est, "cesaro",
-                            "canonical", max(tol, FIXED_POINT_RESIDUAL))
+                            "canonical")
         if n * 2 > max_iter:
             raise ConvergenceError(
                 f"Cesaro iteration did not converge within N={max_iter} "

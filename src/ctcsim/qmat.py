@@ -195,8 +195,7 @@ def validate(m, kind: str) -> ValidationReport:
             violations.append(("unit trace", tr))
         shifted = (a + dagger(a)) / 2
         shifted.flat[::a.shape[0] + 1] += PSD_FLOOR
-        if scipy.linalg.lapack.zpotrf(shifted, clean=False,
-                                      overwrite_a=True)[1] != 0:
+        if scipy.linalg.lapack.zpotrf(shifted, clean=False)[1] != 0:
             lam_min = float(scipy.linalg.eigvalsh((a + dagger(a)) / 2)[0])
             if lam_min < -PSD_FLOOR:
                 violations.append(("positive semidefinite", -lam_min))

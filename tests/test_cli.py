@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
                             complete_unitary, serialize_circuit)
 from ctcsim.cli import EXPERIMENTS, main
 from ctcsim.ctc import SolverError
+from ctcsim.oracle import random_density
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -495,3 +497,27 @@ def test_fixed_point_on_untouched_ctc_wires_writes_nothing_to_stderr(tmp_path):
     assert out.returncode == 0
     assert out.stderr == ""
     assert json.loads(out.stdout)["results"]["fixed_point"]["fixed_space_dim"] == 16
+
+
+def test_fixed_point_on_a_decaying_mode_in_the_window_exits_3(tmp_path):
+    # U = expm(-i eps H) at eps = 3e-5 puts a decaying eigenvalue of the loop
+    # map 9e-10 from 1, inside the window: the Schur cluster's spread refuses
+    # it, where a point 0.26 from the fixed point used to be printed
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u = scipy.linalg.expm(-3e-5j * (g + g.conj().T) / 2)
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("u", (0, 1), u),))
+    path = write_circuit(tmp_path, circuit)
+    state = tmp_path / "rho.json"
+    state.write_text(json.dumps([[[z.real, z.imag] for z in row]
+                                 for row in random_density(2, 5)]),
+                     encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-m", "ctcsim.cli", "fixed-point",
+                          path, "--input", f"@{state}"], env=env, cwd=root,
+                         capture_output=True, text=True)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "cluster spread too large: spread 9." in out.stderr
+    assert "Traceback" not in out.stderr
