@@ -21,8 +21,9 @@ causality-respecting output
 
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
 nonlinear. The exact solver first tries one LU solve of the bordered system
-(M - I with row 0 replaced by the trace row), and otherwise falls back to an
-ordered Schur form. Either path takes its answer only when a LAPACK
+(M - I with row 0 replaced by the trace row), and otherwise reads the fixed
+point, its dimension and its certificate off one ordered Schur form of M,
+triangular blocks only. Either path takes its answer only when a LAPACK
 condition estimate times the residual bounds its error by
 FIXED_POINT_RESIDUAL; the Schur path also needs the eigenvalue-1 cluster to
 be a fixed space to round-off. Two selections serve degenerate fixed spaces:
@@ -200,9 +201,9 @@ def validate_superoperator(s: Superoperator) -> ValidationReport:
 
 
 def _lu_fixed_point(s: Superoperator) -> np.ndarray | None:
-    """The unique fixed point from one LU solve of the bordered system, or
-    None when the solve cannot vouch for it (acceptance rule: see
-    fixed_point_exact).
+    """The unique fixed point from one LU solve of the bordered system,
+    Hermitized and at unit trace, or None when the solve cannot vouch for it
+    (acceptance rule: see fixed_point_exact).
 
     A is M - I with row 0 replaced by the trace row vec(I), so a trace-1
     fixed point solves A v = e_0 (for a trace-preserving M, row 0 of M - I
@@ -231,65 +232,10 @@ def _lu_fixed_point(s: Superoperator) -> np.ndarray | None:
     e0 = np.zeros(n, dtype=complex)
     e0[0] = 1.0
     v, _ = scipy.linalg.lapack.zgetrs(lu, piv, e0)
-    error_bound = np.abs(a @ v - e0).sum() / (rcond * anorm)
-    return _unvec(v) if error_bound <= FIXED_POINT_RESIDUAL else None
-
-
-def _schur_fixed_cluster(m: np.ndarray):
-    """Ordered complex Schur form with the eigenvalue-1 cluster leading."""
-    t, z, sdim = scipy.linalg.schur(
-        m, output="complex",
-        sort=lambda lam: abs(lam - 1.0) <= EIGENVALUE_ONE_WINDOW)
-    return t, z, int(sdim)
-
-
-def _spectral_projector(t: np.ndarray, z: np.ndarray, sdim: int) -> np.ndarray:
-    """Projection onto the leading Schur cluster along the complement.
-
-    Annihilates every other spectral component, decaying and peripheral
-    alike, so applying it to a state is the Cesaro limit of the iteration
-    seeded there.
-    """
-    n = t.shape[0]
-    if sdim == n:
-        return np.eye(n, dtype=complex)
-    t11 = t[:sdim, :sdim]
-    t12 = t[:sdim, sdim:]
-    t22 = t[sdim:, sdim:]
-    # X solves T11 X - X T22 = -T12 so that [[I, X],[0, 0]] commutes with T
-    x = scipy.linalg.solve_sylvester(t11, -t22, t12)
-    q = np.zeros((n, n), dtype=complex)
-    q[:sdim, :sdim] = np.eye(sdim)
-    q[:sdim, sdim:] = x
-    return z @ q @ dagger(z)
-
-
-def _check_cluster(t: np.ndarray, z: np.ndarray, sdim: int,
-                   r: np.ndarray) -> None:
-    """Raise SolverError unless the leading cluster of M = Z T Z+ is a fixed
-    space and v (residual r = M v - v) lies within FIXED_POINT_RESIDUAL of it.
-
-    A fixed space of a CPTP map has a semisimple eigenvalue 1 (Wolf, ch. 6),
-    so the spread max |lambda - 1| over diag(T11) must be round-off, at most
-    1e3 eps_mach n. With y = Z+ v, the trailing rows of (T - I) y = Z+ r give
-    y2 = (T22 - I)^-1 Z2+ r, so the Hilbert-Schmidt distance ||y2||_2 <=
-    ||y2||_1 of v to the span is at most the resolvent bound ||(T22 -
-    I)^-1||_1 ||Z2+ r||_1; ztrcon estimates 1 / (||T22 - I||_1 ||(T22 -
-    I)^-1||_1) in O(n^2) (Higham, ch. 15). No T22: the bound is 0.
-    """
-    n = t.shape[0]
-    spread = float(np.abs(t.diagonal()[:sdim] - 1).max())
-    floor, bound = 1e3 * np.finfo(float).eps * n, 0.0
-    if sdim < n:
-        a = t[sdim:, sdim:] - np.eye(n - sdim)
-        scale = scipy.linalg.lapack.ztrcon(a)[0] * np.linalg.norm(a, 1)
-        bound = float(np.abs(dagger(z[:, sdim:]) @ r).sum() / scale)
-    if not (spread <= floor and bound <= FIXED_POINT_RESIDUAL):
-        failed = "resolvent bound" if spread <= floor else "cluster spread"
-        raise SolverError(
-            f"eigenvalue-1 cluster of size {sdim} not certified, {failed} too "
-            f"large: spread {spread:.3e} (floor {floor:.1e}), resolvent bound "
-            f"{bound:.3e} (tolerance {FIXED_POINT_RESIDUAL:.1e})")
+    if not np.abs(a @ v - e0).sum() / (rcond * anorm) <= FIXED_POINT_RESIDUAL:
+        return None
+    sigma = _hermitize(_unvec(v))
+    return sigma / sigma.trace().real
 
 
 def _psd_clip(sigma: np.ndarray) -> np.ndarray:
@@ -360,6 +306,63 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
     return out / out.trace().real
 
 
+def _schur_fixed_point(s: Superoperator, selection: str
+                       ) -> tuple[np.ndarray, int]:
+    """Fixed point and fixed_space_dim off one ordered Schur form M = Z T Z+,
+    T11 holding the eigenvalues within EIGENVALUE_ONE_WINDOW of 1.
+
+    canonical: Z [[I, X], [0, 0]] Z+ vec(I/d), the projection along the rest
+    of the spectrum (it commutes with T when T11 X - X T22 = T12). With y =
+    Z+ vec(I/d) it is Z1 (y1 + X y2); ztrsyl solves for X on the triangular
+    blocks (Bartels-Stewart; Higham, ch. 16). max_entropy: from that point.
+
+    Certified by the same form. A fixed space of a CPTP map has a semisimple
+    eigenvalue 1 (Wolf, ch. 6), so the spread max |lambda - 1| over
+    diag(T11) must be round-off, at most 1e3 eps_mach n. With y = Z+ v, the
+    trailing rows of (T - I) y = Z+ r (r = M v - v) give y2 = (T22 - I)^-1
+    Z2+ r, so the Hilbert-Schmidt distance ||y2||_2 <= ||y2||_1 of v to the
+    span is at most the resolvent bound ||(T22 - I)^-1||_1 ||Z2+ r||_1;
+    ztrcon estimates 1 / (||T22 - I||_1 ||(T22 - I)^-1||_1) in O(n^2)
+    (Higham, ch. 15). No T22: the bound is 0.
+    """
+    m = s.matrix
+    n = m.shape[0]
+    t, z, sdim = scipy.linalg.schur(
+        m, output="complex",
+        sort=lambda lam: abs(lam - 1.0) <= EIGENVALUE_ONE_WINDOW)
+    if sdim == 0:
+        raise SolverError("no superoperator eigenvalue within the detection "
+                          "window of 1; input is not a valid CPTP map")
+    y = dagger(z) @ _vec(np.eye(s.d_ctc, dtype=complex) / s.d_ctc)
+    if sdim < n:
+        x, scale, _ = scipy.linalg.lapack.ztrsyl(
+            t[:sdim, :sdim], t[sdim:, sdim:], t[:sdim, sdim:], isgn=-1)
+        y[:sdim] += x @ y[sdim:] / scale
+    sigma = _hermitize(_unvec(z[:, :sdim] @ y[:sdim]))
+    # the projection of a trace-preserving map keeps tr(I/d) = 1; a trace at
+    # round-off (a map that does not preserve trace) leaves no state to scale
+    trace, floor = sigma.trace().real, 1e3 * np.finfo(float).eps * n
+    if not floor < abs(trace) < np.inf:
+        raise SolverError(f"canonical point has trace {trace:.3e}: no "
+                          f"unit-trace state is a multiple of it")
+    sigma = sigma / trace
+    if selection == "max_entropy" and sdim > 1:
+        sigma = _psd_clip(_max_entropy_point(m, sdim, sigma))
+    spread, bound = float(np.abs(t.diagonal()[:sdim] - 1).max()), 0.0
+    if sdim < n:
+        a = t[sdim:, sdim:] - np.eye(n - sdim)
+        inv_resolvent = scipy.linalg.lapack.ztrcon(a)[0] * np.linalg.norm(a, 1)
+        r = m @ _vec(sigma) - _vec(sigma)
+        bound = float(np.abs(dagger(z[:, sdim:]) @ r).sum() / inv_resolvent)
+    if not (spread <= floor and bound <= FIXED_POINT_RESIDUAL):
+        failed = "resolvent bound" if spread <= floor else "cluster spread"
+        raise SolverError(
+            f"eigenvalue-1 cluster of size {sdim} not certified, {failed} too "
+            f"large: spread {spread:.3e} (floor {floor:.1e}), resolvent bound "
+            f"{bound:.3e} (tolerance {FIXED_POINT_RESIDUAL:.1e})")
+    return sigma, int(sdim)
+
+
 def fixed_point_exact(s: Superoperator,
                       selection: str = "canonical") -> FixedPointResult:
     """Fixed point of a loop map, unique ones by LU, the rest by ordered Schur.
@@ -370,39 +373,27 @@ def fixed_point_exact(s: Superoperator,
     ||A v - e_0||_1 (a bound on the distance to the fixed point), at most
     FIXED_POINT_RESIDUAL. A (near-)degenerate fixed space fails this.
 
-    Schur fallback: the spectral projection onto the eigenvalues within
-    EIGENVALUE_ONE_WINDOW of 1 (their count is fixed_space_dim).
-    canonical: image of the maximally mixed state under the projection that
-    kills all decaying and peripheral components (the closed form of Cesaro
-    averaging). max_entropy: the fixed state of largest entropy, in closed
-    form from the canonical point and the block structure of the fixed
-    space. Either path's sigma is Hermitized, renormalized and certified;
-    a Schur sigma also by the cluster spread and resolvent bound.
+    Schur fallback (_schur_fixed_point): one ordered Schur form gives
+    fixed_space_dim (its eigenvalues within EIGENVALUE_ONE_WINDOW of 1), the
+    point and the point's certificate, the cluster spread and resolvent
+    bound. canonical: the spectral projection of the maximally mixed state,
+    the closed form of Cesaro averaging. max_entropy: the fixed state of
+    largest entropy, in closed form from the canonical point and the block
+    structure of the fixed space. Either path's sigma is then certified by
+    its residual and density validation.
 
     Raises:
         SolverError: no eigenvalue within the detection window of 1 (signals
-            a non-CPTP or numerically broken input), a Schur spread or bound
-            too large (both named in the message), or a residual above
-            tolerance, or a result that fails density validation.
+            a non-CPTP or numerically broken input), a canonical point of
+            zero trace, a Schur spread or bound too large (both named in the
+            message), a residual above tolerance, or a result that fails
+            density validation.
     """
     if selection not in ("canonical", "max_entropy"):
         raise ValidationError(f"unknown selection {selection!r}")
-    d = s.d_ctc
-    sigma = _lu_fixed_point(s)
-    sdim, t = 1, None
+    sigma, sdim = _lu_fixed_point(s), 1
     if sigma is None:
-        t, z, sdim = _schur_fixed_cluster(s.matrix)
-        if sdim == 0:
-            raise SolverError("no superoperator eigenvalue within the detection "
-                              "window of 1; input is not a valid CPTP map")
-        projector = _spectral_projector(t, z, sdim)
-        sigma = _unvec(projector @ _vec(np.eye(d, dtype=complex) / d))
-    sigma = _hermitize(sigma)
-    sigma = sigma / sigma.trace().real
-    if selection == "max_entropy" and sdim > 1:
-        sigma = _psd_clip(_max_entropy_point(s.matrix, sdim, sigma))
-    if t is not None:
-        _check_cluster(t, z, sdim, s.matrix @ _vec(sigma) - _vec(sigma))
+        sigma, sdim = _schur_fixed_point(s, selection)
     return _certify(sigma, s, sdim, "exact", selection)
 
 

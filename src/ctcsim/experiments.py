@@ -19,10 +19,10 @@ from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
 from .ctc import FixedPointResult, ctc_evolve
 from .oracle import random_unitary
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, _checked_ensemble, _ensemble_state,
-                       _joint_output, _simulate, _solve_marginal,
-                       helstrom_bound, run_computation_mixture,
-                       run_discrimination, run_superposition)
+                       LabeledEnsemble, _ensemble_state, _joint_output,
+                       _simulate, _solve_marginal, helstrom_bound,
+                       run_computation_mixture, run_discrimination,
+                       run_superposition)
 from .qmat import ValidationError, mutual_information, trace_distance
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
@@ -78,7 +78,7 @@ def labeled_pair(theta: float, p0: float) -> tuple[Circuit, LabeledEnsemble]:
     """The two-state discriminator for psi(theta) and the referee ensemble
     {(0, p0, |0>), (1, 1 - p0, psi)}."""
     zero, psi = _bhw_states(theta)
-    ensemble = _checked_ensemble([(0, p0, zero), (1, 1.0 - p0, psi)])
+    ensemble = LabeledEnsemble([(0, p0, zero), (1, 1.0 - p0, psi)])
     return build_bhw2(psi), ensemble
 
 
@@ -104,7 +104,7 @@ def random_instance(seed: int, trial: int) -> tuple[Circuit, LabeledEnsemble]:
         vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         states.append(vec / np.linalg.norm(vec))
     p0 = float(rng.uniform(0.1, 0.9))
-    ensemble = _checked_ensemble([(0, p0, states[0]), (1, 1.0 - p0, states[1])])
+    ensemble = LabeledEnsemble([(0, p0, states[0]), (1, 1.0 - p0, states[1])])
     return circuit, ensemble
 
 
@@ -265,8 +265,8 @@ def identical_mixtures() -> dict:
     give the same output. Recorded under both selection rules; equality is
     asserted per rule, not across rules."""
     circuit, (zero, one, plus, minus) = _four_state_inputs()
-    ens_01 = _checked_ensemble([(0, 0.5, zero), (1, 0.5, one)])
-    ens_pm = _checked_ensemble([(0, 0.5, plus), (1, 0.5, minus)])
+    ens_01 = LabeledEnsemble([(0, 0.5, zero), (1, 0.5, one)])
+    ens_pm = LabeledEnsemble([(0, 0.5, plus), (1, 0.5, minus)])
     results = {}
     for selection in ("canonical", "max_entropy"):
         out_01 = run_discrimination(circuit, ens_01, selection)

@@ -35,16 +35,53 @@ SUCCESS_DISTANCE = 1e-6  # trace-distance bound defining protocol success
 
 @dataclass(frozen=True)
 class LabeledEnsemble:
-    """A referee ensemble of labeled pure states.
+    """A referee ensemble of labeled pure states, checked on construction.
 
     Attributes:
         entries: tuple of (label, probability, state vector). Labels are
             exactly 0..n-1 (they double as R basis indices); probabilities
-            are positive and sum to 1; states share one dimension and are
-            normalized. Duplicate states under distinct labels are allowed.
+            are positive and sum to 1 within 1e-12; states are finite,
+            normalized vectors of one dimension, stored as complex arrays.
+            Duplicate states under distinct labels are allowed.
+
+    Raises:
+        ValidationError: any of the above fails, or entries is empty.
     """
 
     entries: tuple[tuple[int, float, np.ndarray], ...]
+
+    def __post_init__(self):
+        items = []
+        for entry in self.entries:
+            if len(entry) != 3:
+                raise ValidationError(
+                    "each entry must be (label, probability, state)")
+            label, prob, state = entry
+            if not isinstance(label, (int, np.integer)) or isinstance(label, bool):
+                raise ValidationError(f"label {label!r} is not an integer")
+            prob = float(prob)
+            if not prob > 0:  # NaN included
+                raise ValidationError(
+                    f"label {label}: probability {prob} must be positive")
+            if np.ndim(state) != 1:
+                raise ValidationError(f"label {label}: state must be a vector")
+            items.append((int(label), prob,
+                          _as_state(state, f"label {label}: state")))
+        if not items:
+            raise ValidationError("ensemble needs at least one entry")
+        labels = sorted(lbl for lbl, _, _ in items)
+        if labels != list(range(len(items))):
+            raise ValidationError(
+                f"labels must be exactly 0..{len(items) - 1}, got {labels}")
+        total = sum(p for _, p, _ in items)
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"probabilities sum to {total!r}, not 1")
+        d = items[0][2].shape[0]
+        for lbl, _, vec in items:
+            if vec.shape[0] != d:
+                raise ValidationError(
+                    f"label {lbl}: state dimension {vec.shape[0]} != {d}")
+        object.__setattr__(self, "entries", tuple(items))
 
     @property
     def n(self) -> int:
@@ -62,7 +99,7 @@ class LabeledEnsemble:
 
 
 def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
-    """Validate referee entries and build the labeled mixture on R (x) A.
+    """Build the checked ensemble and the labeled mixture on R (x) A.
 
     Args:
         entries: iterable of (label, probability, state vector).
@@ -73,47 +110,10 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
         dimension equal to the number of labels.
 
     Raises:
-        ValidationError: empty entries, labels not exactly {0..n-1},
-            non-positive probabilities, probabilities not summing to 1
-            within 1e-12, non-finite, unnormalized or dimension-mismatched
-            states.
+        ValidationError: the checks of LabeledEnsemble fail.
     """
-    ensemble = _checked_ensemble(entries)
+    ensemble = LabeledEnsemble(entries)
     return ensemble, _ensemble_state(ensemble)
-
-
-def _checked_ensemble(entries) -> LabeledEnsemble:
-    """labeled_ensemble's checks and ensemble, without building rho_RA."""
-    items = []
-    for entry in entries:
-        if len(entry) != 3:
-            raise ValidationError("each entry must be (label, probability, state)")
-        label, prob, state = entry
-        if not isinstance(label, (int, np.integer)) or isinstance(label, bool):
-            raise ValidationError(f"label {label!r} is not an integer")
-        prob = float(prob)
-        if prob <= 0:
-            raise ValidationError(
-                f"label {label}: probability {prob} must be positive")
-        if np.ndim(state) != 1:
-            raise ValidationError(f"label {label}: state must be a vector")
-        items.append((int(label), prob, _as_state(state, f"label {label}: state")))
-    if not items:
-        raise ValidationError("ensemble needs at least one entry")
-    n = len(items)
-    if sorted(lbl for lbl, _, _ in items) != list(range(n)):
-        raise ValidationError(
-            f"labels must be exactly 0..{n - 1}, got "
-            f"{sorted(lbl for lbl, _, _ in items)}")
-    total = sum(p for _, p, _ in items)
-    if abs(total - 1.0) > 1e-12:
-        raise ValidationError(f"probabilities sum to {total!r}, not 1")
-    d = items[0][2].shape[0]
-    for lbl, _, vec in items:
-        if vec.shape[0] != d:
-            raise ValidationError(
-                f"label {lbl}: state dimension {vec.shape[0]} != {d}")
-    return LabeledEnsemble(entries=tuple(items))
 
 
 def _labeled_state(blocks: np.ndarray) -> np.ndarray:

@@ -554,6 +554,35 @@ def test_parse_error_paths():
     with pytest.raises(CircuitFormatError, match=r"\$\.gates\[0\]: swap"):
         parse_circuit(doc)
 
+    # each schema error starts with the JSON path of the offending element
+    gate = base["gates"][0]
+    for doc, path, message in [
+        ('{"cr_dims": [2', "$", "not valid JSON"),
+        ([base], "$", "top level must be an object"),
+        (dict(base, cr_dims=2), "$.cr_dims", "expected an array of integers"),
+        (dict(base, ctc_dims=[2, "2"]), "$.ctc_dims[1]", "expected an integer"),
+        (dict(base, labels=["A", 1]), "$.labels", "expected an array of strings"),
+        (dict(base, gates=gate), "$.gates", "expected an array of gate objects"),
+        (dict(base, gates=[gate, "swap"]), "$.gates[1]", "expected a gate object"),
+        (dict(base, gates=[dict(gate, arity=2)]), "$.gates[0].arity",
+         "unknown key"),
+        (dict(base, gates=[{"wires": [0, 1]}]), "$.gates[0]",
+         "missing or non-string 'name'"),
+        (dict(base, gates=[dict(gate, wires=[0, True])]), "$.gates[0]",
+         "missing or non-integer-array 'wires'"),
+        (dict(base, gates=[dict(gate, matrix=[])]), "$.gates[0].matrix",
+         "expected a nonempty array of rows"),
+        (dict(base, gates=[dict(gate, matrix=[[[1, 0]], "row"])]),
+         "$.gates[0].matrix[1]", "expected an array of [re, im] pairs"),
+        (dict(base, gates=[dict(gate, matrix=[[[1, 0], [0, 0]], [[0, 0]]])]),
+         "$.gates[0].matrix[1]", "row length 1 != 2"),
+        (dict(base, gates=[dict(gate, matrix=[[[1, 0], [0, "0"]]])]),
+         "$.gates[0].matrix[0][1]", "expected an [re, im] number pair")]:
+        with pytest.raises(CircuitFormatError) as err:
+            parse_circuit(doc)
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: {message}")
+
 
 def test_parse_builtin_with_matching_matrix_canonicalized():
     doc = {"cr_dims": [2], "ctc_dims": [2],

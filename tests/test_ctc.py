@@ -13,15 +13,15 @@ from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
                             compile_unitary, complete_unitary, parse_circuit,
                             serialize_circuit)
 from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
-                        _hermitize, _lu_fixed_point, _schur_fixed_cluster,
-                        _spectral_projector, choi_matrix, ctc_evolve,
-                        evolve_given_ctc_state, fixed_point_cesaro,
-                        fixed_point_exact, induced_superoperator, solve_loop,
+                        _hermitize, _lu_fixed_point, _schur_fixed_point,
+                        choi_matrix, ctc_evolve, evolve_given_ctc_state,
+                        fixed_point_cesaro, fixed_point_exact,
+                        induced_superoperator, solve_loop,
                         validate_superoperator)
 from ctcsim.oracle import random_density, random_unitary
-from ctcsim.qmat import (ValidationError, dagger, kron, mutual_information,
-                         partial_trace, trace_distance, validate,
-                         von_neumann_entropy)
+from ctcsim.qmat import (EIGENVALUE_ONE_WINDOW, ValidationError, dagger, kron,
+                         mutual_information, partial_trace, trace_distance,
+                         validate, von_neumann_entropy)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -190,6 +190,21 @@ def test_selection_rules_differ_on_degenerate_channel():
     assert maxent.selection == "max_entropy"
 
 
+@pytest.mark.parametrize("gamma", [0.5, 0.01])
+def test_canonical_point_is_the_limit_of_a_leak(gamma):
+    # Kraus {diag(1, 1, sqrt(1 - gamma)), sqrt(gamma) |1><2|}: |2> leaks into
+    # |1> with decaying eigenvalues 1 - gamma and sqrt(1 - gamma), so
+    # iterating from I/3 lands on diag(1/3, 2/3, 0), where the orthogonal
+    # projection of I/3 onto the fixed space would give diag(1/2, 1/2, 0)
+    shift = np.zeros((3, 3), dtype=complex)
+    shift[1, 2] = 1.0
+    s = kraus_superoperator([np.diag([1, 1, np.sqrt(1 - gamma)]).astype(complex),
+                             np.sqrt(gamma) * shift], 3)
+    fp = fixed_point_exact(s)
+    assert fp.fixed_space_dim == 4
+    assert trace_distance(fp.sigma, np.diag([1 / 3, 2 / 3, 0])) < 1e-10
+
+
 def block_channel(blocks, scramble):
     """Kraus operators of (+)_k X_k -> Tr_2(X_k) x omega_k on blocks
     C^{d_k} x C^{m_k}, conjugated by `scramble`, and the analytic maximum
@@ -312,12 +327,20 @@ def loop_circuits(draw):
 
 
 def schur_canonical_point(s):
-    """The Schur fallback's canonical sigma and fixed_space_dim, computed
-    without the LU path."""
-    t, z, sdim = _schur_fixed_cluster(s.matrix)
-    d = s.d_ctc
-    sigma = _hermitize((_spectral_projector(t, z, sdim) @ vec(np.eye(d) / d)
-                        ).reshape(d, d, order="F"))
+    """The canonical sigma and fixed_space_dim from a dense spectral
+    projector, built apart from the solver: ordered Schur form M = Z T Z+
+    with the same eigenvalue-1 window, X from scipy's solve_sylvester, and
+    Z [[I, X], [0, 0]] Z+ applied to vec(I/d)."""
+    t, z, sdim = scipy.linalg.schur(
+        s.matrix, output="complex",
+        sort=lambda lam: abs(lam - 1) <= EIGENVALUE_ONE_WINDOW)
+    n, d = len(t), s.d_ctc
+    q = np.eye(n, dtype=complex)
+    q[sdim:, sdim:] = 0
+    q[:sdim, sdim:] = scipy.linalg.solve_sylvester(
+        t[:sdim, :sdim], -t[sdim:, sdim:], t[:sdim, sdim:])
+    sigma = _hermitize((z @ q @ dagger(z) @ vec(np.eye(d) / d)).reshape(
+        d, d, order="F"))
     return sigma / sigma.trace().real, sdim
 
 
@@ -331,10 +354,10 @@ def test_lu_path_agrees_with_schur_projector(case):
     fp = fixed_point_exact(s)
     if _lu_fixed_point(s) is None:
         event("Schur fallback")
-        assert fp.fixed_space_dim == sdim
-        return
-    event("LU accepted")
-    assert sdim == 1 and fp.fixed_space_dim == 1
+    else:
+        event("LU accepted")
+        assert sdim == 1
+    assert fp.fixed_space_dim == sdim
     assert np.abs(fp.sigma - schur_sigma).max() < 1e-10
 
 
@@ -363,13 +386,13 @@ def test_degenerate_loops_never_take_the_lu_path(make, fixed_space_dim):
         assert fixed_point_exact(s, selection).fixed_space_dim == fixed_space_dim
 
 
-def near_degenerate_superoperator(eps):
+def near_degenerate_superoperator(eps, h_seed=3, rho_seed=5):
     """U = expm(-i eps H) on one CR and one CTC qubit: the second eigenvalue
     of the loop map sits about eps^2 from 1."""
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(h_seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     u = scipy.linalg.expm(-1j * eps * (g + dagger(g)) / 2)
-    return induced_superoperator(u, random_density(2, 5), (2,), (2,))
+    return induced_superoperator(u, random_density(2, rho_seed), (2,), (2,))
 
 
 def mpmath_fixed_point(s):
@@ -398,11 +421,11 @@ def test_near_degenerate_loops_are_solved_or_refused(monkeypatch, eps,
     # below 1e-4 a decaying mode enters the window with a spread of 1e-10
     schur_calls = []
 
-    def counted(m):
-        schur_calls.append(m.shape)
-        return _schur_fixed_cluster(m)
+    def counted(s, selection):
+        schur_calls.append(s.matrix.shape)
+        return _schur_fixed_point(s, selection)
 
-    monkeypatch.setattr(ctc_module, "_schur_fixed_cluster", counted)
+    monkeypatch.setattr(ctc_module, "_schur_fixed_point", counted)
     s = near_degenerate_superoperator(eps)
     reference = mpmath_fixed_point(s)
     assert (_lu_fixed_point(s) is not None) == (outcome == "lu")
@@ -414,6 +437,48 @@ def test_near_degenerate_loops_are_solved_or_refused(monkeypatch, eps,
         with pytest.raises(SolverError, match=f"{outcome} too large: spread"):
             fixed_point_exact(s)
     assert len(schur_calls) == (outcome != "lu")
+
+
+@pytest.mark.parametrize("matrix, residual, message", [
+    (0.5 * np.eye(4), 0.25, "residual 2.500e-01 exceeds"),
+    (np.outer(vec(np.diag([2.0, -1.0])), vec(np.eye(2))), 0.0,
+     "not a density matrix"),
+    ((1 + 1e-7) * np.eye(4), None,
+     "no superoperator eigenvalue within the detection window")],
+    ids=["half-identity", "non-psd-fixed-point", "no-eigenvalue-one"])
+def test_maps_that_are_not_channels_are_refused(matrix, residual, message):
+    # 0.5 I: the bordered system is well posed, but the map halves its
+    # answer |0><0|. The rank-one map X -> tr(X) diag(2, -1) fixes only a
+    # matrix that is not PSD. (1 + 1e-7) I has no eigenvalue in the window,
+    # and LU refuses its condition estimate of 1e7
+    s = Superoperator(d_ctc=2, matrix=matrix)
+    assert (_lu_fixed_point(s) is None) == (residual is None)
+    with pytest.raises(SolverError, match=message) as err:
+        fixed_point_exact(s)
+    assert err.value.residual == (
+        None if residual is None else pytest.approx(residual, abs=1e-15))
+
+
+@pytest.mark.parametrize("selection", ["canonical", "max_entropy"])
+@pytest.mark.parametrize("basis_change", [np.eye(2), random_unitary(2, 0)],
+                         ids=["diagonal", "scrambled"])
+def test_traceless_fixed_space_is_refused(basis_change, selection):
+    # not trace preserving: the eigenvalue-1 space is spanned by |0><1| and
+    # |1><0|, so the projection of I/2 onto it has trace 0 (1e-31 after a
+    # change of basis, which must not be mistaken for a state)
+    k = np.kron(basis_change.conj(), basis_change)
+    s = Superoperator(d_ctc=2,
+                      matrix=k @ np.diag([0.5, 1.0, 1.0, 0.5]) @ dagger(k))
+    with pytest.raises(SolverError, match="trace"):
+        fixed_point_exact(s, selection)
+
+
+def slow_loops():
+    """near_degenerate_superoperator with eps log-uniform in [1e-6, 1e-2]
+    and a random H and CR input: from certified Schur points to refusals."""
+    seeds = st.integers(0, 2 ** 32 - 1)
+    return st.builds(near_degenerate_superoperator,
+                     st.floats(-6, -2).map(lambda e: 10.0 ** e), seeds, seeds)
 
 
 @st.composite
@@ -439,7 +504,8 @@ def circuit_loop_map(case):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.one_of(loop_circuits().map(circuit_loop_map), block_channels()))
+@given(st.one_of(loop_circuits().map(circuit_loop_map), block_channels(),
+                 slow_loops()))
 def test_exact_fixed_points_are_states_or_refused(s):
     # with the second eigenvalue at least 1e-3 from 1 the fixed point is the
     # null vector of M - I; an SVD gives it within 3e-15 of a 60-digit solve

@@ -74,23 +74,32 @@ def test_duplicate_states_allowed():
     assert ens.n == 2
 
 
-def test_ensemble_validation():
+@pytest.mark.parametrize("build", [lambda entries: labeled_ensemble(entries)[0],
+                                   LabeledEnsemble],
+                         ids=["labeled_ensemble", "constructor"])
+def test_ensemble_validation(build):
     with pytest.raises(ValidationError):
-        labeled_ensemble([])
+        build([])
     with pytest.raises(ValidationError):
-        labeled_ensemble([(0, 0.5, KET0), (2, 0.5, KET1)])  # gap in labels
+        build([(0, 0.5, KET0), (2, 0.5, KET1)])  # gap in labels
     with pytest.raises(ValidationError):
-        labeled_ensemble([(0, 0.5, KET0), (0, 0.5, KET1)])  # duplicate label
+        build([(0, 0.5, KET0), (0, 0.5, KET1)])  # duplicate label
     with pytest.raises(ValidationError):
-        labeled_ensemble([(0, 0.6, KET0), (1, 0.6, KET1)])  # sum > 1
+        build([(0, 0.6, KET0), (1, 0.6, KET1)])  # sum > 1
     with pytest.raises(ValidationError):
-        labeled_ensemble([(0, 1.0, 2 * KET0)])  # not normalized
+        build([(0, 1.0, 2 * KET0)])  # not normalized
     with pytest.raises(ValidationError):
-        labeled_ensemble([(0, 1.0, np.array([np.nan, 0.0]))])  # not finite
+        build([(0, 1.0, np.array([np.nan, 0.0]))])  # not finite
     with pytest.raises(ValidationError):
-        labeled_ensemble([(0, 0.0, KET0), (1, 1.0, KET1)])  # zero weight
+        build([(0, 0.0, KET0), (1, 1.0, KET1)])  # zero weight
+    with pytest.raises(ValidationError, match="nan"):
+        build([(0, np.nan, KET0)])  # weight not a number
     with pytest.raises(ValidationError):
-        labeled_ensemble([(0, 0.5, KET0), (1, 0.5, basis(1, 3))])  # mixed dims
+        build([(0, 0.5, KET0), (1, 0.5, basis(1, 3))])  # mixed dims
+    # list states are stored as complex vectors
+    ensemble = build([(1, 0.5, [0, 1]), (0, 0.5, [1, 0])])
+    assert [(lbl, v.dtype) for lbl, _, v in ensemble.by_label()] == [
+        (0, np.complex128), (1, np.complex128)]
 
 
 # --- discrimination ----------------------------------------------------------
