@@ -23,13 +23,14 @@ Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
 nonlinear. The exact solver first tries one LU solve of the bordered system
 (M - I with row 0 replaced by the trace row), and otherwise reads the fixed
 point, its dimension and its certificate off one ordered Schur form of M,
-triangular blocks only. Either path takes its answer only when a LAPACK
-condition estimate times the residual bounds its error by
-FIXED_POINT_RESIDUAL; the Schur path also needs the eigenvalue-1 cluster to
-be a fixed space to round-off. Two selections serve degenerate fixed spaces:
-"canonical" (the spectral projection of the maximally mixed state, i.e. the
-Cesaro limit seeded at I/d) and "max_entropy" (Deutsch's rule: the fixed
-state of largest entropy, in closed form). Both are deterministic.
+triangular blocks only. Either path takes its answer only when a bound on
+||A^-1|| times the residual is at most FIXED_POINT_RESIDUAL (the exact norm
+of numpy's inverse at n = dc^2 <= 16, else LAPACK estimates); Schur also
+needs the eigenvalue-1 cluster to be a fixed space to round-off. Two
+selections serve degenerate fixed spaces: "canonical" (the spectral
+projection of the maximally mixed state, i.e. the Cesaro limit seeded at
+I/d) and "max_entropy" (Deutsch's rule: the fixed state of largest entropy,
+in closed form). Both are deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .circuit import Circuit, compile_unitary
 from .qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL, PSD_FLOOR,
@@ -194,7 +194,7 @@ def validate_superoperator(s: Superoperator) -> ValidationReport:
     tp_err = float(np.abs(traces - _vec(np.eye(d))).max())
     if tp_err > 1e-10:
         violations.append(("trace preserving", float(tp_err)))
-    lam_min = float(scipy.linalg.eigvalsh(_hermitize(choi_matrix(s)))[0])
+    lam_min = float(np.linalg.eigvalsh(_hermitize(choi_matrix(s)))[0])
     if lam_min < -1e-9:
         violations.append(("completely positive", -lam_min))
     return ValidationReport("superoperator", tuple(violations))
@@ -211,28 +211,39 @@ def _lu_fixed_point(s: Superoperator) -> np.ndarray | None:
     distance of v to it. A second eigenvalue lambda within the window of 1
     has a trace-zero eigenvector x with ||A x|| <= |lambda - 1| ||x||, so it
     forces ||A^-1||_2 >= 1e9; the factor 1e-3 in the cut covers the change
-    to the 1-norm (at most sqrt(n)) and the usual underestimate of the
+    to the 1-norm (at most sqrt(n)) and the underestimate of zgecon's
     estimate, so an accepted answer is one the Schur window also calls
-    unique.
+    unique. Up to n = 16 (dc <= 4) ||A^-1||_1 is exact, the largest column
+    sum of numpy's inverse, and v is its column 0: never below the estimate,
+    so it accepts less, and it needs no scipy. Above, LAPACK LU is faster.
     """
     n = s.matrix.shape[0]
     a = s.matrix - np.eye(n)
     a[0] = _vec(np.eye(s.d_ctc))
-    # getrf flags an exactly singular A with info > 0 and warns about
-    # nothing, where scipy.linalg.lu_factor would raise a LinAlgWarning
-    lu, piv, info = scipy.linalg.lapack.zgetrf(a)
-    if info != 0:
-        return None
-    anorm = np.linalg.norm(a, 1)
-    rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-    # rcond estimates 1 / (||A||_1 ||A^-1||_1); both comparisons are
-    # written so that a NaN rejects the answer
-    if info != 0 or not rcond * anorm >= EIGENVALUE_ONE_WINDOW / 1e-3:
-        return None
     e0 = np.zeros(n, dtype=complex)
     e0[0] = 1.0
-    v, _ = scipy.linalg.lapack.zgetrs(lu, piv, e0)
-    if not np.abs(a @ v - e0).sum() / (rcond * anorm) <= FIXED_POINT_RESIDUAL:
+    # 1 BLAS thread: inverse and its norm 10, 23 and 291 us at n = 4, 16 and
+    # 64, against 10, 22 and 107 us for zgetrf + zgecon + zgetrs
+    if n <= 16:
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:   # exactly singular
+            return None
+        recip_norm, v = 1 / np.abs(inv).sum(axis=0).max(), inv[:, 0]
+    else:
+        import scipy.linalg
+        # getrf flags an exactly singular A with info > 0 and warns about
+        # nothing, where scipy.linalg.lu_factor would raise a LinAlgWarning
+        lu, piv, info = scipy.linalg.lapack.zgetrf(a)
+        if info != 0:
+            return None
+        anorm = np.linalg.norm(a, 1)
+        rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
+        recip_norm = rcond * anorm if info == 0 else np.nan
+        v = scipy.linalg.lapack.zgetrs(lu, piv, e0)[0]
+    # recip_norm is 1 / ||A^-1||_1, or its estimate; a NaN fails the test
+    if not (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3 and
+            np.abs(a @ v - e0).sum() / recip_norm <= FIXED_POINT_RESIDUAL):
         return None
     sigma = _hermitize(_unvec(v))
     return sigma / sigma.trace().real
@@ -241,7 +252,7 @@ def _lu_fixed_point(s: Superoperator) -> np.ndarray | None:
 def _psd_clip(sigma: np.ndarray) -> np.ndarray:
     """Apply the repair policy: eigenvalues in [-PSD_FLOOR, 0) become 0,
     anything lower is an error; the result is renormalized to unit trace."""
-    lam, vecs = scipy.linalg.eigh(_hermitize(sigma))
+    lam, vecs = np.linalg.eigh(_hermitize(sigma))
     if lam[0] < -PSD_FLOOR:
         raise SolverError(
             f"fixed-point candidate has eigenvalue {lam[0]:.3e} below the PSD floor",
@@ -278,6 +289,7 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
     orthonormal basis of A takes a generic element of A to a central one,
     whose eigenspaces are the blocks, and sigma to (+)_k c_k I x omega_k.
     """
+    import scipy.linalg
     lam, vecs = scipy.linalg.eigh(start)
     keep = lam > PSD_FLOOR
     support, lam = vecs[:, keep], lam[keep]
@@ -325,6 +337,7 @@ def _schur_fixed_point(s: Superoperator, selection: str
     ztrcon estimates 1 / (||T22 - I||_1 ||(T22 - I)^-1||_1) in O(n^2)
     (Higham, ch. 15). No T22: the bound is 0.
     """
+    import scipy.linalg
     m = s.matrix
     n = m.shape[0]
     t, z, sdim = scipy.linalg.schur(
@@ -335,8 +348,10 @@ def _schur_fixed_point(s: Superoperator, selection: str
                           "window of 1; input is not a valid CPTP map")
     y = dagger(z) @ _vec(np.eye(s.d_ctc, dtype=complex) / s.d_ctc)
     if sdim < n:
-        x, scale, _ = scipy.linalg.lapack.ztrsyl(
+        x, scale, info = scipy.linalg.lapack.ztrsyl(
             t[:sdim, :sdim], t[sdim:, sdim:], t[:sdim, sdim:], isgn=-1)
+        if info != 0:
+            raise SolverError(f"ztrsyl info {info}: close eigenvalues perturbed")
         y[:sdim] += x @ y[sdim:] / scale
     sigma = _hermitize(_unvec(z[:, :sdim] @ y[:sdim]))
     # the projection of a trace-preserving map keeps tr(I/d) = 1; a trace at
@@ -368,10 +383,10 @@ def fixed_point_exact(s: Superoperator,
     """Fixed point of a loop map, unique ones by LU, the rest by ordered Schur.
 
     LU first: one solve of A v = e_0, A = M - I with row 0 replaced by the
-    trace row, taken with fixed_space_dim 1 when the LAPACK estimate of
-    ||A^-1||_1 is at most 1e-3 / EIGENVALUE_ONE_WINDOW and, times
-    ||A v - e_0||_1 (a bound on the distance to the fixed point), at most
-    FIXED_POINT_RESIDUAL. A (near-)degenerate fixed space fails this.
+    trace row, taken with fixed_space_dim 1 when ||A^-1||_1 (exact up to
+    n = 16, a LAPACK estimate above) is at most 1e-3 / EIGENVALUE_ONE_WINDOW
+    and, times ||A v - e_0||_1 (a bound on the distance to the fixed point),
+    at most FIXED_POINT_RESIDUAL. A (near-)degenerate fixed space fails this.
 
     Schur fallback (_schur_fixed_point): one ordered Schur form gives
     fixed_space_dim (its eigenvalues within EIGENVALUE_ONE_WINDOW of 1), the
@@ -385,9 +400,9 @@ def fixed_point_exact(s: Superoperator,
     Raises:
         SolverError: no eigenvalue within the detection window of 1 (signals
             a non-CPTP or numerically broken input), a canonical point of
-            zero trace, a Schur spread or bound too large (both named in the
-            message), a residual above tolerance, or a result that fails
-            density validation.
+            zero trace, ztrsyl info != 0, a Schur spread or bound too large
+            (both named in the message), a residual above tolerance, or a
+            result that fails density validation.
     """
     if selection not in ("canonical", "max_entropy"):
         raise ValidationError(f"unknown selection {selection!r}")

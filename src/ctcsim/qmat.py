@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class ValidationError(ValueError):
@@ -161,12 +160,11 @@ def mutual_information(rho_ab, dims) -> float:
 def validate(m, kind: str) -> ValidationReport:
     """Check matrix invariants without raising.
 
-    The PSD test of a density matrix is certified by one Cholesky
-    factorization (LAPACK zpotrf) of h + PSD_FLOOR·I, h the Hermitized
-    matrix: in exact arithmetic it succeeds iff λ_min(h) > −PSD_FLOOR. Only
-    when it fails does eigvalsh run; its λ_min then decides the case and
-    sizes the violation, so boundary decisions and reported magnitudes are
-    eigvalsh's.
+    The PSD test of a density matrix is certified by one numpy Cholesky
+    factorization of h + PSD_FLOOR·I, h the Hermitized matrix: in exact
+    arithmetic it succeeds iff λ_min(h) > −PSD_FLOOR. Only when it fails
+    does numpy's eigvalsh run; its λ_min then decides the case and sizes the
+    violation, so boundary decisions and reported magnitudes are eigvalsh's.
 
     Args:
         m: square matrix.
@@ -195,8 +193,10 @@ def validate(m, kind: str) -> ValidationReport:
             violations.append(("unit trace", tr))
         shifted = (a + dagger(a)) / 2
         shifted.flat[::a.shape[0] + 1] += PSD_FLOOR
-        if scipy.linalg.lapack.zpotrf(shifted, clean=False)[1] != 0:
-            lam_min = float(scipy.linalg.eigvalsh((a + dagger(a)) / 2)[0])
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lam_min = float(np.linalg.eigvalsh((a + dagger(a)) / 2)[0])
             if lam_min < -PSD_FLOOR:
                 violations.append(("positive semidefinite", -lam_min))
     elif kind == "unitary":

@@ -15,7 +15,7 @@ from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
                             complete_unitary, serialize_circuit)
 from ctcsim.cli import EXPERIMENTS, main
 from ctcsim.ctc import SolverError
-from ctcsim.oracle import random_density
+from ctcsim.oracle import random_density, random_unitary
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -467,19 +467,41 @@ def test_floats_are_rounded_for_stability(capsys):
             assert len(digits.replace("-", "").replace(".", "")) <= 12
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # nothing in ctcsim needs scipy.optimize, not even a degenerate
-    # max-entropy solve; importing it costs about 0.2 s per invocation
+def test_cli_loads_scipy_linalg_only_where_lapack_runs(tmp_path):
+    # importing scipy.linalg is about 0.3 s of a CLI call; only the Schur
+    # path and loops with n = dc^2 > 16 need its LAPACK routines, so every
+    # experiment and a --verify on a unique 2+2-qubit loop run without it.
+    # Nothing needs scipy.optimize, not even a degenerate max-entropy solve
+    haar = write_circuit(tmp_path, Circuit(
+        cr_dims=(2, 2), ctc_dims=(2, 2),
+        gates=(Gate("u", (0, 1, 2, 3), random_unitary(16, 3)),)), "haar.json")
+    untouched = write_circuit(tmp_path, Circuit(
+        cr_dims=(2,), ctc_dims=(2, 2), gates=(Gate("x", (0,)),)),
+        "untouched.json")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = ("import sys, numpy as np, ctcsim.cli\n"
+    code = ("import contextlib, io, sys, numpy as np, ctcsim.cli\n"
             "from ctcsim.ctc import Superoperator, fixed_point_exact\n"
+            "from ctcsim.experiments import REGISTRY\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert ctcsim.cli.main(list(argv)) == 0, argv\n"
+            "loaded = lambda: 'scipy.linalg' in sys.modules\n"
+            "seen = [loaded()]\n"
+            "for name in REGISTRY:\n"
+            "    run('experiment', name)\n"
+            "    seen.append(loaded())\n"
+            f"run('fixed-point', {haar!r}, '--verify')\n"
+            "print(seen + [loaded()])\n"
+            f"run('fixed-point', {untouched!r})\n"
             "fp = fixed_point_exact(Superoperator(2, np.eye(4)), 'max_entropy')\n"
             "assert fp.fixed_space_dim == 4\n"
-            "print('scipy.optimize' in sys.modules)")
+            "print(loaded(), 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    unloaded, schur = out.stdout.splitlines()
+    assert unloaded == str([False] * (len(EXPERIMENTS) + 2))
+    assert schur == "True False"
 
 
 def test_fixed_point_on_untouched_ctc_wires_writes_nothing_to_stderr(tmp_path):

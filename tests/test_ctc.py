@@ -529,6 +529,65 @@ def test_exact_fixed_points_are_states_or_refused(s):
             assert trace_distance(fp.sigma, reference) <= 1e-9
 
 
+def lapack_lu_rule(s):
+    """The LAPACK LU rule, kept apart from the solver as a reference: zgetrf
+    and zgetrs solve the bordered system, and the answer is taken when
+    zgecon's estimate of ||A^-1||_1, 1 / (rcond ||A||_1), is at most 1e6 and
+    times ||A v - e_0||_1 at most 1e-9. Returns (sigma or None, A, rcond)."""
+    n = len(s.matrix)
+    a = s.matrix - np.eye(n)
+    a[0] = vec(np.eye(s.d_ctc))
+    lu, piv, info = scipy.linalg.lapack.zgetrf(a)
+    if info != 0:
+        return None, a, 0.0
+    anorm = np.linalg.norm(a, 1)
+    rcond = scipy.linalg.lapack.zgecon(lu, anorm)[0]
+    e0 = np.eye(n, dtype=complex)[0]
+    v = scipy.linalg.lapack.zgetrs(lu, piv, e0)[0]
+    if not (rcond * anorm >= 1e-6 and
+            np.abs(a @ v - e0).sum() / (rcond * anorm) <= 1e-9):
+        return None, a, rcond
+    sigma = _hermitize(v.reshape(s.d_ctc, s.d_ctc, order="F"))
+    return sigma / sigma.trace().real, a, rcond
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    loop_circuits().filter(lambda case: case[0].ctc_dim <= 4).map(
+        circuit_loop_map),
+    slow_loops()))
+def test_inverse_branch_of_lu_agrees_with_the_lapack_rule(s):
+    # at n = dc^2 <= 16 the solver takes ||A^-1||_1 exactly from numpy's
+    # inverse; the LAPACK estimate never exceeds it (up to round-off), so
+    # the inverse branch accepts only what the estimate accepts, and the
+    # two solves of A v = e_0 agree to round-off
+    assert s.matrix.shape[0] <= 16
+    sigma = _lu_fixed_point(s)
+    reference, a, rcond = lapack_lu_rule(s)
+    if rcond > 0:
+        exact = np.abs(np.linalg.inv(a)).sum(axis=0).max()
+        assert exact * (1 + 1e-12) >= 1 / (rcond * np.linalg.norm(a, 1))
+    event(f"inverse {'accepts' if sigma is not None else 'refuses'}, "
+          f"LAPACK {'accepts' if reference is not None else 'refuses'}")
+    if sigma is not None:
+        assert reference is not None
+        assert np.abs(sigma - reference).max() <= 1e-12
+
+
+def test_ztrsyl_info_is_refused(monkeypatch):
+    # info 1: T11 and T22 have close eigenvalues, so X solves a perturbed
+    # Sylvester equation; the canonical point is refused, not returned
+    ztrsyl = scipy.linalg.lapack.ztrsyl
+
+    def perturbed(*args, **kwargs):
+        return ztrsyl(*args, **kwargs)[:2] + (1,)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", perturbed)
+    for selection in ("canonical", "max_entropy"):
+        with pytest.raises(SolverError, match="ztrsyl info 1: close eigen"):
+            fixed_point_exact(block_superoperator(), selection)
+
+
 # --- Cesaro solver -----------------------------------------------------------
 
 def test_cesaro_constant_map_converges_immediately():
