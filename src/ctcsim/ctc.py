@@ -11,7 +11,7 @@ index first), the image of the matrix unit |i><j| is
 
     E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho_cr[b,c] conj(u4[a,l,c,j]),
 
-computed for all i, j at once by two tensor contractions; the same half
+computed for all i, j at once by two matrix products; the same half
 contraction with rho_cr also gives the output map below. The engine finds a
 density matrix sigma* with E(sigma*) = sigma* (one always exists for a
 completely positive trace-preserving E) and then produces the
@@ -20,30 +20,30 @@ causality-respecting output
     rho_out = Tr_CTC( U (rho_cr x sigma*) U+ ).
 
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
-nonlinear. The exact solver first tries one LU solve of the bordered system
-(M - I with row 0 replaced by the trace row), and otherwise reads the fixed
-point, its dimension and its certificate off one ordered Schur form of M,
-triangular blocks only. Either path takes its answer only when a bound on
-||A^-1|| times the residual is at most FIXED_POINT_RESIDUAL (the exact norm
-of numpy's inverse at n = dc^2 <= 16, else LAPACK estimates); Schur also
-needs the eigenvalue-1 cluster to be a fixed space to round-off. Two
-selections serve degenerate fixed spaces: "canonical" (the spectral
-projection of the maximally mixed state, i.e. the Cesaro limit seeded at
-I/d) and "max_entropy" (Deutsch's rule: the fixed state of largest entropy,
-in closed form). Both are deterministic.
+nonlinear. The exact solver tries one LU solve of the bordered system and
+falls back to one ordered Schur form of M; fixed_point_exact states what
+each accepts. Two selections serve degenerate fixed spaces: "canonical"
+(the spectral projection of the maximally mixed state, i.e. the Cesaro limit
+seeded at I/d) and "max_entropy" (Deutsch's rule: the fixed state of largest
+entropy, in closed form). Both are deterministic.
+
+The kernels take stacks of loops (a leading loop axis; one loop is a stack
+of one). LAPACK LU above n = dc^2 = 16, the Schur fallback and the report of
+a failed stacked check go item by item, in input order.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, compile_unitary
 from .qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL, PSD_FLOOR,
-                   ValidationError, ValidationReport, dagger, require_density,
-                   require_unitary, trace_distance, validate,
-                   von_neumann_entropy)
+                   ValidationError, ValidationReport, _as_matrix,
+                   _density_failure, _half_trace_norms, _hermitize, dagger,
+                   require_unitary, trace_distance, von_neumann_entropy)
 
 
 class SolverError(RuntimeError):
@@ -59,17 +59,13 @@ class ConvergenceError(SolverError):
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
-    # column stacking: vec(|i><j|) has a single 1 at index j*d + i
-    return np.asarray(m).reshape(-1, order="F")
+    # column stacking per matrix of a stack: vec(|i><j|) is 1 at j*d + i
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], m.shape[-1] ** 2)
 
 
 def _unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.size)))
-    return np.asarray(v).reshape(d, d, order="F")
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + dagger(m)) / 2
+    d = int(round(np.sqrt(v.shape[-1])))
+    return np.asarray(v).reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -126,40 +122,46 @@ def _half_conjugation(u: np.ndarray, rho: np.ndarray, cr_dim: int,
     """u4 = U.reshape(cr, ctc, cr, ctc) and w[a,k,i,c] = sum_b u4[a,k,b,i] rho[b,c].
 
     w is U (rho_cr x .) with the CTC input index i left open; contracting it
-    with conj(u4) closes the conjugation for every CTC operand at once. A
-    batch rho[b,x,c] gives w[a,k,i,x,c].
-    """
-    u4 = u.reshape(cr_dim, ctc_dim, cr_dim, ctc_dim)
-    return u4, np.tensordot(u4, rho, axes=([2], [0]))
+    with conj(u4) closes the conjugation for every CTC operand at once. Both
+    have a leading stack axis; u may be a stack of one (or 2-D), shared."""
+    u4 = u.reshape(-1, cr_dim, ctc_dim, cr_dim, ctc_dim)
+    w = u4.transpose(0, 1, 2, 4, 3).reshape(-1, cr_dim * ctc_dim ** 2, cr_dim) @ rho
+    return u4, w.reshape(-1, cr_dim, ctc_dim, ctc_dim, cr_dim)
 
 
-def _loop_map(u: np.ndarray, rho_cr, cr_dim: int, dc: int
-              ) -> tuple[Superoperator, np.ndarray, np.ndarray]:
-    """The loop map of a trusted (cr*dc)-square unitary; rho_cr is checked.
+def _loop_map(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop maps of trusted (cr*dc)-square unitaries u (2-D: shared) on
+    a stack of CR inputs rho (B, cr, cr), which is checked.
 
     Column j*d+i holds the column-stacked image of |i><j|, so entry
     (l*d+k, j*d+i) is E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho[b,c]
     conj(u4[a,l,c,j]) with u4 = U.reshape(cr, d, cr, d). Built as t[k,i,l,j]
     = sum_ac w[a,k,i,c] conj(u4[a,l,c,j]) from the half conjugation w, then
-    transposed to (l,k,j,i) and flattened. Returns it with u4 and w.
+    transposed to (l,k,j,i) and flattened. Returns them with u4 and w.
     """
-    rho = require_density(rho_cr, "rho_cr")
-    if rho.shape != (cr_dim, cr_dim):
-        raise ValidationError(f"rho_cr dimension {rho.shape[0]} != {cr_dim}")
+    failure = _density_failure(rho)
+    if failure is not None:
+        raise ValidationError(f"rho_cr: {failure[1].message()}")
+    if rho.shape[-2:] != (cr_dim, cr_dim):
+        raise ValidationError(f"rho_cr dimension {rho.shape[-1]} != {cr_dim}")
     u4, w = _half_conjugation(u, rho, cr_dim, dc)
-    t = np.tensordot(w, u4.conj(), axes=([0, 3], [0, 2]))
-    return (Superoperator(d_ctc=dc, matrix=t.transpose(2, 0, 3, 1).reshape(
-        dc * dc, dc * dc)), u4, w)
+    t = (w.transpose(0, 2, 3, 1, 4).reshape(-1, dc * dc, cr_dim ** 2)
+         @ u4.conj().transpose(0, 1, 3, 2, 4).reshape(-1, cr_dim ** 2, dc * dc))
+    maps = t.reshape(-1, dc, dc, dc, dc).transpose(0, 3, 1, 4, 2)
+    return maps.reshape(-1, dc * dc, dc * dc), u4, w
 
 
 def _trace_output(u4: np.ndarray, w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Tr_CTC(U (rho x sigma) U+) from the half conjugation w of rho.
 
     Closes w with sigma, ws[a,k,c,j] = sum_i w[a,k,i,c] sigma[i,j], then
-    traces the CTC output: out[a,e] = sum_kcj ws[a,k,c,j] conj(u4[e,k,c,j]);
-    a batch w[a,k,i,x,c] gives out[a,x,e]."""
-    ws = np.tensordot(w, sigma, axes=([2], [0]))
-    return np.tensordot(ws, u4.conj(), axes=([1, -2, -1], [1, 2, 3]))
+    traces the CTC output: out[a,e] = sum_kcj ws[a,k,c,j] conj(u4[e,k,c,j]),
+    for each item of the stacks (sigma, like u4, may be shared)."""
+    cr, dc = w.shape[1:3]
+    ws = w.transpose(0, 1, 2, 4, 3).reshape(-1, cr * dc * cr, dc) @ sigma
+    return ws.reshape(-1, cr, dc * cr * dc) @ u4.conj().transpose(
+        0, 2, 3, 4, 1).reshape(-1, dc * cr * dc, cr)
 
 
 def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
@@ -171,7 +173,7 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     if u.shape != (cr_dim * dc, cr_dim * dc):
         raise ValidationError(
             f"unitary dimension {u.shape[0]} != cr*ctc = {cr_dim * dc}")
-    return _loop_map(u, rho_cr, cr_dim, dc)[0]
+    return Superoperator(dc, _loop_map(u, _as_matrix(rho_cr)[None], cr_dim, dc)[0][0])
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
@@ -200,10 +202,10 @@ def validate_superoperator(s: Superoperator) -> ValidationReport:
     return ValidationReport("superoperator", tuple(violations))
 
 
-def _lu_fixed_point(s: Superoperator) -> np.ndarray | None:
-    """The unique fixed point from one LU solve of the bordered system,
-    Hermitized and at unit trace, or None when the solve cannot vouch for it
-    (acceptance rule: see fixed_point_exact).
+def _lu_fixed_point(maps: np.ndarray, d_ctc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed point of each map of a stack (B, n, n) by one LU solve of the
+    bordered system, Hermitized at unit trace (undefined where refused), and
+    the mask of those it vouches for (acceptance rule: see fixed_point_exact).
 
     A is M - I with row 0 replaced by the trace row vec(I), so a trace-1
     fixed point solves A v = e_0 (for a trace-preserving M, row 0 of M - I
@@ -214,39 +216,47 @@ def _lu_fixed_point(s: Superoperator) -> np.ndarray | None:
     to the 1-norm (at most sqrt(n)) and the underestimate of zgecon's
     estimate, so an accepted answer is one the Schur window also calls
     unique. Up to n = 16 (dc <= 4) ||A^-1||_1 is exact, the largest column
-    sum of numpy's inverse, and v is its column 0: never below the estimate,
-    so it accepts less, and it needs no scipy. Above, LAPACK LU is faster.
+    sum of a stacked numpy inverse, v its column 0: never below the estimate,
+    so it accepts less, and needs no scipy. Above, item-wise LAPACK is faster.
     """
-    n = s.matrix.shape[0]
-    a = s.matrix - np.eye(n)
-    a[0] = _vec(np.eye(s.d_ctc))
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    # 1 BLAS thread: inverse and its norm 10, 23 and 291 us at n = 4, 16 and
-    # 64, against 10, 22 and 107 us for zgetrf + zgecon + zgetrs
+    b, n = maps.shape[:2]
+    a = maps - np.eye(n)
+    a[:, 0] = _vec(np.eye(d_ctc))
+    e0 = np.eye(1, n, dtype=complex)[0]
+    # 1 BLAS thread: inverse and norm 10, 23, 291 us at n = 4, 16, 64 (LAPACK
+    # 10, 22, 107 us); 50 stacked inverses at n = 4 take 46 us, six singles
     if n <= 16:
         try:
             inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:   # exactly singular
-            return None
-        recip_norm, v = 1 / np.abs(inv).sum(axis=0).max(), inv[:, 0]
-    else:
-        import scipy.linalg
+        except np.linalg.LinAlgError:   # an exactly singular item
+            inv = np.full_like(a, np.nan)
+            for i, item in enumerate(a):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    inv[i] = np.linalg.inv(item)
+        # recip_norm is 1 / ||A^-1||_1; a NaN (singular item) fails the test
+        recip_norm, v = 1 / np.abs(inv).sum(axis=1).max(axis=1), inv[:, :, 0]
+        ok = (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3) & (
+            np.abs((a @ v[:, :, None])[:, :, 0] - e0).sum(axis=1)
+            <= FIXED_POINT_RESIDUAL * recip_norm)
+        sigma = _hermitize(_unvec(v))
+        sigma /= np.where(ok, sigma.trace(axis1=1, axis2=2).real, 1)[:, None, None]
+        return sigma, ok
+    import scipy.linalg
+    sigma, ok = np.zeros((b, d_ctc, d_ctc), dtype=complex), np.zeros(b, dtype=bool)
+    for i, item in enumerate(a):   # the same test, on one item's scalars
         # getrf flags an exactly singular A with info > 0 and warns about
         # nothing, where scipy.linalg.lu_factor would raise a LinAlgWarning
-        lu, piv, info = scipy.linalg.lapack.zgetrf(a)
-        if info != 0:
-            return None
-        anorm = np.linalg.norm(a, 1)
-        rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-        recip_norm = rcond * anorm if info == 0 else np.nan
-        v = scipy.linalg.lapack.zgetrs(lu, piv, e0)[0]
-    # recip_norm is 1 / ||A^-1||_1, or its estimate; a NaN fails the test
-    if not (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3 and
-            np.abs(a @ v - e0).sum() / recip_norm <= FIXED_POINT_RESIDUAL):
-        return None
-    sigma = _hermitize(_unvec(v))
-    return sigma / sigma.trace().real
+        lu, piv, info = scipy.linalg.lapack.zgetrf(item)
+        if info == 0:
+            anorm = np.linalg.norm(item, 1)
+            rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
+            recip_norm = rcond * anorm if info == 0 else np.nan   # an estimate
+            v = scipy.linalg.lapack.zgetrs(lu, piv, e0)[0]
+            if (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3 and np.abs(
+                    item @ v - e0).sum() <= FIXED_POINT_RESIDUAL * recip_norm):
+                point = _hermitize(_unvec(v))
+                sigma[i], ok[i] = point / point.trace().real, True
+    return sigma, ok
 
 
 def _psd_clip(sigma: np.ndarray) -> np.ndarray:
@@ -262,20 +272,24 @@ def _psd_clip(sigma: np.ndarray) -> np.ndarray:
     return out / out.trace().real
 
 
-def _certify(sigma: np.ndarray, s: Superoperator, fixed_space_dim: int,
-             method: str, selection: str) -> FixedPointResult:
-    residual = trace_distance(s.apply(sigma), sigma)
-    if residual > FIXED_POINT_RESIDUAL:
-        raise SolverError(
-            f"fixed-point residual {residual:.3e} exceeds tolerance "
-            f"{FIXED_POINT_RESIDUAL:.1e}", residual=residual)
-    report = validate(sigma, "density")
-    if not report.ok:
+def _certify(sigma: np.ndarray, maps: np.ndarray, dims, method: str,
+             selection: str) -> list[FixedPointResult]:
+    """Each sigma of a stack must be a state with residual (half the trace norm
+    of E(sigma) - sigma) <= FIXED_POINT_RESIDUAL; the first that fails raises."""
+    residual = _half_trace_norms(
+        _unvec((maps @ _vec(sigma)[:, :, None])[:, :, 0]) - sigma).tolist()
+    bad = [i for i, r in enumerate(residual) if r > FIXED_POINT_RESIDUAL]
+    failure = _density_failure(sigma)
+    if bad and (failure is None or bad[0] <= failure[0]):
+        raise SolverError(f"fixed-point residual {residual[bad[0]]:.3e} exceeds "
+                          f"tolerance {FIXED_POINT_RESIDUAL:.1e}",
+                          residual=residual[bad[0]])
+    if failure is not None:
         raise SolverError(f"fixed-point candidate is not a density matrix: "
-                          f"{report.message()}", residual=residual)
-    return FixedPointResult(sigma=sigma, residual=residual,
-                            fixed_space_dim=fixed_space_dim,
-                            method=method, selection=selection)
+                          f"{failure[1].message()}", residual=residual[failure[0]])
+    return [FixedPointResult(sigma=x, residual=r, fixed_space_dim=int(k),
+                             method=method, selection=selection)
+            for x, r, k in zip(sigma, residual, dims)]
 
 
 def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarray:
@@ -404,12 +418,24 @@ def fixed_point_exact(s: Superoperator,
             (both named in the message), a residual above tolerance, or a
             result that fails density validation.
     """
+    return _fixed_points(s.matrix[None], s.d_ctc, selection)[1][0]
+
+
+def _fixed_points(maps: np.ndarray, d_ctc: int, selection: str
+                  ) -> tuple[np.ndarray, list[FixedPointResult]]:
+    """(sigma stack, fixed_point_exact of each map); the first failure raises."""
     if selection not in ("canonical", "max_entropy"):
         raise ValidationError(f"unknown selection {selection!r}")
-    sigma, sdim = _lu_fixed_point(s), 1
-    if sigma is None:
-        sigma, sdim = _schur_fixed_point(s, selection)
-    return _certify(sigma, s, sdim, "exact", selection)
+    sigma, accepted = _lu_fixed_point(maps, d_ctc)
+    dims = [1] * len(maps)
+    for i in np.flatnonzero(~accepted):
+        try:
+            sigma[i], dims[i] = _schur_fixed_point(
+                Superoperator(d_ctc, maps[i]), selection)
+        except SolverError:   # unless an earlier item fails its certificate
+            _certify(sigma[:i], maps[:i], dims[:i], "exact", selection)
+            raise
+    return sigma, _certify(sigma, maps, dims, "exact", selection)
 
 
 def fixed_point_cesaro(s: Superoperator,
@@ -460,8 +486,8 @@ def fixed_point_cesaro(s: Superoperator,
                 prev is None
                 or trace_distance(current, prev) <= FIXED_POINT_RESIDUAL):
             dim_est = max(1, int(round(power.trace().real)))
-            return _certify(_psd_clip(current), s, dim_est, "cesaro",
-                            "canonical")
+            return _certify(_psd_clip(current)[None], m[None], [dim_est],
+                            "cesaro", "canonical")[0]
         if n * 2 > max_iter:
             raise ConvergenceError(
                 f"Cesaro iteration did not converge within N={max_iter} "
@@ -480,7 +506,7 @@ def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.nd
     """Ordinary (linear) evolution for a FIXED time-machine state:
     Tr_CTC(U (rho_cr x sigma) U+)."""
     u, rho, sigma = (np.asarray(m, dtype=complex) for m in (u, rho_cr, sigma))
-    return _trace_output(*_half_conjugation(u, rho, cr_dim, ctc_dim), sigma)
+    return _trace_output(*_half_conjugation(u, rho, cr_dim, ctc_dim), sigma)[0]
 
 
 def solve_loop(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
@@ -492,26 +518,27 @@ def solve_loop(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
     solves E(sigma) = sigma with fixed_point_exact. Returns (E, fixed point).
     rho_cr is validated once, by the loop-map kernel.
     """
-    superop = _loop_map(u, rho_cr, cr_dim, ctc_dim)[0]
+    superop = Superoperator(ctc_dim, _loop_map(u, _as_matrix(rho_cr)[None],
+                                               cr_dim, ctc_dim)[0][0])
     return superop, fixed_point_exact(superop, selection)
 
 
 def _checked_output(rho_out: np.ndarray) -> np.ndarray:
-    """rho_out, once it passes density validation; a failure there is a
-    numerical breakdown of the solve, so it raises SolverError."""
-    report = validate(rho_out, "density")
-    if not report.ok:
-        raise SolverError(f"evolved state failed validation: {report.message()}")
+    """A stack rho_out once each passes density validation; a failure there
+    is a numerical breakdown of the solve, so it raises SolverError."""
+    failure = _density_failure(rho_out)
+    if failure is not None:
+        raise SolverError(f"evolved state failed validation: {failure[1].message()}")
     return rho_out
 
 
-def _evolve(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
-            selection: str) -> tuple[np.ndarray, FixedPointResult]:
-    """ctc_evolve for a compiled, trusted interaction U: one half conjugation
-    w of rho_cr builds the loop map and, closed with sigma*, the output."""
-    superop, u4, w = _loop_map(u, rho_cr, cr_dim, ctc_dim)
-    fp = fixed_point_exact(superop, selection)
-    return _checked_output(_trace_output(u4, w, fp.sigma)), fp
+def _evolve(u: np.ndarray, rho: np.ndarray, cr_dim: int, ctc_dim: int,
+            selection: str) -> tuple[np.ndarray, list[FixedPointResult]]:
+    """ctc_evolve of a stack rho (B, cr, cr) under compiled, trusted u (2-D:
+    shared): one half conjugation w gives the loop maps and the outputs."""
+    maps, u4, w = _loop_map(u, rho, cr_dim, ctc_dim)
+    sigma, fps = _fixed_points(maps, ctc_dim, selection)
+    return _checked_output(_trace_output(u4, w, sigma)), fps
 
 
 def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
@@ -520,8 +547,9 @@ def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
 
     Takes the circuit's unitary from compile_unitary, which builds it on the
     first call for that Circuit and reuses it after, then runs the
-    consistency step (solve_loop) and the final partial trace. Returns the
-    evolved CR state together with the fixed-point record.
+    consistency step and the final partial trace, as a stack of one. Returns
+    the evolved CR state together with the fixed-point record.
     """
-    return _evolve(compile_unitary(circuit), rho_cr, circuit.cr_dim,
-                   circuit.ctc_dim, selection)
+    out, (fp,) = _evolve(compile_unitary(circuit), _as_matrix(rho_cr)[None],
+                         circuit.cr_dim, circuit.ctc_dim, selection)
+    return out[0], fp

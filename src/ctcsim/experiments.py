@@ -16,14 +16,15 @@ import numpy as np
 
 from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
                       build_epr_swap, compile_unitary, pad_with_ancillas)
-from .ctc import FixedPointResult, ctc_evolve
+from .ctc import FixedPointResult, _evolve, ctc_evolve
 from .oracle import random_unitary
 from .protocol import (ComputationTask, DiscriminationOutcome,
                        LabeledEnsemble, _ensemble_state, _joint_output,
                        _simulate, _solve_marginal, helstrom_bound,
                        run_computation_mixture, run_discrimination,
                        run_superposition)
-from .qmat import ValidationError, mutual_information, trace_distance
+from .qmat import (ValidationError, _half_trace_norms, mutual_information,
+                   trace_distance)
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
 _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -80,6 +81,14 @@ def labeled_pair(theta: float, p0: float) -> tuple[Circuit, LabeledEnsemble]:
     zero, psi = _bhw_states(theta)
     ensemble = LabeledEnsemble([(0, p0, zero), (1, 1.0 - p0, psi)])
     return build_bhw2(psi), ensemble
+
+
+def _evolve_pure(circuit: Circuit, states, selection: str
+                 ) -> tuple[np.ndarray, list[FixedPointResult]]:
+    """ctc_evolve of each pure input state, as one stack."""
+    vecs = np.array(states)
+    return _evolve(compile_unitary(circuit), vecs[:, :, None] * vecs[:, None].conj(),
+                   circuit.cr_dim, circuit.ctc_dim, selection)
 
 
 def _four_state_inputs() -> tuple[Circuit, list[np.ndarray]]:
@@ -154,9 +163,8 @@ def bhw2(*, theta: float = math.pi / 4, selection: str = "canonical") -> dict:
     """|0> and psi(theta) are flagged by orthogonal outputs."""
     theta = _check_theta(theta)
     zero, psi = _bhw_states(theta)
-    circuit = build_bhw2(psi)
-    out_zero, fp_zero = ctc_evolve(circuit, np.outer(zero, zero.conj()), selection)
-    out_psi, fp_psi = ctc_evolve(circuit, np.outer(psi, psi.conj()), selection)
+    (out_zero, out_psi), (fp_zero, fp_psi) = _evolve_pure(
+        build_bhw2(psi), [zero, psi], selection)
     return {
         "theta": theta,
         "output_trace_distance": trace_distance(out_zero, out_psi),
@@ -171,12 +179,8 @@ def bhw2(*, theta: float = math.pi / 4, selection: str = "canonical") -> dict:
 
 def bhw4(*, selection: str = "canonical") -> dict:
     """Four states of one qubit map to pairwise orthogonal outputs."""
-    circuit, states = _four_state_inputs()
-    outputs, records = [], []
-    for vec in states:
-        rho_out, fp = ctc_evolve(circuit, np.outer(vec, vec.conj()), selection)
-        outputs.append(rho_out)
-        records.append(fixed_point_record(fp))
+    outputs, fps = _evolve_pure(*_four_state_inputs(), selection)
+    records = [fixed_point_record(fp) for fp in fps]
     names = FOUR_STATE_NAMES
     pairwise = {f"{names[i]}-{names[j]}": trace_distance(outputs[i], outputs[j])
                 for i, j in itertools.combinations(range(4), 2)}
@@ -240,23 +244,21 @@ def sim_equivalence(*, trials: int = 50, seed: int = 0,
     """A loop-free channel reproduces the loop on random labeled mixtures."""
     if trials < 1:
         raise ValidationError("--trials must be >= 1")
-    distances, residual_max = [], 0.0
-    for trial in range(trials):
-        circuit, ensemble = random_instance(seed, trial)
-        # run_discrimination and simulate_without_ctc minus the statistics
-        # this report never reads: one loop solve, on Tr_R rho_RA
-        u, rho_ra = compile_unitary(circuit), _ensemble_state(ensemble)
-        n, d, dc = ensemble.n, circuit.cr_dim, circuit.ctc_dim
-        fp = _solve_marginal(u, rho_ra, n, d, dc, selection)
-        with_ctc = _joint_output(u, rho_ra, fp.sigma, n, d, dc)
-        without, _ = _simulate(u, ensemble, fp.sigma, dc)
-        distances.append(trace_distance(with_ctc, without))
-        residual_max = max(residual_max, fp.residual)
+    circuits, ensembles = zip(*(random_instance(seed, t) for t in range(trials)))
+    # run_discrimination and simulate_without_ctc minus the unread statistics,
+    # as one stack: transfer tensor (joint output) against half conjugation
+    u = np.stack([compile_unitary(circuit) for circuit in circuits])
+    rho_ra = np.stack([_ensemble_state(ensemble) for ensemble in ensembles])
+    n, d, dc = ensembles[0].n, circuits[0].cr_dim, circuits[0].ctc_dim
+    sigma, fps = _solve_marginal(u, rho_ra, n, d, dc, selection)
+    without, _ = _simulate(u, ensembles, sigma, dc)
+    distances = _half_trace_norms(_joint_output(u, rho_ra, sigma, n, d, dc)
+                                  - without).tolist()
     return {
         "trials": trials,
         "max_trace_distance": max(distances),
         "per_trial_distances": distances,
-        "max_fixed_point_residual": residual_max,
+        "max_fixed_point_residual": max(fp.residual for fp in fps),
     }
 
 

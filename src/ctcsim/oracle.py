@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, compile_unitary
-from .qmat import ValidationError, dagger, require_density, trace_distance
+from .qmat import (ValidationError, _half_trace_norms, _hermitize, dagger,
+                   require_density, trace_distance)
 
 RECORD_RESIDUAL = 1e-7     # a limit counts as converged below this
 STOP_RESIDUAL = 1e-11      # iteration target; see note below
@@ -103,9 +104,6 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
         joint = u @ joint.reshape(-1, cr * dc, cr * dc) @ uh
         return joint.reshape(-1, cr, dc, cr, dc).trace(axis1=1, axis2=3)
 
-    def hermitize(stack):
-        return (stack + stack.conj().transpose(0, 2, 1)) / 2
-
     sigma = np.stack([random_density(dc, [seed, t]) for t in range(trials)])
     acc, live = np.zeros_like(sigma), np.arange(trials)
     best, best_res = sigma.copy(), np.full(trials, np.inf)
@@ -114,10 +112,10 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
         acc += sigma
         if it % CHECK_EVERY and it != iters:
             continue
-        mean = hermitize(acc / it)
+        mean = _hermitize(acc / it)
         mean /= mean.trace(axis1=1, axis2=2).real[:, None, None]
         cands = np.concatenate((sigma, mean))
-        res = np.abs(np.linalg.eigvalsh(hermitize(apply_map(cands) - cands))).sum(1) / 2
+        res = _half_trace_norms(apply_map(cands) - cands)
         plain_res, mean_res = np.split(res, 2)
         take_mean = mean_res < plain_res  # ties go to the plain iterate
         cand_res = np.where(take_mean, mean_res, plain_res)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, _as_state, _basis, compile_unitary
-from .ctc import (FixedPointResult, _checked_output, _evolve,
-                  _half_conjugation, _trace_output, solve_loop)
+from .ctc import (FixedPointResult, _checked_output, _evolve, _fixed_points,
+                  _half_conjugation, _loop_map, _trace_output)
 from .qmat import (ValidationError, kron, mutual_information, partial_trace,
                    trace_distance)
 
@@ -117,9 +117,10 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
 
 
 def _labeled_state(blocks: np.ndarray) -> np.ndarray:
-    """sum_x |x><x|_R (x) blocks[x] for an (n, d, d) stack; (n*d)-square."""
-    n, d, _ = blocks.shape
-    return np.einsum("xy,xbc->xbyc", np.eye(n), blocks).reshape(n * d, n * d)
+    """sum_x |x><x|_R (x) blocks[..., x, :, :] for stacks (..., n, d, d)."""
+    n, d = blocks.shape[-3:-1]
+    return np.einsum("xy,...xbc->...xbyc", np.eye(n), blocks).reshape(
+        *blocks.shape[:-3], n * d, n * d)
 
 
 def _ensemble_state(ensemble: LabeledEnsemble) -> np.ndarray:
@@ -193,41 +194,44 @@ def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
 
 
 def _solve_marginal(u: np.ndarray, rho_ra: np.ndarray, n: int, d: int, dc: int,
-                    selection: str) -> FixedPointResult:
-    """The loop of rho_RA under I_R (x) U: Tr_R commutes with I_R (x) U, so
-    it is the loop of U on rho_A = Tr_R rho_RA, solved once (solve_loop)."""
-    marginal = np.trace(rho_ra.reshape(n, d, n, d), axis1=0, axis2=2)
-    return solve_loop(u, marginal, d, dc, selection)[1]
+                    selection: str) -> tuple[np.ndarray, list[FixedPointResult]]:
+    """(sigma stack, fixed points) of a stack rho_RA under I_R (x) U (u may be
+    shared): Tr_R commutes with it, so each is U's loop on Tr_R rho_RA."""
+    marginal = np.trace(rho_ra.reshape(-1, n, d, n, d), axis1=1, axis2=3)
+    return _fixed_points(_loop_map(u, marginal, d, dc)[0], dc, selection)
 
 
 def _joint_output(u: np.ndarray, rho_ra: np.ndarray, sigma: np.ndarray,
                   n: int, d: int, dc: int) -> np.ndarray:
-    """(id_R (x) Phi_sigma)(rho_RA), checked: the n^2 blocks pass the frozen
-    channel Phi_sigma(X) = Tr_CTC U (X (x) sigma) U+ as out[r,s,a,e], in one
-    contraction with its transfer tensor t[a,b,e,c] = Phi_sigma(|b><c|)[a,e]
-    (d^4 entries, where a half conjugation would hold n^2 d^2 dc^2)."""
-    u4 = u.reshape(d, dc, d, dc)
-    t = np.tensordot(np.tensordot(u4, sigma, axes=([3], [0])), u4.conj(),
-                     axes=([1, 3], [1, 3]))
-    out = np.tensordot(rho_ra.reshape(n, d, n, d), t, axes=([1, 3], [1, 3]))
-    return _checked_output(out.transpose(0, 2, 1, 3).reshape(n * d, n * d))
+    """(id_R (x) Phi_sigma)(rho_RA) per item of the stacks (u may be shared),
+    checked: the n^2 blocks pass Phi_sigma(X) = Tr_CTC U (X (x) sigma) U+ as
+    out[r,s,a,e], in one contraction with its transfer tensor t[a,b,e,c] =
+    Phi_sigma(|b><c|)[a,e] (d^4 entries; a half conjugation has n^2 d^2 dc^2)."""
+    u4 = u.reshape(-1, d, dc, d, dc)
+    x = (u4.reshape(-1, d * dc * d, dc) @ sigma).reshape(-1, d, dc, d, dc)
+    t = (x.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, dc * dc)
+         @ u4.conj().transpose(0, 2, 4, 1, 3).reshape(-1, dc * dc, d * d))
+    rho4 = rho_ra.reshape(-1, n, d, n, d).transpose(0, 1, 3, 2, 4)
+    out = rho4.reshape(-1, n * n, d * d) @ t.reshape(-1, d, d, d, d).transpose(
+        0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
+    return _checked_output(out.reshape(-1, n, n, d, d).transpose(
+        0, 1, 3, 2, 4).reshape(-1, n * d, n * d))
 
 
 def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
                rho_in: np.ndarray, target: np.ndarray,
                selection: str) -> DiscriminationOutcome:
     """The protocol body: the joint R (x) A run on the marginal, the
-    per-pure-input runs under U, each with its own fixed point, and the
-    outcome against the target. The discriminator is compiled once."""
+    per-pure-input runs under U as one stack, each with its own fixed point,
+    and the outcome against the target. The discriminator is compiled once."""
     _check_scope(v_circuit, ensemble)
     u = compile_unitary(v_circuit)
     n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
-    fp = _solve_marginal(u, rho_in, n, d, dc, selection)
-    rho_out = _joint_output(u, rho_in, fp.sigma, n, d, dc)
-    per_pure = tuple(
-        (label, _evolve(u, np.outer(vec, vec.conj()), d, dc, selection)[0])
-        for label, _, vec in ensemble.by_label())
-    return _outcome(rho_out, fp, ensemble, target, per_pure)
+    _, (fp,) = _solve_marginal(u, rho_in[None], n, d, dc, selection)
+    rho_out = _joint_output(u, rho_in[None], fp.sigma, n, d, dc)[0]
+    vecs = np.array([vec for _, _, vec in ensemble.by_label()])
+    pure, _ = _evolve(u, vecs[:, :, None] * vecs[:, None].conj(), d, dc, selection)
+    return _outcome(rho_out, fp, ensemble, target, tuple(enumerate(pure)))
 
 
 def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -270,18 +274,19 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
                       _success_target(ensemble), selection)
 
 
-def _simulate(u: np.ndarray, ensemble: LabeledEnsemble, sigma: np.ndarray,
-              dc: int) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-    """The loop-free simulation for a frozen sigma: every phi_x passes
-    Phi_sigma in one batch. Returns the checked mixture sum_x p_x |x><x| (x)
-    Phi_sigma(phi_x) and the (label, Phi_sigma(phi_x)) pairs."""
-    entries = ensemble.by_label()
-    phis = np.stack([np.outer(vec, vec.conj()) for _, _, vec in entries], axis=1)
-    outs = np.moveaxis(_trace_output(
-        *_half_conjugation(u, phis, ensemble.a_dim, dc), sigma), 1, 0)
-    probs = np.array([prob for _, prob, _ in entries])
-    return (_checked_output(_labeled_state(probs[:, None, None] * outs)),
-            tuple(enumerate(outs)))
+def _simulate(u: np.ndarray, ensembles, sigma: np.ndarray, dc: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The loop-free simulation for frozen sigmas: each phi_x of ensembles[b]
+    passes Phi_sigma[b] under u[b], in one batch. Returns the checked mixtures
+    sum_x p_x |x><x| (x) Phi_sigma(phi_x) and the outputs Phi_sigma(phi_x)."""
+    entries = [ensemble.by_label() for ensemble in ensembles]
+    vecs = np.array([[vec for _, _, vec in entry] for entry in entries])
+    probs = np.array([[prob for _, prob, _ in entry] for entry in entries])
+    (n, d), phis = vecs.shape[1:], vecs[..., None] * vecs[..., None, :].conj()
+    outs = _trace_output(*_half_conjugation(
+        np.repeat(u, n, axis=0), phis.reshape(-1, d, d), d, dc),
+        np.repeat(sigma, n, axis=0)).reshape(-1, n, d, d)
+    return _checked_output(_labeled_state(probs[..., None, None] * outs)), outs
 
 
 def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -300,10 +305,11 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
     u = compile_unitary(v_circuit)
-    fp = _solve_marginal(u, _ensemble_state(ensemble), ensemble.n,
-                         ensemble.a_dim, v_circuit.ctc_dim, selection)
-    rho_out, per_pure = _simulate(u, ensemble, fp.sigma, v_circuit.ctc_dim)
-    return _outcome(rho_out, fp, ensemble, target, per_pure)
+    _, (fp,) = _solve_marginal(u, _ensemble_state(ensemble)[None], ensemble.n,
+                               ensemble.a_dim, v_circuit.ctc_dim, selection)
+    rho_out, outs = _simulate(u[None], [ensemble], fp.sigma[None],
+                              v_circuit.ctc_dim)
+    return _outcome(rho_out[0], fp, ensemble, target, tuple(enumerate(outs[0])))
 
 
 def helstrom_bound(ensemble: LabeledEnsemble) -> float:

@@ -120,9 +120,16 @@ def trace_distance(a, b) -> float:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    diff = ma - mb
-    diff = (diff + dagger(diff)) / 2
-    return float(np.abs(np.linalg.eigvalsh(diff)).sum() / 2)
+    return float(_half_trace_norms(ma - mb))
+
+
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _half_trace_norms(diff: np.ndarray) -> np.ndarray:
+    """½ Σ|eigenvalues| of each Hermitized matrix of a stack (..., d, d)."""
+    return np.abs(np.linalg.eigvalsh(_hermitize(diff))).sum(axis=-1) / 2
 
 
 def von_neumann_entropy(rho) -> float:
@@ -206,6 +213,25 @@ def validate(m, kind: str) -> ValidationReport:
     else:
         raise ValidationError(f"unknown validation kind {kind!r}")
     return ValidationReport(kind, tuple(violations))
+
+
+def _density_failure(stack) -> tuple[int, ValidationReport] | None:
+    """(index, report) of the first matrix of a stack (B, d, d) that validate
+    rejects as a density, or None; item by item only if the stacked rules fail."""
+    a = np.asarray(stack, dtype=complex)
+    if a.shape[1] == a.shape[2] and a.size and np.isfinite(a).all():
+        a_h = a.conj().swapaxes(1, 2)
+        shifted = (a + a_h) / 2
+        shifted.reshape(len(a), -1)[:, ::a.shape[1] + 1] += PSD_FLOOR
+        if (np.abs(a - a_h).max() <= HERMITICITY_TOL and np.abs(
+                a.trace(axis1=1, axis2=2) - 1.0).max() <= HERMITICITY_TOL):
+            try:
+                np.linalg.cholesky(shifted)
+                return None
+            except np.linalg.LinAlgError:
+                pass
+    reports = (validate(item, "density") for item in a)
+    return next(((i, r) for i, r in enumerate(reports) if not r.ok), None)
 
 
 def require_density(m, what: str = "state") -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import ctcsim.ctc as ctc_module
@@ -13,10 +13,10 @@ from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
                             compile_unitary, complete_unitary, parse_circuit,
                             serialize_circuit)
 from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
-                        _hermitize, _lu_fixed_point, _schur_fixed_point,
-                        choi_matrix, ctc_evolve, evolve_given_ctc_state,
-                        fixed_point_cesaro, fixed_point_exact,
-                        induced_superoperator, solve_loop,
+                        _fixed_points, _hermitize, _lu_fixed_point,
+                        _schur_fixed_point, choi_matrix, ctc_evolve,
+                        evolve_given_ctc_state, fixed_point_cesaro,
+                        fixed_point_exact, induced_superoperator, solve_loop,
                         validate_superoperator)
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.qmat import (EIGENVALUE_ONE_WINDOW, ValidationError, dagger, kron,
@@ -326,6 +326,12 @@ def loop_circuits(draw):
     return circuit, random_density(circuit.cr_dim, rng)
 
 
+def lu_point(s):
+    """The LU path's answer for one loop map, or None where it refuses."""
+    sigma, accepted = _lu_fixed_point(s.matrix[None], s.d_ctc)
+    return sigma[0] if accepted[0] else None
+
+
 def schur_canonical_point(s):
     """The canonical sigma and fixed_space_dim from a dense spectral
     projector, built apart from the solver: ordered Schur form M = Z T Z+
@@ -352,7 +358,7 @@ def test_lu_path_agrees_with_schur_projector(case):
                               circuit.ctc_dims)
     schur_sigma, sdim = schur_canonical_point(s)
     fp = fixed_point_exact(s)
-    if _lu_fixed_point(s) is None:
+    if lu_point(s) is None:
         event("Schur fallback")
     else:
         event("LU accepted")
@@ -381,7 +387,7 @@ def block_superoperator():
     (block_superoperator, 5)], ids=["identity", "untouched-ctc", "blocks"])
 def test_degenerate_loops_never_take_the_lu_path(make, fixed_space_dim):
     s = make()
-    assert _lu_fixed_point(s) is None
+    assert lu_point(s) is None
     for selection in ("canonical", "max_entropy"):
         assert fixed_point_exact(s, selection).fixed_space_dim == fixed_space_dim
 
@@ -428,7 +434,7 @@ def test_near_degenerate_loops_are_solved_or_refused(monkeypatch, eps,
     monkeypatch.setattr(ctc_module, "_schur_fixed_point", counted)
     s = near_degenerate_superoperator(eps)
     reference = mpmath_fixed_point(s)
-    assert (_lu_fixed_point(s) is not None) == (outcome == "lu")
+    assert (lu_point(s) is not None) == (outcome == "lu")
     if outcome in ("lu", "schur"):
         fp = fixed_point_exact(s)
         assert fp.fixed_space_dim == 1
@@ -452,7 +458,7 @@ def test_maps_that_are_not_channels_are_refused(matrix, residual, message):
     # matrix that is not PSD. (1 + 1e-7) I has no eigenvalue in the window,
     # and LU refuses its condition estimate of 1e7
     s = Superoperator(d_ctc=2, matrix=matrix)
-    assert (_lu_fixed_point(s) is None) == (residual is None)
+    assert (lu_point(s) is None) == (residual is None)
     with pytest.raises(SolverError, match=message) as err:
         fixed_point_exact(s)
     assert err.value.residual == (
@@ -529,6 +535,93 @@ def test_exact_fixed_points_are_states_or_refused(s):
             assert trace_distance(fp.sigma, reference) <= 1e-9
 
 
+# 0.5 I fails the residual and X -> tr(X) diag(2, -1) the density check of
+# the certificate, after LU accepted each
+NOT_CHANNELS = (0.5 * np.eye(4),
+                np.outer(vec(np.diag([2.0, -1.0])), vec(np.eye(2))))
+
+
+def solve_alone(s, selection):
+    try:
+        return fixed_point_exact(s, selection)
+    except SolverError as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(
+    loop_circuits().map(circuit_loop_map), block_channels(), slow_loops(),
+    st.sampled_from(NOT_CHANNELS).map(lambda m: Superoperator(2, m))),
+    min_size=1, max_size=8), st.sampled_from(("canonical", "max_entropy")))
+@example([near_degenerate_superoperator(eps) for eps in
+          (1e-2, 1e-3, 1e-5, 1e-2, 3e-4, 1e-3)]
+         + [Superoperator(2, m) for m in NOT_CHANNELS], "canonical")
+def test_a_stack_of_loops_solves_as_each_loop_alone(loops, selection):
+    # loops of one CTC dimension form one stack; an item the solver refuses
+    # alone makes the whole stack raise its message, the first such in input
+    # order, and the rest, stacked without it, match their lone solves bit
+    # for bit
+    for d in sorted({s.d_ctc for s in loops}):
+        group = [s for s in loops if s.d_ctc == d]
+        alone = [solve_alone(s, selection) for s in group]
+        refused = [x for x in alone if isinstance(x, SolverError)]
+        event(f"{len(group) - len(refused)} solved, {len(refused)} refused")
+        if refused:
+            with pytest.raises(SolverError) as err:
+                _fixed_points(np.stack([s.matrix for s in group]), d,
+                              selection)
+            assert str(err.value) == str(refused[0])
+            assert err.value.residual == refused[0].residual
+        solved = [(s, fp) for s, fp in zip(group, alone)
+                  if not isinstance(fp, SolverError)]
+        if not solved:
+            continue
+        _, stacked = _fixed_points(np.stack([s.matrix for s, _ in solved]),
+                                   d, selection)
+        assert len(stacked) == len(solved)
+        for got, (_, want) in zip(stacked, solved):
+            assert np.array_equal(got.sigma, want.sigma)
+            assert (got.residual, got.fixed_space_dim, got.method,
+                    got.selection) == (want.residual, want.fixed_space_dim,
+                                       want.method, want.selection)
+
+
+@st.composite
+def leak_channels(draw):
+    """A channel on C^d (d <= 6) that keeps m >= 2 levels and leaks each of
+    the other d - m into a random pure state of the kept span at rate gamma
+    in [0.05, 0.9], in a Haar-scrambled basis: the decaying modes have
+    eigenvalues 1 - gamma and sqrt(1 - gamma), not 0, so the X term of the
+    canonical point carries the leaked weight. Returns the Superoperator and
+    the limit of iterating from I/d: (P_kept + sum_k |phi_k><phi_k|) / d."""
+    d = draw(st.integers(3, 6))
+    m = draw(st.integers(2, d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gammas = rng.uniform(0.05, 0.9, d - m)
+    keep = np.concatenate([np.ones(m), np.sqrt(1 - gammas)])
+    kraus, limit = [np.diag(keep).astype(complex)], np.diag(keep == 1) / d
+    for k, gamma in zip(range(m, d), gammas):
+        phi = np.zeros(d, dtype=complex)
+        phi[:m] = random_unitary(m, rng)[:, 0]
+        kraus.append(np.sqrt(gamma) * np.outer(phi, np.eye(d)[k]))
+        limit = limit + proj(phi) / d
+    v = random_unitary(d, rng)
+    return (kraus_superoperator([v @ k @ dagger(v) for k in kraus], d),
+            v @ limit @ dagger(v))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(leak_channels())
+def test_canonical_point_is_the_limit_of_scrambled_leaks(case):
+    # the fixed space is degenerate (m^2 >= 4), so LU refuses and the Schur
+    # form answers; its canonical point is where iteration from I/d lands
+    s, limit = case
+    fp = fixed_point_exact(s)
+    assert lu_point(s) is None and fp.fixed_space_dim >= 4
+    assert trace_distance(fp.sigma, fixed_point_cesaro(s).sigma) <= 1e-8
+    assert trace_distance(fp.sigma, limit) <= 1e-9
+
+
 def lapack_lu_rule(s):
     """The LAPACK LU rule, kept apart from the solver as a reference: zgetrf
     and zgetrs solve the bordered system, and the answer is taken when
@@ -562,7 +655,7 @@ def test_inverse_branch_of_lu_agrees_with_the_lapack_rule(s):
     # the inverse branch accepts only what the estimate accepts, and the
     # two solves of A v = e_0 agree to round-off
     assert s.matrix.shape[0] <= 16
-    sigma = _lu_fixed_point(s)
+    sigma = lu_point(s)
     reference, a, rcond = lapack_lu_rule(s)
     if rcond > 0:
         exact = np.abs(np.linalg.inv(a)).sum(axis=0).max()
@@ -657,7 +750,7 @@ def test_cesaro_agrees_with_exact_on_random_loops(case):
     s = induced_superoperator(compile_unitary(circuit), rho, circuit.cr_dims,
                               circuit.ctc_dims)
     assert validate_superoperator(s).ok
-    event("LU accepted" if _lu_fixed_point(s) is not None else "Schur fallback")
+    event("LU accepted" if lu_point(s) is not None else "Schur fallback")
     # fixed_space_dim is not compared: round(tr L^N) overcounts on some
     # degenerate loops
     assert trace_distance(fixed_point_cesaro(s).sigma,
@@ -709,6 +802,10 @@ def test_ctc_evolve_validates_input():
         ctc_evolve(circuit, proj(KET0))  # wrong CR dimension
     with pytest.raises(ValidationError):
         ctc_evolve(circuit, np.eye(4, dtype=complex))  # trace 4
+    with pytest.raises(ValidationError, match="nonempty shape"):
+        ctc_evolve(circuit, np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match="square shape"):
+        ctc_evolve(circuit, np.ones((4, 2)) / 4)
 
 
 def test_solve_loop_is_the_step_behind_ctc_evolve():

@@ -224,10 +224,7 @@ def test_batch_matches_serial_when_trials_stop_at_different_checks():
     assert len(set(stops)) > 1 and max(stops) < 3000
 
 
-# One trial at a time, the oracle spent over 100 ms on each example that
-# reaches it (32 trials of at least 64 steps) on a 2-vCPU Xeon; the batch
-# took under 35 ms there.
-@settings(max_examples=60, deadline=60, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_loop_circuits())
 def test_oracle_limits_lie_at_a_unique_exact_fixed_point(case):
     circuit, rho = case
@@ -240,3 +237,33 @@ def test_oracle_limits_lie_at_a_unique_exact_fixed_point(case):
     event(f"converged {report.converged} of {report.trials}")
     for lim in report.distinct_limits:
         assert trace_distance(lim, fp.sigma) <= 1e-6
+
+
+class CountingUnitary(np.ndarray):
+    """A compiled U that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            type(self).products += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, CountingUnitary) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("iters", [1, 10, 64])
+def test_oracle_maps_the_whole_stack_once_per_step(monkeypatch, iters):
+    # the trials are one stack: each step, and the residual check at the
+    # cap, multiplies it by U once, whatever the number of trials
+    import ctcsim.oracle as oracle_mod
+    compile_unitary_ = oracle_mod.compile_unitary
+    monkeypatch.setattr(oracle_mod, "compile_unitary",
+                        lambda c: compile_unitary_(c).view(CountingUnitary))
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=())
+    for trials in (1, 7, 32):
+        CountingUnitary.products = 0
+        report = fixed_point_bruteforce(circuit, proj(PLUS), trials=trials,
+                                        iters=iters, seed=3)
+        assert report.converged == trials
+        assert CountingUnitary.products == iters + 1

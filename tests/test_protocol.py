@@ -162,9 +162,10 @@ def test_four_state_pairwise_outputs():
             assert abs(trace_distance(outs[i], outs[j]) - 1.0) < 1e-9
 
 
-def count_calls(monkeypatch, names):
+def count_calls(monkeypatch, names, stacked=()):
     """Count calls to each ctcsim function in `names`, wrapped in every
-    loaded ctcsim module that holds it."""
+    loaded ctcsim module that holds it. A name in `stacked` counts the
+    items of the stack it takes as its second argument instead."""
     calls = Counter()
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "ctcsim"]
     for name in names:
@@ -172,7 +173,7 @@ def count_calls(monkeypatch, names):
         original = getattr(home, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
+            calls[_name] += len(args[1]) if _name in stacked else 1
             return _fn(*args, **kwargs)
 
         for module in modules:
@@ -389,14 +390,18 @@ def test_simulation_freezes_the_loop_state_of_the_mixture_run():
 
 def test_simulation_and_sim_equivalence_build_only_what_they_use(monkeypatch):
     # the simulation reads sigma and never the joint output of the loop; a
-    # sim-equivalence trial builds its rho_RA once, for the loop and output
+    # sim-equivalence trial builds its rho_RA once, for the loop and output,
+    # and its joint output is one item of one stacked call
     circuit, ens = random_instance(0, 0)
-    calls = count_calls(monkeypatch, ("_joint_output", "_ensemble_state"))
+    calls = count_calls(monkeypatch, ("_joint_output", "_ensemble_state"),
+                        stacked=("_joint_output",))
     simulate_without_ctc(circuit, ens)
     assert dict(calls) == {"_ensemble_state": 1}
     calls.clear()
+    stacks = count_calls(monkeypatch, ("_joint_output",))
     sim_equivalence(trials=3, seed=0)
     assert dict(calls) == {"_ensemble_state": 3, "_joint_output": 3}
+    assert dict(stacks) == {"_joint_output": 1}
 
 
 def test_broken_output_is_a_solver_error_with_and_without_the_loop(monkeypatch):
