@@ -224,10 +224,13 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
 
     The leftmost gate acts first, so it sits rightmost in the matrix product.
     An empty gate list compiles to the identity. The product is held as a
-    tensor with one row axis per wire plus one column axis, and each gate is
-    contracted into its own wire axes only, at cost D^2 * span. A first gate
-    on all wires in ascending order is copied in at cost D^2 instead, equal
-    entry for entry to its contraction into the identity.
+    tensor with one row axis per wire plus one column axis, and `order`
+    tracks which wire each row axis holds. Each gate costs one transposed
+    copy that brings its wires' axes to the front and one matrix product
+    with them, D^2 * span multiply-adds; the product's axes stay where it
+    puts them, and one transpose at the end restores wire order. A first
+    gate on all wires in ascending order is copied in at cost D^2 instead,
+    equal entry for entry to its contraction into the identity.
 
     The first call stores U on the circuit and every later call returns that
     same read-only array. This is sound because a Circuit cannot change after
@@ -238,19 +241,20 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
     if u is not None:
         return u
     dims, gates = circuit.dims, circuit.gates
-    total = circuit.total_dim
-    if gates and gates[0].wires == tuple(range(len(dims))):
+    n, total = len(dims), circuit.total_dim
+    if gates and gates[0].wires == tuple(range(n)):
         u, gates = np.array(_resolve_matrix(gates[0], dims)), gates[1:]
     else:
         u = np.eye(total, dtype=complex)
-    u = u.reshape(dims + (total,))
+    u, order = u.reshape(dims + (total,)), list(range(n))
     for gate in gates:
-        k = len(gate.wires)
-        wire_dims = tuple(dims[w] for w in gate.wires)
-        g = _resolve_matrix(gate, dims).reshape(wire_dims + wire_dims)
-        u = np.tensordot(g, u, axes=(list(range(k, 2 * k)), list(gate.wires)))
-        # tensordot leaves the gate's output axes first, the rest in order
-        u = np.moveaxis(u, list(range(k)), list(gate.wires))
+        g = _resolve_matrix(gate, dims)
+        rest = [a for a, w in enumerate(order) if w not in gate.wires]
+        x = u.transpose([order.index(w) for w in gate.wires] + rest + [n])
+        # the product leaves the gate's wires first, the rest as they were
+        u = (g @ x.reshape(len(g), -1)).reshape(x.shape)
+        order = list(gate.wires) + [order[a] for a in rest]
+    u = u.transpose([order.index(w) for w in range(n)] + [n])
     u = u.reshape(total, total)
     u.setflags(write=False)
     object.__setattr__(circuit, "_unitary", u)

@@ -34,6 +34,11 @@ from .qmat import ValidationError, trace_distance
 SCHEMA_VERSION = 1
 EXPERIMENTS = tuple(REGISTRY)
 
+# the per-experiment options of `ctcsim experiment` and their defaults; the
+# parser leaves each None, so an option given explicitly can be told apart
+EXPERIMENT_DEFAULTS = {"theta": math.pi / 4, "probs": 0.5,
+                       "selection": "canonical", "trials": 50, "sweep": None}
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
@@ -137,16 +142,24 @@ def _cmd_fixed_point(args, seed: int) -> dict:
 
 def _cmd_experiment(args, seed: int) -> tuple[dict, dict]:
     """Run the registered experiment with the arguments its function takes;
-    return its results and the parameters the report echoes."""
-    if args.sweep is not None and args.name != "mixture":
-        raise ValidationError("--sweep only applies to 'mixture'")
+    return its results and the parameters the report echoes. An option the
+    experiment does not take is an input error when given, and takes its
+    default otherwise."""
+    run, echoes = REGISTRY[args.name]
+    takes = inspect.signature(run).parameters
+    for option, default in EXPERIMENT_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif option not in takes:
+            users = [name for name, (f, _) in REGISTRY.items()
+                     if option in inspect.signature(f).parameters]
+            raise ValidationError(f"--{option} does not apply to "
+                                  f"'{args.name}', only to {', '.join(users)}")
     if args.csv is not None and args.sweep is None:
         raise ValidationError("--csv requires --sweep")
-    run, echoes = REGISTRY[args.name]
     values = {"theta": args.theta, "probs": args.probs,
               "selection": _selection(args.selection), "trials": args.trials,
               "seed": seed, "sweep": args.sweep}
-    takes = inspect.signature(run).parameters
     results = run(**{k: v for k, v in values.items() if k in takes})
     if args.csv is not None:
         _write_csv(args.csv, results["sweep"])
@@ -198,16 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("experiment", help="run a named experiment")
     ex.add_argument("name", choices=EXPERIMENTS)
-    ex.add_argument("--theta", type=float, default=math.pi / 4,
-                    help="designated-state angle for bhw2-based experiments")
-    ex.add_argument("--probs", type=float, default=0.5,
-                    help="probability of label 0 (label 1 gets the rest)")
+    ex.add_argument("--theta", type=float,
+                    help="designated-state angle for bhw2-based experiments"
+                         " (default: pi/4)")
+    ex.add_argument("--probs", type=float,
+                    help="probability of label 0 (label 1 gets the rest;"
+                         " default: 0.5)")
     ex.add_argument("--selection", choices=("canonical", "max-entropy"),
-                    default="canonical")
+                    help="degeneracy rule (default: canonical)")
     ex.add_argument("--seed", type=int, default=None,
                     help="master seed (default: $CTC_SIM_SEED or 0)")
-    ex.add_argument("--trials", type=int, default=50,
-                    help="trial count for sim-equivalence")
+    ex.add_argument("--trials", type=int,
+                    help="trial count for sim-equivalence (default: 50)")
     ex.add_argument("--sweep", default=None, metavar="theta=START:STOP:STEP",
                     help="sweep theta (mixture experiment only)")
     ex.add_argument("--csv", default=None,

@@ -7,6 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcsim.circuit import (Circuit, CircuitFormatError, Gate, build_bhw2,
                             build_bhw_multi, build_epr_swap, builtin_matrix,
@@ -267,6 +269,81 @@ def test_first_gate_on_every_wire_then_more_gates_equals_an_identity_start():
         assert c.gates[0].wires == tuple(range(c.n_wires))
         assert len(c.gates) > 1
         assert np.array_equal(compile_unitary(c), identity_start_compile(c))
+
+
+def cr_heavy_brickwork(seed):
+    """6 CR qubits and one CTC qubit (wire 6): eight layers of Haar gates on
+    alternating neighbour pairs, each with an h on the idle end wire and a
+    cnot between wire 6 and a CR wire, wire 6 as control on odd layers and
+    as target on even ones (40 gates)."""
+    gates = []
+    for layer in range(8):
+        first = layer % 2
+        gates += [Gate("haar", (w, w + 1), random_unitary(4, [seed, layer, w]))
+                  for w in range(first, 6, 2)]
+        gates.append(Gate("h", (0 if first else 6,)))
+        gates.append(Gate("cnot", (6, layer % 6) if first else (layer % 6, 6)))
+    return Circuit(cr_dims=(2,) * 6, ctc_dims=(2,), gates=tuple(gates))
+
+
+def mixed_wire_order_circuit():
+    """(2, 3, 2, 3) wires with reversed, non-adjacent and repeated wire
+    tuples, a gate on every wire out of order, and builtin swap and cnot."""
+    dims = (2, 3, 2, 3)
+    wire_lists = [(3, 0), (2, 1, 0), (1, 3), (1, 3), (0,), (3, 1, 2, 0),
+                  (2, 0), (3,), (3,), (0, 2)]
+    gates = [Gate(f"v{k}", wires, random_unitary(
+        int(np.prod([dims[w] for w in wires])), [73, k]))
+        for k, wires in enumerate(wire_lists)]
+    gates += [Gate("swap", (3, 1)), Gate("cnot", (2, 0)), Gate("cnot", (0, 2))]
+    return Circuit(cr_dims=dims[:2], ctc_dims=dims[2:], gates=tuple(gates))
+
+
+@pytest.mark.parametrize("make", [lambda: cr_heavy_brickwork(0),
+                                  lambda: cr_heavy_brickwork(1),
+                                  mixed_wire_order_circuit],
+                         ids=["cr-heavy-0", "cr-heavy-1", "mixed-order"])
+def test_compile_is_bit_identical_to_the_tensordot_reference(make):
+    c = make()
+    u = compile_unitary(c)
+    assert np.array_equal(u, identity_start_compile(c))
+    # the loop pipeline reshapes U as views; a strided U would be copied
+    assert u.flags.c_contiguous
+
+
+@st.composite
+def mixed_circuits(draw):
+    """3-7 qubit and qutrit wires of total dimension at most 256, and 1-6
+    Haar gates on 1-3 wires in random order, after a first gate on every
+    wire (ascending or shuffled) in half of the draws."""
+    n = draw(st.integers(3, 7))
+    # each qutrit multiplies the dimension by 3/2
+    max_qutrits = max(k for k in range(n + 1) if 3 ** k * 2 ** (n - k) <= 256)
+    qutrits = draw(st.sets(st.integers(0, n - 1), max_size=max_qutrits))
+    dims = tuple(3 if w in qutrits else 2 for w in range(n))
+    n_ctc = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    wire_lists = []
+    if draw(st.booleans()):
+        wire_lists.append(tuple(range(n)) if draw(st.booleans())
+                          else tuple(draw(st.permutations(range(n)))))
+    for _ in range(draw(st.integers(1, 6))):
+        wire_lists.append(tuple(draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=3, unique=True))))
+    gates = [Gate(f"g{k}", wires, random_unitary(
+        int(np.prod([dims[w] for w in wires])), rng))
+        for k, wires in enumerate(wire_lists)]
+    return Circuit(cr_dims=dims[:-n_ctc], ctc_dims=dims[-n_ctc:],
+                   gates=tuple(gates))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mixed_circuits())
+def test_compile_matches_the_product_of_dense_embeddings(c):
+    want = np.eye(c.total_dim, dtype=complex)
+    for g in c.gates:
+        want = embed_reference(g.matrix, g.wires, c.dims) @ want
+    assert np.abs(compile_unitary(c) - want).max() < 1e-12
 
 
 # --- compile once per circuit -----------------------------------------------

@@ -215,6 +215,35 @@ def test_sweep_only_for_mixture(capsys):
     assert "mixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["epr", "--theta", "0.3"],
+    ["identical-mixtures", "--selection", "max-entropy"],
+    ["identical-mixtures", "--selection", "canonical"],
+    ["bhw4", "--probs", "0.3"],
+    ["computation", "--trials", "3"],
+    ["sim-equivalence", "--theta", "0.5"],
+], ids=lambda argv: " ".join(argv))
+def test_option_the_experiment_does_not_take_is_an_input_error(capsys, argv):
+    assert main(["experiment"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[1]} does not apply to '{argv[0]}'" in captured.err
+
+
+def test_report_echoes_given_options_and_defaults(capsys):
+    code, report = run_cli(capsys, ["experiment", "bhw2"])
+    assert code == 0
+    assert report["parameters"] == {"selection": "canonical",
+                                    "theta": float(f"{math.pi / 4:.12g}")}
+    code, report = run_cli(capsys, ["experiment", "identical-mixtures"])
+    assert code == 0
+    assert report["parameters"] == {"selection": "canonical"}
+    code, report = run_cli(capsys, ["experiment", "epr",
+                                    "--selection", "max-entropy"])
+    assert code == 0
+    assert report["parameters"] == {"selection": "max-entropy"}
+
+
 def test_csv_requires_sweep(capsys):
     assert main(["experiment", "mixture", "--csv", "rows.csv"]) == 2
     assert "--sweep" in capsys.readouterr().err
