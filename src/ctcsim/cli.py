@@ -34,10 +34,10 @@ from .qmat import ValidationError, trace_distance
 SCHEMA_VERSION = 1
 EXPERIMENTS = tuple(REGISTRY)
 
-# the per-experiment options of `ctcsim experiment` and their defaults; the
-# parser leaves each None, so an option given explicitly can be told apart
-EXPERIMENT_DEFAULTS = {"theta": math.pi / 4, "probs": 0.5,
-                       "selection": "canonical", "trials": 50, "sweep": None}
+# the per-experiment options of `ctcsim experiment`: the parameters the
+# experiments take but seed. The parser leaves each None, so an option given
+# explicitly can be told apart; the experiment's signature holds its default
+EXPERIMENT_OPTIONS = ("theta", "probs", "selection", "trials", "sweep")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -142,30 +142,30 @@ def _cmd_fixed_point(args, seed: int) -> dict:
 
 def _cmd_experiment(args, seed: int) -> tuple[dict, dict]:
     """Run the registered experiment with the arguments its function takes;
-    return its results and the parameters the report echoes. An option the
-    experiment does not take is an input error when given, and takes its
-    default otherwise."""
-    run, echoes = REGISTRY[args.name]
+    return its results and the parameters the report echoes: those it takes
+    but seed, and the selection. An option the experiment does not take is
+    an input error when given; one it takes defaults to its signature's."""
+    run = REGISTRY[args.name]
     takes = inspect.signature(run).parameters
-    for option, default in EXPERIMENT_DEFAULTS.items():
-        if getattr(args, option) is None:
-            setattr(args, option, default)
-        elif option not in takes:
-            users = [name for name, (f, _) in REGISTRY.items()
+    given = {k: getattr(args, k) for k in EXPERIMENT_OPTIONS
+             if getattr(args, k) is not None}
+    for option in given:
+        if option not in takes:
+            users = [name for name, f in REGISTRY.items()
                      if option in inspect.signature(f).parameters]
             raise ValidationError(f"--{option} does not apply to "
                                   f"'{args.name}', only to {', '.join(users)}")
     if args.csv is not None and args.sweep is None:
         raise ValidationError("--csv requires --sweep")
-    values = {"theta": args.theta, "probs": args.probs,
-              "selection": _selection(args.selection), "trials": args.trials,
-              "seed": seed, "sweep": args.sweep}
+    # identical-mixtures runs both rules and echoes the default one
+    parameters = {"selection": "canonical", **{
+        k: given.get(k, p.default) for k, p in takes.items() if k != "seed"}}
+    values = dict(parameters, seed=seed,
+                  selection=_selection(parameters["selection"]))
     results = run(**{k: v for k, v in values.items() if k in takes})
     if args.csv is not None:
         _write_csv(args.csv, results["sweep"])
-    parameters = {k: getattr(args, k) for k in echoes
-                  if getattr(args, k) is not None}
-    return results, parameters
+    return results, {k: v for k, v in parameters.items() if v is not None}
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -240,14 +240,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        try:
-            seed = int(os.environ.get("CTC_SIM_SEED", "0"))
-        except ValueError:
-            print("ctcsim: CTC_SIM_SEED must be an integer", file=sys.stderr)
-            return EXIT_INPUT
+    try:
+        seed = (args.seed if args.seed is not None
+                else int(os.environ.get("CTC_SIM_SEED", "0")))
+    except ValueError:
+        print("ctcsim: CTC_SIM_SEED must be an integer", file=sys.stderr)
+        return EXIT_INPUT
+    if seed < 0:   # numpy's generators take non-negative seeds only
+        print(f"ctcsim: error: --seed or CTC_SIM_SEED must be non-negative, "
+              f"got {seed}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.command == "fixed-point":
             results = _cmd_fixed_point(args, seed)

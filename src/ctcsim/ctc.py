@@ -17,7 +17,7 @@ density matrix sigma* with E(sigma*) = sigma* (one always exists for a
 completely positive trace-preserving E) and then produces the
 causality-respecting output
 
-    rho_out = Tr_CTC( U (rho_cr x sigma*) U+ ).
+    rho_out = Tr_CTC( U (rho_cr x sigma*) U+ ) = Phi_sigma*(rho_cr).
 
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
 nonlinear. The exact solver tries one LU solve of the bordered system and
@@ -29,7 +29,9 @@ entropy, in closed form). Both are deterministic.
 
 The kernels take stacks of loops (a leading loop axis; one loop is a stack
 of one). LAPACK LU above n = dc^2 = 16, the Schur fallback and the report of
-a failed stacked check go item by item, in input order.
+a failed stacked check go item by item, in input order. An input on
+R (x) CR, with a register R no gate touches, is solved on Tr_R rho, and its
+output is (id_R (x) Phi_sigma*)(rho).
 """
 
 from __future__ import annotations
@@ -129,10 +131,21 @@ def _half_conjugation(u: np.ndarray, rho: np.ndarray, cr_dim: int,
     return u4, w.reshape(-1, cr_dim, ctc_dim, ctc_dim, cr_dim)
 
 
+def _checked_cr(rho_cr, cr_dim: int) -> np.ndarray:
+    """A caller's CR input, checked, as a stack of one."""
+    rho = _as_matrix(rho_cr)[None]
+    failure = _density_failure(rho)
+    if failure is not None:
+        raise ValidationError(f"rho_cr: {failure[1].message()}")
+    if rho.shape[-1] != cr_dim:
+        raise ValidationError(f"rho_cr dimension {rho.shape[-1]} != {cr_dim}")
+    return rho
+
+
 def _loop_map(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The loop maps of trusted (cr*dc)-square unitaries u (2-D: shared) on
-    a stack of CR inputs rho (B, cr, cr), which is checked.
+    a trusted stack of CR inputs rho (B, cr, cr) (2-D: shared).
 
     Column j*d+i holds the column-stacked image of |i><j|, so entry
     (l*d+k, j*d+i) is E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho[b,c]
@@ -140,11 +153,6 @@ def _loop_map(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
     = sum_ac w[a,k,i,c] conj(u4[a,l,c,j]) from the half conjugation w, then
     transposed to (l,k,j,i) and flattened. Returns them with u4 and w.
     """
-    failure = _density_failure(rho)
-    if failure is not None:
-        raise ValidationError(f"rho_cr: {failure[1].message()}")
-    if rho.shape[-2:] != (cr_dim, cr_dim):
-        raise ValidationError(f"rho_cr dimension {rho.shape[-1]} != {cr_dim}")
     u4, w = _half_conjugation(u, rho, cr_dim, dc)
     t = (w.transpose(0, 2, 3, 1, 4).reshape(-1, dc * dc, cr_dim ** 2)
          @ u4.conj().transpose(0, 1, 3, 2, 4).reshape(-1, cr_dim ** 2, dc * dc))
@@ -173,7 +181,7 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     if u.shape != (cr_dim * dc, cr_dim * dc):
         raise ValidationError(
             f"unitary dimension {u.shape[0]} != cr*ctc = {cr_dim * dc}")
-    return Superoperator(dc, _loop_map(u, _as_matrix(rho_cr)[None], cr_dim, dc)[0][0])
+    return Superoperator(dc, _loop_map(u, _checked_cr(rho_cr, cr_dim), cr_dim, dc)[0][0])
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
@@ -516,10 +524,9 @@ def solve_loop(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
 
     Builds the loop map E of a compiled interaction U, which it trusts, and
     solves E(sigma) = sigma with fixed_point_exact. Returns (E, fixed point).
-    rho_cr is validated once, by the loop-map kernel.
     """
-    superop = Superoperator(ctc_dim, _loop_map(u, _as_matrix(rho_cr)[None],
-                                               cr_dim, ctc_dim)[0][0])
+    superop = Superoperator(ctc_dim, _loop_map(
+        u, _checked_cr(rho_cr, cr_dim), cr_dim, ctc_dim)[0][0])
     return superop, fixed_point_exact(superop, selection)
 
 
@@ -532,13 +539,33 @@ def _checked_output(rho_out: np.ndarray) -> np.ndarray:
     return rho_out
 
 
-def _evolve(u: np.ndarray, rho: np.ndarray, cr_dim: int, ctc_dim: int,
-            selection: str) -> tuple[np.ndarray, list[FixedPointResult]]:
-    """ctc_evolve of a stack rho (B, cr, cr) under compiled, trusted u (2-D:
-    shared): one half conjugation w gives the loop maps and the outputs."""
-    maps, u4, w = _loop_map(u, rho, cr_dim, ctc_dim)
+def frozen_channel(u: np.ndarray, x: np.ndarray, sigma: np.ndarray,
+                   cr_dim: int, ctc_dim: int) -> np.ndarray:
+    """Phi_sigma(X) = Tr_CTC(U (X (x) sigma) U+) of each CR operator of a
+    stack x (B, ..., cr, cr), trusted u and sigma per item or shared (2-D):
+    by the loop-map kernel, on U with its register axes swapped, sigma frozen."""
+    swapped = u.reshape(-1, cr_dim, ctc_dim, cr_dim, ctc_dim).transpose(0, 2, 1, 4, 3)
+    phi = _loop_map(swapped, sigma, ctc_dim, cr_dim)[0]
+    vecs = _vec(x).reshape(len(x), -1, cr_dim ** 2) @ phi.swapaxes(1, 2)
+    return _unvec(vecs).reshape(x.shape)
+
+
+def evolve_stack(u: np.ndarray, rho: np.ndarray, cr_dim: int, ctc_dim: int,
+                 selection: str) -> tuple[np.ndarray, list[FixedPointResult]]:
+    """ctc_evolve of a trusted stack rho (B, n*cr, n*cr) on R (x) CR under
+    compiled, trusted u (2-D: shared): each loop is solved on Tr_R rho. For
+    n = 1 the loop maps and the outputs share one half conjugation w; for
+    n > 1 Phi_sigma's matrix takes the n^2 blocks of rho."""
+    n = rho.shape[-1] // cr_dim
+    if n == 1:
+        maps, u4, w = _loop_map(u, rho, cr_dim, ctc_dim)
+        sigma, fps = _fixed_points(maps, ctc_dim, selection)
+        return _checked_output(_trace_output(u4, w, sigma)), fps
+    blocks = rho.reshape(-1, n, cr_dim, n, cr_dim)
+    maps = _loop_map(u, blocks.trace(axis1=1, axis2=3), cr_dim, ctc_dim)[0]
     sigma, fps = _fixed_points(maps, ctc_dim, selection)
-    return _checked_output(_trace_output(u4, w, sigma)), fps
+    out = frozen_channel(u, blocks.transpose(0, 1, 3, 2, 4), sigma, cr_dim, ctc_dim)
+    return _checked_output(out.transpose(0, 1, 3, 2, 4).reshape(rho.shape)), fps
 
 
 def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
@@ -550,6 +577,6 @@ def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
     consistency step and the final partial trace, as a stack of one. Returns
     the evolved CR state together with the fixed-point record.
     """
-    out, (fp,) = _evolve(compile_unitary(circuit), _as_matrix(rho_cr)[None],
-                         circuit.cr_dim, circuit.ctc_dim, selection)
-    return out[0], fp
+    (out,), (fp,) = evolve_stack(compile_unitary(circuit), _checked_cr(
+        rho_cr, circuit.cr_dim), circuit.cr_dim, circuit.ctc_dim, selection)
+    return out, fp

@@ -3,8 +3,7 @@
 Every experiment is a function of keyword parameters that validates them and
 returns a plain dict of results. `ctcsim experiment NAME` reports that dict as
 its `results` block, and the scripts in `demos/` print from it. REGISTRY maps
-each command-line name to its function and to the parameters the command's
-report echoes.
+each command-line name to its function, whose signature holds the defaults.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ import numpy as np
 
 from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
                       build_epr_swap, compile_unitary, pad_with_ancillas)
-from .ctc import FixedPointResult, _evolve, ctc_evolve
+from .ctc import FixedPointResult, ctc_evolve, evolve_stack
 from .oracle import random_unitary
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, _ensemble_state, _joint_output,
-                       _simulate, _solve_marginal, helstrom_bound,
-                       run_computation_mixture, run_discrimination,
-                       run_superposition)
+                       LabeledEnsemble, _ensemble_state, _simulate,
+                       helstrom_bound, run_computation_mixture,
+                       run_discrimination, run_superposition)
 from .qmat import (ValidationError, _half_trace_norms, mutual_information,
                    trace_distance)
 
@@ -35,6 +33,8 @@ FOUR_STATE_NAMES = ("zero", "one", "plus", "minus")
 # a --sweep grid spans at most this many steps; a tiny step would otherwise
 # build a list until memory runs out
 MAX_SWEEP_STEPS = 1000
+# sim-equivalence draws and stacks at most this many instances
+MAX_TRIALS = 10_000
 
 
 def fixed_point_record(fp: FixedPointResult) -> dict:
@@ -87,8 +87,9 @@ def _evolve_pure(circuit: Circuit, states, selection: str
                  ) -> tuple[np.ndarray, list[FixedPointResult]]:
     """ctc_evolve of each pure input state, as one stack."""
     vecs = np.array(states)
-    return _evolve(compile_unitary(circuit), vecs[:, :, None] * vecs[:, None].conj(),
-                   circuit.cr_dim, circuit.ctc_dim, selection)
+    return evolve_stack(compile_unitary(circuit),
+                        vecs[:, :, None] * vecs[:, None].conj(),
+                        circuit.cr_dim, circuit.ctc_dim, selection)
 
 
 def _four_state_inputs() -> tuple[Circuit, list[np.ndarray]]:
@@ -242,18 +243,17 @@ def superposition(*, theta: float = math.pi / 4, probs: float = 0.5,
 def sim_equivalence(*, trials: int = 50, seed: int = 0,
                     selection: str = "canonical") -> dict:
     """A loop-free channel reproduces the loop on random labeled mixtures."""
-    if trials < 1:
-        raise ValidationError("--trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValidationError(f"--trials must be in 1..{MAX_TRIALS}, got {trials}")
     circuits, ensembles = zip(*(random_instance(seed, t) for t in range(trials)))
     # run_discrimination and simulate_without_ctc minus the unread statistics,
-    # as one stack: transfer tensor (joint output) against half conjugation
+    # as one stack: the R (x) A run against the per-component channel
     u = np.stack([compile_unitary(circuit) for circuit in circuits])
+    d, dc = circuits[0].cr_dim, circuits[0].ctc_dim
     rho_ra = np.stack([_ensemble_state(ensemble) for ensemble in ensembles])
-    n, d, dc = ensembles[0].n, circuits[0].cr_dim, circuits[0].ctc_dim
-    sigma, fps = _solve_marginal(u, rho_ra, n, d, dc, selection)
-    without, _ = _simulate(u, ensembles, sigma, dc)
-    distances = _half_trace_norms(_joint_output(u, rho_ra, sigma, n, d, dc)
-                                  - without).tolist()
+    with_loop, fps = evolve_stack(u, rho_ra, d, dc, selection)
+    without, _ = _simulate(u, ensembles, np.stack([fp.sigma for fp in fps]), dc)
+    distances = _half_trace_norms(with_loop - without).tolist()
     return {
         "trials": trials,
         "max_trace_distance": max(distances),
@@ -299,15 +299,8 @@ def computation(*, selection: str = "canonical") -> dict:
                 per_input_output_vs_truth=per_input)
 
 
-# name -> (function, the parameters the command's report echoes; unset ones
-# are omitted)
-REGISTRY = {
-    "epr": (epr, ("selection",)),
-    "bhw2": (bhw2, ("selection", "theta")),
-    "bhw4": (bhw4, ("selection",)),
-    "mixture": (mixture, ("selection", "theta", "probs", "sweep")),
-    "superposition": (superposition, ("selection", "theta", "probs")),
-    "sim-equivalence": (sim_equivalence, ("selection", "trials")),
-    "identical-mixtures": (identical_mixtures, ("selection",)),
-    "computation": (computation, ("selection",)),
-}
+# command-line name -> experiment; a report echoes the parameters its
+# function takes but seed, with the signature's defaults where unset
+REGISTRY = {f.__name__.replace("_", "-"): f for f in (
+    epr, bhw2, bhw4, mixture, superposition, sim_equivalence,
+    identical_mixtures, computation)}

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, _as_state, _basis, compile_unitary
-from .ctc import (FixedPointResult, _checked_output, _evolve, _fixed_points,
-                  _half_conjugation, _loop_map, _trace_output)
+from .ctc import FixedPointResult, _checked_output, evolve_stack, frozen_channel
 from .qmat import (ValidationError, kron, mutual_information, partial_trace,
                    trace_distance)
 
@@ -193,44 +192,19 @@ def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
         fixed_point=fp)
 
 
-def _solve_marginal(u: np.ndarray, rho_ra: np.ndarray, n: int, d: int, dc: int,
-                    selection: str) -> tuple[np.ndarray, list[FixedPointResult]]:
-    """(sigma stack, fixed points) of a stack rho_RA under I_R (x) U (u may be
-    shared): Tr_R commutes with it, so each is U's loop on Tr_R rho_RA."""
-    marginal = np.trace(rho_ra.reshape(-1, n, d, n, d), axis1=1, axis2=3)
-    return _fixed_points(_loop_map(u, marginal, d, dc)[0], dc, selection)
-
-
-def _joint_output(u: np.ndarray, rho_ra: np.ndarray, sigma: np.ndarray,
-                  n: int, d: int, dc: int) -> np.ndarray:
-    """(id_R (x) Phi_sigma)(rho_RA) per item of the stacks (u may be shared),
-    checked: the n^2 blocks pass Phi_sigma(X) = Tr_CTC U (X (x) sigma) U+ as
-    out[r,s,a,e], in one contraction with its transfer tensor t[a,b,e,c] =
-    Phi_sigma(|b><c|)[a,e] (d^4 entries; a half conjugation has n^2 d^2 dc^2)."""
-    u4 = u.reshape(-1, d, dc, d, dc)
-    x = (u4.reshape(-1, d * dc * d, dc) @ sigma).reshape(-1, d, dc, d, dc)
-    t = (x.transpose(0, 1, 3, 2, 4).reshape(-1, d * d, dc * dc)
-         @ u4.conj().transpose(0, 2, 4, 1, 3).reshape(-1, dc * dc, d * d))
-    rho4 = rho_ra.reshape(-1, n, d, n, d).transpose(0, 1, 3, 2, 4)
-    out = rho4.reshape(-1, n * n, d * d) @ t.reshape(-1, d, d, d, d).transpose(
-        0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
-    return _checked_output(out.reshape(-1, n, n, d, d).transpose(
-        0, 1, 3, 2, 4).reshape(-1, n * d, n * d))
-
-
 def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
                rho_in: np.ndarray, target: np.ndarray,
                selection: str) -> DiscriminationOutcome:
-    """The protocol body: the joint R (x) A run on the marginal, the
-    per-pure-input runs under U as one stack, each with its own fixed point,
-    and the outcome against the target. The discriminator is compiled once."""
+    """The protocol body: the joint R (x) A run, the per-pure-input runs
+    under U as one stack, each with its own fixed point, and the outcome
+    against the target. The discriminator is compiled once."""
     _check_scope(v_circuit, ensemble)
     u = compile_unitary(v_circuit)
-    n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
-    _, (fp,) = _solve_marginal(u, rho_in[None], n, d, dc, selection)
-    rho_out = _joint_output(u, rho_in[None], fp.sigma, n, d, dc)[0]
+    d, dc = ensemble.a_dim, v_circuit.ctc_dim
+    (rho_out,), (fp,) = evolve_stack(u, rho_in[None], d, dc, selection)
     vecs = np.array([vec for _, _, vec in ensemble.by_label()])
-    pure, _ = _evolve(u, vecs[:, :, None] * vecs[:, None].conj(), d, dc, selection)
+    pure, _ = evolve_stack(u, vecs[:, :, None] * vecs[:, None].conj(), d, dc,
+                           selection)
     return _outcome(rho_out, fp, ensemble, target, tuple(enumerate(pure)))
 
 
@@ -282,10 +256,8 @@ def _simulate(u: np.ndarray, ensembles, sigma: np.ndarray, dc: int
     entries = [ensemble.by_label() for ensemble in ensembles]
     vecs = np.array([[vec for _, _, vec in entry] for entry in entries])
     probs = np.array([[prob for _, prob, _ in entry] for entry in entries])
-    (n, d), phis = vecs.shape[1:], vecs[..., None] * vecs[..., None, :].conj()
-    outs = _trace_output(*_half_conjugation(
-        np.repeat(u, n, axis=0), phis.reshape(-1, d, d), d, dc),
-        np.repeat(sigma, n, axis=0)).reshape(-1, n, d, d)
+    outs = frozen_channel(u, vecs[..., None] * vecs[..., None, :].conj(), sigma,
+                          vecs.shape[-1], dc)
     return _checked_output(_labeled_state(probs[..., None, None] * outs)), outs
 
 
@@ -305,10 +277,11 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     _check_scope(v_circuit, ensemble)
     target = _success_target(ensemble)
     u = compile_unitary(v_circuit)
-    _, (fp,) = _solve_marginal(u, _ensemble_state(ensemble)[None], ensemble.n,
-                               ensemble.a_dim, v_circuit.ctc_dim, selection)
-    rho_out, outs = _simulate(u[None], [ensemble], fp.sigma[None],
-                              v_circuit.ctc_dim)
+    n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
+    # the loop alone, on Tr_R rho_RA as a whole input: no joint output
+    rho_a = _ensemble_state(ensemble).reshape(n, d, n, d).trace(axis1=0, axis2=2)
+    _, (fp,) = evolve_stack(u, rho_a[None], d, dc, selection)
+    rho_out, outs = _simulate(u, [ensemble], fp.sigma, dc)
     return _outcome(rho_out[0], fp, ensemble, target, tuple(enumerate(outs[0])))
 
 

@@ -276,6 +276,22 @@ def test_bad_env_seed_is_input_error(monkeypatch, capsys):
     assert "CTC_SIM_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sim-equivalence", "epr", "fixed-point"])
+def test_negative_seed_is_input_error(tmp_path, monkeypatch, capsys, command):
+    # numpy's generators take no negative seed; from --seed or CTC_SIM_SEED
+    # it is refused for every command, before anything runs
+    argv = (["fixed-point", write_circuit(tmp_path, build_epr_swap()), "--verify"]
+            if command == "fixed-point" else ["experiment", command])
+    monkeypatch.delenv("CTC_SIM_SEED", raising=False)
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-negative, got -1" in captured.err
+    monkeypatch.setenv("CTC_SIM_SEED", "-5")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-negative, got -5" in captured.err
+
+
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     import ctcsim.ctc as ctc_mod
 
@@ -397,6 +413,21 @@ def test_experiment_computation(capsys):
 def test_sim_equivalence_rejects_zero_trials(capsys):
     assert main(["experiment", "sim-equivalence", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+def test_sim_equivalence_refuses_more_than_max_trials(monkeypatch, capsys):
+    # the bound is checked before any instance is drawn
+    import ctcsim.experiments as experiments_mod
+
+    def never(seed, trial):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(experiments_mod, "random_instance", never)
+    assert main(["experiment", "sim-equivalence", "--trials",
+                 str(experiments_mod.MAX_TRIALS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--trials must be in 1..{experiments_mod.MAX_TRIALS}" in captured.err
 
 
 # --- sweeps and CSV ----------------------------------------------------------

@@ -50,5 +50,5 @@ def test_report_matches_golden(path, capsys, monkeypatch):
     assert_matches(json.loads(capsys.readouterr().out)["results"],
                    golden["results"])
     if len(golden["argv"]) == 2:
-        run, _ = REGISTRY[golden["argv"][1]]
+        run = REGISTRY[golden["argv"][1]]
         assert_matches(_round_floats(run()), golden["results"])

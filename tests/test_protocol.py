@@ -1,6 +1,7 @@
 """Tests for labeled-ensemble protocols: discrimination, superposition,
 linear simulation, Helstrom bound and computation tasks."""
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -13,7 +14,8 @@ from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_bhw_multi,
                             build_epr_swap, builtin_matrix, compile_unitary,
                             pad_with_ancillas)
 from ctcsim.ctc import (SolverError, ctc_evolve, evolve_given_ctc_state,
-                        fixed_point_exact, induced_superoperator)
+                        evolve_stack, fixed_point_exact, frozen_channel,
+                        induced_superoperator)
 from ctcsim.experiments import random_instance, sim_equivalence
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.protocol import (SUCCESS_DISTANCE, ComputationTask,
@@ -389,35 +391,48 @@ def test_simulation_freezes_the_loop_state_of_the_mixture_run():
 
 
 def test_simulation_and_sim_equivalence_build_only_what_they_use(monkeypatch):
-    # the simulation reads sigma and never the joint output of the loop; a
+    # the simulation solves the loop on Tr_R rho_RA alone and never builds
+    # the joint output (the frozen channel on R (x) A blocks); a
     # sim-equivalence trial builds its rho_RA once, for the loop and output,
-    # and its joint output is one item of one stacked call
+    # and its joint output and components are one stacked call each
     circuit, ens = random_instance(0, 0)
-    calls = count_calls(monkeypatch, ("_joint_output", "_ensemble_state"),
-                        stacked=("_joint_output",))
+    names = ("evolve_stack", "frozen_channel")
+    calls = count_calls(monkeypatch, names + ("_ensemble_state",), stacked=names)
     simulate_without_ctc(circuit, ens)
-    assert dict(calls) == {"_ensemble_state": 1}
+    assert dict(calls) == {"_ensemble_state": 1, "evolve_stack": 1,
+                           "frozen_channel": 1}
     calls.clear()
-    stacks = count_calls(monkeypatch, ("_joint_output",))
+    stacks = count_calls(monkeypatch, names)
     sim_equivalence(trials=3, seed=0)
-    assert dict(calls) == {"_ensemble_state": 3, "_joint_output": 3}
-    assert dict(stacks) == {"_joint_output": 1}
+    assert dict(calls) == {"_ensemble_state": 3, "evolve_stack": 3,
+                           "frozen_channel": 6}
+    assert dict(stacks) == {"evolve_stack": 1, "frozen_channel": 2}
 
 
 def test_broken_output_is_a_solver_error_with_and_without_the_loop(monkeypatch):
+    # twice sigma gives outputs of trace 2, a numerical breakdown stand-in:
+    # first in the loop runs' outputs (n = 1 and the R (x) A blocks), then
+    # only in the fixed-point records, which the simulation freezes
     import ctcsim.ctc as ctc_mod
-    import ctcsim.protocol as protocol_mod
-    trace_output = ctc_mod._trace_output
+    fixed_points = ctc_mod._fixed_points
 
-    def doubled(*args):
-        return 2 * trace_output(*args)  # trace 2: a numerical breakdown stand-in
+    def doubled_stack(*args):
+        sigma, fps = fixed_points(*args)
+        return 2 * sigma, fps
 
-    monkeypatch.setattr(ctc_mod, "_trace_output", doubled)
-    monkeypatch.setattr(protocol_mod, "_trace_output", doubled)
+    def doubled_records(*args):
+        sigma, fps = fixed_points(*args)
+        return sigma, [dataclasses.replace(fp, sigma=2 * fp.sigma) for fp in fps]
+
     circuit = build_bhw2(PLUS)
     ens, _ = uniform_ensemble([KET0, PLUS])
+    monkeypatch.setattr(ctc_mod, "_fixed_points", doubled_stack)
     with pytest.raises(SolverError, match="failed validation"):
         ctc_evolve(circuit, proj(PLUS))
+    with pytest.raises(SolverError, match="failed validation"):
+        run_discrimination(circuit, ens)
+    monkeypatch.setattr(ctc_mod, "_fixed_points", doubled_records)
+    ctc_evolve(circuit, proj(PLUS))
     with pytest.raises(SolverError, match="failed validation"):
         simulate_without_ctc(circuit, ens)
 
@@ -496,6 +511,47 @@ def test_labels_never_reach_the_loop(seed, n, extra, dc):
     superposed = run_superposition(circuit, ens).fixed_point
     for fp in (unlabeled, superposed):
         assert np.abs(fp.sigma - mixture.sigma).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 3),
+       st.sampled_from([2, 3]), st.booleans())
+def test_stacked_evolve_matches_the_lifted_loop_per_item(seed, b, n, d, superposed):
+    # the sim-equivalence shape: B loops under their own U on R (x) A inputs,
+    # block-diagonal (labeled mixtures) or pure (superpositions), in one call
+    rng = np.random.default_rng(seed)
+    items = []
+    for _ in range(b):
+        circuit = Circuit(cr_dims=(d,), ctc_dims=(2,),
+                          gates=(Gate("v", (0, 1), random_unitary(2 * d, rng)),))
+        g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        ens, rho_ra = labeled_ensemble(list(zip(
+            range(n), rng.dirichlet(np.ones(n)),
+            (row / np.linalg.norm(row) for row in g))))
+        if superposed:
+            rho_ra = proj(np.concatenate([np.sqrt(p) * v
+                                          for _, p, v in ens.by_label()]))
+        items.append((circuit, ens, rho_ra))
+    u = np.stack([compile_unitary(circuit) for circuit, _, _ in items])
+    outs, fps = evolve_stack(u, np.stack([rho for _, _, rho in items]), d, 2,
+                             "canonical")
+    run = run_superposition if superposed else run_discrimination
+    for (circuit, ens, _), out, fp in zip(items, outs, fps):
+        sigma, rho_out = lifted_reference(circuit, ens)[run]
+        assert np.abs(fp.sigma - sigma).max() <= 1e-10
+        assert np.abs(out - rho_out).max() <= 1e-10
+    # the frozen channel takes u and sigma per item or shared alike
+    sigma = np.stack([fp.sigma for fp in fps])
+    x = np.stack([[random_density(d, rng) for _ in range(2)] for _ in range(b)])
+    per_item, shared_u = frozen_channel(u, x, sigma, d, 2), frozen_channel(
+        u[0], x, sigma, d, 2)
+    for i in range(b):
+        for got, u_i in ((per_item, u[i]), (shared_u, u[0])):
+            want = frozen_channel(u_i, x[i:i + 1], sigma[i], d, 2)[0]
+            assert np.abs(got[i] - want).max() <= 1e-12
+            for x_k, got_k in zip(x[i], got[i]):
+                assert np.abs(got_k - evolve_given_ctc_state(
+                    u_i, x_k, sigma[i], d, 2)).max() <= 1e-12
 
 
 def test_sixteen_haar_states_in_dimension_sixteen():
