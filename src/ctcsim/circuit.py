@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import ValidationError, dagger, kron, require_unitary, validate
+from .qmat import ValidationError, kron, require_unitary, validate
 
 BUILTIN_GATES = ("swap", "h", "x", "cnot")
 
@@ -41,6 +41,13 @@ class CircuitFormatError(ValidationError):
     def __init__(self, message: str, path: str = "$"):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _integers(values) -> tuple:
+    """values as a tuple, Python and numpy integers as int; any other entry,
+    a bool or a float among them, is kept as given for the checks to refuse."""
+    return tuple(int(v) if isinstance(v, (int, np.integer))
+                 and not isinstance(v, bool) else v for v in values)
 
 
 def builtin_matrix(name: str, wire_dims: tuple[int, ...]) -> np.ndarray:
@@ -78,7 +85,7 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
+        object.__setattr__(self, "wires", _integers(self.wires))
         if self.matrix is not None:
             m = np.array(self.matrix, dtype=complex)
             m.setflags(write=False)
@@ -102,6 +109,9 @@ class Gate:
 def _check_gate(gate: Gate, dims: tuple[int, ...]) -> None:
     """Semantic gate checks against the declared wire dimensions."""
     n = len(dims)
+    if any(type(w) is not int for w in gate.wires):
+        raise ValidationError(
+            f"gate {gate.name!r} wires must be integers, got {list(gate.wires)}")
     if len(set(gate.wires)) != len(gate.wires):
         raise ValidationError(f"gate {gate.name!r} lists duplicate wires {gate.wires}")
     if not gate.wires:
@@ -152,13 +162,16 @@ class Circuit:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "cr_dims", tuple(int(d) for d in self.cr_dims))
-        object.__setattr__(self, "ctc_dims", tuple(int(d) for d in self.ctc_dims))
+        object.__setattr__(self, "cr_dims", _integers(self.cr_dims))
+        object.__setattr__(self, "ctc_dims", _integers(self.ctc_dims))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         for reg_name, reg in (("cr_dims", self.cr_dims), ("ctc_dims", self.ctc_dims)):
             if not reg:
                 raise CircuitFormatError("must not be empty", f"$.{reg_name}")
+            if any(type(d) is not int for d in reg):
+                raise CircuitFormatError(
+                    f"entries must be integers, got {list(reg)}", f"$.{reg_name}")
             if any(d < 2 for d in reg):
                 raise CircuitFormatError(f"entries must be >= 2, got {list(reg)}",
                                          f"$.{reg_name}")
@@ -416,15 +429,21 @@ def build_bhw_multi(states) -> Circuit:
 
     The CR register is the input system padded with |0...0> ancillas to
     dimension D, the next power of two >= max(state count, input dimension);
-    the CTC register mirrors it. For each CTC basis value i < n there is a
-    controlled-V_i, then the registers are fully swapped. V_i constrains the
-    whole padded input subspace: the designated state goes to |i> and the k-th
-    Gram-Schmidt residual of the padded input basis goes to |(i+k) mod D>.
-    Leftover CTC basis values n <= i < D get a controlled shift of the padded
-    input subspace, basis vector b -> |(i+1+b) mod D>. Spreading every branch
-    this way keeps the consistent CTC state unique on each designated input
-    (weight parked on any control value flows back to the absorbing one); on
-    input phi_i the fixed point is |i><i| and the CR output is |i>.
+    the CTC register mirrors it. One "select" gate on all wires applies
+    sum_i V_i (x) |i><i|, the CTC basis value i choosing the CR unitary V_i;
+    then the registers are fully swapped. V_i = P_i Q_i+. The first d_in
+    columns of Q_i span the padded input subspace (indices b * D / d_in):
+    phi_i and the Gram-Schmidt residuals of the input basis against it for
+    i < n, the input basis itself for the leftover values i >= n. P_i sends
+    column k of them to |(i+k) mod D>, for leftover values to |(i+1+k) mod D>;
+    the other columns of Q_i, the basis vectors off that subspace, go in
+    index order to the unused outputs in ascending order.
+
+    On input phi_i the CTC value i is absorbing: |i><i| is a fixed point,
+    with CR output |i>. For generic states weight parked on any other value
+    flows back to i, so that fixed point is the only one; on basis inputs
+    the branches can cycle control values instead, a second fixed point
+    (states |0>, |1>, |2> of dimension 8, input |2>: 1 -> 3 -> 6 -> 1).
 
     Args:
         states: n >= 2 normalized vectors of one common power-of-two
@@ -443,45 +462,23 @@ def build_bhw_multi(states) -> Circuit:
         for j in range(i + 1, n):
             if 1.0 - abs(np.vdot(vecs[i], vecs[j])) <= 1e-10:
                 raise ValidationError(f"states {i} and {j} coincide up to phase")
-    total = 1
-    while total < max(n, d_in):
-        total *= 2
+    total = 1 << (max(n, d_in) - 1).bit_length()
     m = total.bit_length() - 1
-    pad = total // d_in
+    indices = np.arange(total)
+    padded = indices[::total // d_in]
+    off = np.delete(indices, padded)
 
-    branch_unitaries = []
-    for i, phi in enumerate(vecs):
-        phi_p = pad_with_ancillas(phi, total)
-        constraints = [(phi_p, _basis(i, total))]
-        acc = [phi_p]
-        k = 0
-        for b in range(d_in):
-            w = pad_with_ancillas(_basis(b, d_in), total)
-            for q in acc:
-                w = w - q * np.vdot(q, w)
-            nw = float(np.linalg.norm(w))
-            if nw <= _GS_THRESHOLD:
-                continue
-            w = w / nw
-            acc.append(w)
-            k += 1
-            constraints.append((w, _basis((i + k) % total, total)))
-        branch_unitaries.append(complete_unitary(constraints, total))
-    for i in range(n, total):
-        constraints = []
-        for b in range(d_in):
-            w = pad_with_ancillas(_basis(b, d_in), total)
-            constraints.append((w, _basis((i + 1 + b) % total, total)))
-        branch_unitaries.append(complete_unitary(constraints, total))
-
-    gates = []
-    eye = np.eye(total, dtype=complex)
-    for i, v in enumerate(branch_unitaries):
-        proj = np.outer(_basis(i, total), _basis(i, total).conj())
-        cv = kron(v, proj) + kron(eye, eye - proj)
-        gates.append(Gate(f"cv{i}", tuple(range(2 * m)), cv))
-    for j in range(m):
-        gates.append(Gate("swap", (j, m + j)))
+    select = np.zeros((total,) * 4, dtype=complex)   # axes (row, i, column, i)
+    for i in range(total):
+        first = i if i < n else i + 1
+        outs = (first + np.arange(d_in)) % total
+        # row outs[k] of V_i: column k of Q_i, conjugated, on the padded columns
+        q = (_gram_schmidt_extend([vecs[i]], d_in) if i < n
+             else np.eye(d_in, dtype=complex))
+        select[outs[:, None], i, padded, i] = np.conj(q)
+        select[np.delete(indices, outs), i, off, i] = 1.0
+    gates = [Gate("select", tuple(range(2 * m)), select.reshape(total ** 2, -1))]
+    gates += [Gate("swap", (j, m + j)) for j in range(m)]
     wire_dims = (2,) * m
     return Circuit(cr_dims=wire_dims, ctc_dims=wire_dims, gates=tuple(gates))
 

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .circuit import (_basis, _matrix_to_json, _parse_matrix, compile_unitary,
                       parse_circuit)
-from .ctc import SolverError, fixed_point_cesaro, solve_loop
+from .ctc import (SolverError, ctc_evolve, fixed_point_cesaro,
+                  induced_superoperator)
 from .experiments import REGISTRY, fixed_point_record
 from .oracle import MAX_ITERS, fixed_point_bruteforce
 from .qmat import ValidationError, trace_distance
@@ -110,8 +111,7 @@ def _input_state(spec: str, dim: int) -> np.ndarray:
 def _cmd_fixed_point(args, seed: int) -> dict:
     circuit = parse_circuit(_load_json(args.circuit_file))
     rho = _input_state(args.input, circuit.cr_dim)
-    superop, fp = solve_loop(compile_unitary(circuit), rho, circuit.cr_dim,
-                             circuit.ctc_dim, _selection(args.selection))
+    fp = ctc_evolve(circuit, rho, _selection(args.selection))[1]
     results = {"fixed_point": dict(fixed_point_record(fp),
                                    sigma=_matrix_to_json(fp.sigma))}
     if args.verify:
@@ -123,7 +123,8 @@ def _cmd_fixed_point(args, seed: int) -> dict:
                 f"iterations each")
         to_exact = [trace_distance(lim, fp.sigma)
                     for lim in oracle.distinct_limits]
-        cesaro = fixed_point_cesaro(superop)
+        cesaro = fixed_point_cesaro(induced_superoperator(
+            compile_unitary(circuit), rho, circuit.cr_dims, circuit.ctc_dims))
         results["verify"] = {
             "oracle": {
                 "trials": oracle.trials,

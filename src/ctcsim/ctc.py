@@ -517,19 +517,6 @@ def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.nd
     return _trace_output(*_half_conjugation(u, rho, cr_dim, ctc_dim), sigma)[0]
 
 
-def solve_loop(u: np.ndarray, rho_cr, cr_dim: int, ctc_dim: int,
-               selection: str = "canonical"
-               ) -> tuple[Superoperator, FixedPointResult]:
-    """Deutsch's consistency step for one whole CR input.
-
-    Builds the loop map E of a compiled interaction U, which it trusts, and
-    solves E(sigma) = sigma with fixed_point_exact. Returns (E, fixed point).
-    """
-    superop = Superoperator(ctc_dim, _loop_map(
-        u, _checked_cr(rho_cr, cr_dim), cr_dim, ctc_dim)[0][0])
-    return superop, fixed_point_exact(superop, selection)
-
-
 def _checked_output(rho_out: np.ndarray) -> np.ndarray:
     """A stack rho_out once each passes density validation; a failure there
     is a numerical breakdown of the solve, so it raises SolverError."""

@@ -91,6 +91,29 @@ def test_circuit_errors_carry_the_field_path():
         assert isinstance(exc.value, ValidationError)
 
 
+def test_non_integer_dimensions_and_wires_are_refused():
+    swap = Gate("swap", (0, 1))
+    cases = [
+        (dict(cr_dims=(2.7,), ctc_dims=(2,), gates=(swap,)), r"^\$\.cr_dims: "),
+        (dict(cr_dims=(2,), ctc_dims=(2.0,)), r"^\$\.ctc_dims: "),
+        (dict(cr_dims=(True, 2), ctc_dims=(2,)), r"^\$\.cr_dims: .*integers"),
+        (dict(cr_dims=(2,), ctc_dims=(2,), gates=(swap, Gate("swap", (0.9, 1.2)))),
+         r"^\$\.gates\[1\]: gate 'swap' wires must be integers"),
+        (dict(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("swap", (False, 1)),)),
+         r"^\$\.gates\[0\]: "),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(CircuitFormatError, match=message):
+            Circuit(**kwargs)
+
+
+def test_numpy_integer_dimensions_and_wires_are_accepted():
+    c = Circuit(cr_dims=(np.int64(2),), ctc_dims=np.array([2], dtype=np.uint8),
+                gates=(Gate("swap", (np.int32(0), np.int64(1))),))
+    assert c == Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("swap", (0, 1)),))
+    assert all(type(v) is int for v in c.dims + c.gates[0].wires)
+
+
 def test_circuit_stores_matching_builtin_matrix_canonically():
     c = Circuit(cr_dims=(2,), ctc_dims=(2,),
                 gates=(Gate("swap", (0, 1), builtin_matrix("swap", (2, 2))),))
@@ -115,7 +138,7 @@ def test_parse_checks_each_gate_once(monkeypatch):
     assert calls == ["cu", "swap"]
     calls.clear()
     parse_circuit(three)
-    assert calls == ["cv0", "cv1", "cv2", "cv3", "swap", "swap"]
+    assert calls == ["select", "swap", "swap"]
 
 
 def test_circuit_properties_and_labels():
@@ -555,6 +578,87 @@ def test_bhw_multi_validation():
         build_bhw_multi([basis(0, 3), basis(1, 3)])  # dim not a power of two
     with pytest.raises(ValidationError):
         build_bhw_multi([KET0, basis(1, 4)])  # mixed dimensions
+
+
+def reference_discriminator(states) -> np.ndarray:
+    """build_bhw_multi's U from its constraints, by public helpers: one
+    complete_unitary per CTC value i, controlled by i on the CTC register,
+    then the register swap."""
+    n, d_in = len(states), len(states[0])
+    total = 1 << (max(n, d_in) - 1).bit_length()
+    inputs = [pad_with_ancillas(basis(b, d_in), total) for b in range(d_in)]
+    eye = np.eye(total, dtype=complex)
+    # the register swap: column (a, b) goes to row (b, a)
+    u = np.eye(total ** 2, dtype=complex)[np.arange(total ** 2).reshape(
+        total, total).T.reshape(-1)]
+    for i in range(total):
+        if i < n:
+            acc = [pad_with_ancillas(states[i], total)]
+            constraints = [(acc[0], basis(i, total))]
+            for e in inputs:   # Gram-Schmidt residuals of the input basis
+                for q in acc:
+                    e = e - q * np.vdot(q, e)
+                if np.linalg.norm(e) > 1e-7:
+                    acc.append(e / np.linalg.norm(e))
+                    out = basis((i + len(acc) - 1) % total, total)
+                    constraints.append((acc[-1], out))
+        else:
+            constraints = [(e, basis((i + 1 + b) % total, total))
+                           for b, e in enumerate(inputs)]
+        v, p = complete_unitary(constraints, total), proj(basis(i, total))
+        u = u @ (kron(v, p) + kron(eye, eye - p))
+    return u
+
+
+@st.composite
+def discriminated_states(draw, perturbations=(None, 1e-9, 1e-3)):
+    """2-8 states of dimension 2, 4 or 8: Haar (perturbation None), or basis
+    vectors |x> plus a complex Gaussian perturbation of the drawn size (Haar
+    beyond x = d_in - 1)."""
+    n = draw(st.integers(2, 8))
+    d_in = draw(st.sampled_from([2, 4, 8]))
+    eps = draw(st.sampled_from(perturbations))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    states = []
+    for x in range(n):
+        if eps is None or x >= d_in:
+            states.append(random_unitary(d_in, rng)[:, 0])
+        else:
+            v = basis(x, d_in) + eps * (rng.standard_normal(d_in)
+                                        + 1j * rng.standard_normal(d_in))
+            states.append(v / np.linalg.norm(v))
+    return states
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(discriminated_states())
+def test_bhw_multi_matches_the_controlled_gate_construction(states):
+    c = build_bhw_multi(states)
+    m = c.n_wires // 2
+    assert [(g.name, g.wires) for g in c.gates] == [("select", tuple(range(2 * m)))] + [
+        ("swap", (j, m + j)) for j in range(m)]
+    assert np.abs(compile_unitary(c) - reference_discriminator(states)).max() <= 1e-10
+
+
+# basis vectors perturbed by 1e-9 act like exact ones, which can close a
+# cycle of control values (see the next test)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(discriminated_states(perturbations=(None, 1e-3)))
+def test_bhw_multi_sends_each_padded_state_to_its_label(states):
+    c = build_bhw_multi(states)
+    for i, vec in enumerate(states):
+        out, fp = ctc_evolve(c, proj(pad_with_ancillas(vec, c.cr_dim)))
+        assert fp.fixed_space_dim == 1
+        assert trace_distance(out, proj(basis(i, c.cr_dim))) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="basis inputs can close a cycle of "
+                   "control values, a second consistent CTC state")
+def test_bhw_multi_fixed_point_is_unique_on_basis_inputs():
+    # on input |2>, V_1, V_3 and V_6 send it to |3>, |6> and |1>
+    states = list(np.eye(8, dtype=complex)[:3])
+    _, fp = ctc_evolve(build_bhw_multi(states), proj(states[2]))
+    assert fp.fixed_space_dim == 1
 
 
 # --- JSON format ------------------------------------------------------------

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
-                            complete_unitary, serialize_circuit)
-from ctcsim.cli import EXPERIMENTS, main
-from ctcsim.ctc import SolverError
+from ctcsim.circuit import (Circuit, Gate, _matrix_to_json, build_bhw2,
+                            build_epr_swap, complete_unitary, serialize_circuit)
+from ctcsim.cli import EXPERIMENTS, _round_floats, main
+from ctcsim.ctc import SolverError, ctc_evolve
 from ctcsim.oracle import random_density, random_unitary
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -139,6 +139,24 @@ def test_fixed_point_max_entropy_on_leak_circuit(tmp_path, capsys):
         fp = report["results"]["fixed_point"]
         assert fp["fixed_space_dim"] == 4
         assert np.allclose(report_sigma(fp), sigma, rtol=0, atol=1e-10)
+
+
+def test_fixed_point_reports_the_sigma_of_ctc_evolve(tmp_path, capsys):
+    e = np.eye(6)
+    u = complete_unitary([(e[0], e[0]), (e[1], e[1]), (e[2], e[4])], 6)
+    leak = Circuit(cr_dims=(2,), ctc_dims=(3,), gates=(Gate("leak", (0, 1), u),))
+    cases = [(build_bhw2(PLUS), "plus", np.outer(PLUS, PLUS)),
+             (leak, "zero", np.diag([1.0 + 0j, 0.0]))]
+    for circuit, name, rho in cases:
+        path = write_circuit(tmp_path, circuit)
+        for selection in ("canonical", "max-entropy"):
+            _, fp = ctc_evolve(circuit, rho, selection.replace("-", "_"))
+            for verify in ([], ["--verify"]):
+                code, report = run_cli(capsys, ["fixed-point", path, "--input", name,
+                                                "--selection", selection] + verify)
+                assert code == 0
+                assert report["results"]["fixed_point"]["sigma"] == _round_floats(
+                    _matrix_to_json(fp.sigma))
 
 
 # --- input errors exit with code 2 -------------------------------------------
@@ -298,7 +316,7 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SolverError("no consistent state found", residual=1.0)
 
-    monkeypatch.setattr(ctc_mod, "fixed_point_exact", explode)
+    monkeypatch.setattr(ctc_mod, "_fixed_points", explode)
     path = write_circuit(tmp_path, build_epr_swap())
     assert main(["fixed-point", path, "--input", "bell"]) == 3
     assert "no consistent state" in capsys.readouterr().err

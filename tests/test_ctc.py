@@ -16,7 +16,7 @@ from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
                         _fixed_points, _hermitize, _lu_fixed_point,
                         _schur_fixed_point, choi_matrix, ctc_evolve,
                         evolve_given_ctc_state, fixed_point_cesaro,
-                        fixed_point_exact, induced_superoperator, solve_loop,
+                        fixed_point_exact, induced_superoperator,
                         validate_superoperator)
 from ctcsim.oracle import random_density, random_unitary
 from ctcsim.qmat import (EIGENVALUE_ONE_WINDOW, ValidationError, dagger, kron,
@@ -808,16 +808,12 @@ def test_ctc_evolve_validates_input():
         ctc_evolve(circuit, np.ones((4, 2)) / 4)
 
 
-def test_solve_loop_is_the_step_behind_ctc_evolve():
+def test_ctc_evolve_is_the_loop_map_solve_then_the_output():
     circuit = build_bhw2(PLUS)
     rho = proj(PLUS)
     u = compile_unitary(circuit)
-    # the compile is deterministic, so ctc_evolve's own compile is this U
-    assert np.array_equal(u, compile_unitary(circuit))
-    superop, fp = solve_loop(u, rho, circuit.cr_dim, circuit.ctc_dim)
-    assert np.array_equal(superop.matrix, induced_superoperator(
-        u, rho, circuit.cr_dims, circuit.ctc_dims).matrix)
-    assert np.array_equal(fp.sigma, fixed_point_exact(superop).sigma)
+    superop = induced_superoperator(u, rho, circuit.cr_dims, circuit.ctc_dims)
+    fp = fixed_point_exact(superop)
     rho_out, fp_evolved = ctc_evolve(circuit, rho)
     assert np.array_equal(fp_evolved.sigma, fp.sigma)
     assert np.array_equal(rho_out, evolve_given_ctc_state(u, rho, fp.sigma, 2, 2))
