@@ -16,13 +16,13 @@ import numpy as np
 from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
                       build_epr_swap, compile_unitary, pad_with_ancillas)
 from .ctc import FixedPointResult, ctc_evolve, evolve_stack
-from .oracle import random_unitary
+from .oracle import haar_unitaries
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, _ensemble_state, _simulate,
-                       helstrom_bound, run_computation_mixture,
+                       LabeledEnsemble, _simulate, helstrom_bound,
+                       labeled_mixture, run_computation_mixture,
                        run_discrimination, run_superposition)
-from .qmat import (ValidationError, _half_trace_norms, mutual_information,
-                   trace_distance)
+from .qmat import (HERMITICITY_TOL, ValidationError, _half_trace_norms,
+                   mutual_information, trace_distance)
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
 _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -102,20 +102,50 @@ def _four_state_inputs() -> tuple[Circuit, list[np.ndarray]]:
     return circuit, [pad_with_ancillas(v, circuit.cr_dim) for v in states]
 
 
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each vector of a stack (..., d), to the bit."""
+    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _instance(u, vecs, probs) -> tuple[Circuit, LabeledEnsemble]:
+    """One drawn trial as a circuit and an ensemble, which check it."""
+    return (Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("v", (0, 1), u),)),
+            LabeledEnsemble(list(zip((0, 1), probs.tolist(), vecs))))
+
+
+def random_instances(seed: int, trials: int, first: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trials first..first+trials-1 of `seed` as stacks: U (T, 4, 4), states
+    (T, 2, 2), weights (T, 2). Trial t reads default_rng([seed, t]): 40
+    normals, the Ginibre matrix of U as random_unitary reads it, then the two
+    states; then p0 in [0.1, 0.9) for the weights p0 and 1 - p0. The checks
+    of Circuit and LabeledEnsemble (tolerances included) run once on the
+    stacks; if one fails, the trials are built through those classes and the
+    first bad one raises."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(first, first + trials)]
+    normals = np.array([rng.standard_normal(40) for rng in rngs])
+    p0 = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
+    g = normals[:, :32].reshape(-1, 2, 4, 4)
+    u = haar_unitaries(g[:, 0], g[:, 1])
+    s = normals[:, 32:].reshape(-1, 2, 2, 2)
+    vecs = s[:, :, 0] + 1j * s[:, :, 1]
+    vecs = vecs / _norms(vecs)[..., None]
+    probs = np.stack([p0, 1.0 - p0], axis=1)
+    if (not (np.isfinite(u).all() and np.isfinite(vecs).all())
+            or np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(4)).max() > HERMITICITY_TOL
+            or np.abs(_norms(vecs) - 1.0).max() > 1e-10
+            or not (probs > 0).all()
+            or np.abs(probs.sum(axis=1) - 1.0).max() > 1e-12):
+        for t in range(trials):
+            _instance(u[t], vecs[t], probs[t])
+    return u, vecs, probs
+
+
 def random_instance(seed: int, trial: int) -> tuple[Circuit, LabeledEnsemble]:
-    """Seeded random (circuit, ensemble) pair: one CR qubit, one CTC qubit,
-    one Haar-random two-qubit interaction, two random pure states."""
-    rng = np.random.default_rng([seed, trial])
-    u = random_unitary(4, rng)
-    circuit = Circuit(cr_dims=(2,), ctc_dims=(2,),
-                      gates=(Gate("v", (0, 1), u),))
-    states = []
-    for _ in range(2):
-        vec = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        states.append(vec / np.linalg.norm(vec))
-    p0 = float(rng.uniform(0.1, 0.9))
-    ensemble = LabeledEnsemble([(0, p0, states[0]), (1, 1.0 - p0, states[1])])
-    return circuit, ensemble
+    """Trial `trial` of random_instances(seed, ...): one CR and one CTC qubit,
+    a Haar-random interaction "v", and two random pure states labeled 0, 1."""
+    return _instance(*(a[0] for a in random_instances(seed, 1, trial)))
 
 
 def _parse_sweep(spec: str) -> list[float]:
@@ -245,14 +275,12 @@ def sim_equivalence(*, trials: int = 50, seed: int = 0,
     """A loop-free channel reproduces the loop on random labeled mixtures."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValidationError(f"--trials must be in 1..{MAX_TRIALS}, got {trials}")
-    circuits, ensembles = zip(*(random_instance(seed, t) for t in range(trials)))
+    u, vecs, probs = random_instances(seed, trials)
     # run_discrimination and simulate_without_ctc minus the unread statistics,
-    # as one stack: the R (x) A run against the per-component channel
-    u = np.stack([compile_unitary(circuit) for circuit in circuits])
-    d, dc = circuits[0].cr_dim, circuits[0].ctc_dim
-    rho_ra = np.stack([_ensemble_state(ensemble) for ensemble in ensembles])
-    with_loop, fps = evolve_stack(u, rho_ra, d, dc, selection)
-    without, _ = _simulate(u, ensembles, np.stack([fp.sigma for fp in fps]), dc)
+    # as one stack of 1 + 1 qubit loops: the R (x) A run against the
+    # per-component channel
+    with_loop, fps = evolve_stack(u, labeled_mixture(vecs, probs), 2, 2, selection)
+    without, _ = _simulate(u, vecs, probs, np.stack([fp.sigma for fp in fps]), 2)
     distances = _half_trace_norms(with_loop - without).tolist()
     return {
         "trials": trials,

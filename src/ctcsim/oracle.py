@@ -45,17 +45,21 @@ def random_density(d: int, seed) -> np.ndarray:
     return m / m.trace().real
 
 
+def haar_unitaries(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a complex Ginibre stack (re + i im) / sqrt(2) of
+    shape (..., d, d): each QR decomposition's Q with the R-diagonal phase fix."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def random_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary from a seeded complex Ginibre QR
-    decomposition with the R-diagonal phase fix; bit-reproducible."""
+    """Haar-distributed unitary from a seeded complex Ginibre matrix, real
+    then imaginary parts (haar_unitaries); bit-reproducible."""
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    return haar_unitaries(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
 
 
 @dataclass(frozen=True)

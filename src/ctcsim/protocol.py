@@ -96,6 +96,11 @@ class LabeledEnsemble:
         """Entries sorted by label."""
         return tuple(sorted(self.entries, key=lambda e: e[0]))
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The states (n, a_dim) and the probabilities (n,), in label order."""
+        _, probs, vecs = zip(*self.by_label())
+        return np.array(vecs), np.array(probs)
+
 
 def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
     """Build the checked ensemble and the labeled mixture on R (x) A.
@@ -112,7 +117,7 @@ def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
         ValidationError: the checks of LabeledEnsemble fail.
     """
     ensemble = LabeledEnsemble(entries)
-    return ensemble, _ensemble_state(ensemble)
+    return ensemble, labeled_mixture(*ensemble.arrays())
 
 
 def _labeled_state(blocks: np.ndarray) -> np.ndarray:
@@ -122,10 +127,12 @@ def _labeled_state(blocks: np.ndarray) -> np.ndarray:
         *blocks.shape[:-3], n * d, n * d)
 
 
-def _ensemble_state(ensemble: LabeledEnsemble) -> np.ndarray:
-    """rho_RA of the ensemble; an n*a_dim square matrix (n = 1 included)."""
-    return _labeled_state(np.stack([prob * np.outer(vec, vec.conj())
-                                    for _, prob, vec in ensemble.by_label()]))
+def labeled_mixture(vecs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """rho_RA = sum_x p_x |x><x|_R (x) |phi_x><phi_x|_A of each item of the
+    stacks vecs (..., n, d) and probs (..., n), states trusted; for one
+    ensemble (n = 1 included) an n*d square matrix."""
+    return _labeled_state(probs[..., None, None]
+                          * (vecs[..., :, None] * vecs[..., None, :].conj()))
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
     u = compile_unitary(v_circuit)
     d, dc = ensemble.a_dim, v_circuit.ctc_dim
     (rho_out,), (fp,) = evolve_stack(u, rho_in[None], d, dc, selection)
-    vecs = np.array([vec for _, _, vec in ensemble.by_label()])
+    vecs, _ = ensemble.arrays()
     pure, _ = evolve_stack(u, vecs[:, :, None] * vecs[:, None].conj(), d, dc,
                            selection)
     return _outcome(rho_out, fp, ensemble, target, tuple(enumerate(pure)))
@@ -230,7 +237,7 @@ def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
             basis state per label (the success target would be undefined).
         SolverError: fixed-point solve failed.
     """
-    return _run_joint(v_circuit, ensemble, _ensemble_state(ensemble),
+    return _run_joint(v_circuit, ensemble, labeled_mixture(*ensemble.arrays()),
                       _success_target(ensemble), selection)
 
 
@@ -248,14 +255,11 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
                       _success_target(ensemble), selection)
 
 
-def _simulate(u: np.ndarray, ensembles, sigma: np.ndarray, dc: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The loop-free simulation for frozen sigmas: each phi_x of ensembles[b]
+def _simulate(u: np.ndarray, vecs: np.ndarray, probs: np.ndarray,
+              sigma: np.ndarray, dc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The loop-free simulation for frozen sigmas: each phi_x = vecs[b, x]
     passes Phi_sigma[b] under u[b], in one batch. Returns the checked mixtures
     sum_x p_x |x><x| (x) Phi_sigma(phi_x) and the outputs Phi_sigma(phi_x)."""
-    entries = [ensemble.by_label() for ensemble in ensembles]
-    vecs = np.array([[vec for _, _, vec in entry] for entry in entries])
-    probs = np.array([[prob for _, prob, _ in entry] for entry in entries])
     outs = frozen_channel(u, vecs[..., None] * vecs[..., None, :].conj(), sigma,
                           vecs.shape[-1], dc)
     return _checked_output(_labeled_state(probs[..., None, None] * outs)), outs
@@ -279,9 +283,10 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     u = compile_unitary(v_circuit)
     n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
     # the loop alone, on Tr_R rho_RA as a whole input: no joint output
-    rho_a = _ensemble_state(ensemble).reshape(n, d, n, d).trace(axis1=0, axis2=2)
+    vecs, probs = ensemble.arrays()
+    rho_a = labeled_mixture(vecs, probs).reshape(n, d, n, d).trace(axis1=0, axis2=2)
     _, (fp,) = evolve_stack(u, rho_a[None], d, dc, selection)
-    rho_out, outs = _simulate(u, [ensemble], fp.sigma, dc)
+    rho_out, outs = _simulate(u, vecs[None], probs[None], fp.sigma, dc)
     return _outcome(rho_out[0], fp, ensemble, target, tuple(enumerate(outs[0])))
 
 

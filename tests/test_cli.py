@@ -437,10 +437,10 @@ def test_sim_equivalence_refuses_more_than_max_trials(monkeypatch, capsys):
     # the bound is checked before any instance is drawn
     import ctcsim.experiments as experiments_mod
 
-    def never(seed, trial):
-        raise AssertionError("an instance was drawn")
+    def never(seed, trials):
+        raise AssertionError("instances were drawn")
 
-    monkeypatch.setattr(experiments_mod, "random_instance", never)
+    monkeypatch.setattr(experiments_mod, "random_instances", never)
     assert main(["experiment", "sim-equivalence", "--trials",
                  str(experiments_mod.MAX_TRIALS + 1)]) == 2
     captured = capsys.readouterr()
@@ -520,19 +520,19 @@ def test_seed_reaches_sim_equivalence_instances(monkeypatch, capsys):
     import ctcsim.experiments as experiments_mod
 
     calls = []
-    draw = experiments_mod.random_instance
+    draw = experiments_mod.random_instances
 
-    def recording(seed, trial):
-        calls.append((seed, trial))
-        return draw(seed, trial)
+    def recording(seed, trials):
+        calls.append((seed, trials))
+        return draw(seed, trials)
 
-    monkeypatch.setattr(experiments_mod, "random_instance", recording)
+    monkeypatch.setattr(experiments_mod, "random_instances", recording)
     monkeypatch.setenv("CTC_SIM_SEED", "9")
     assert main(["experiment", "sim-equivalence", "--trials", "2"]) == 0
     assert main(["experiment", "sim-equivalence", "--trials", "2",
                  "--seed", "5"]) == 0
     capsys.readouterr()
-    assert calls == [(9, 0), (9, 1), (5, 0), (5, 1)]
+    assert calls == [(9, 2), (5, 2)]
 
 
 def test_floats_are_rounded_for_stability(capsys):

@@ -392,19 +392,19 @@ def test_simulation_freezes_the_loop_state_of_the_mixture_run():
 
 def test_simulation_and_sim_equivalence_build_only_what_they_use(monkeypatch):
     # the simulation solves the loop on Tr_R rho_RA alone and never builds
-    # the joint output (the frozen channel on R (x) A blocks); a
-    # sim-equivalence trial builds its rho_RA once, for the loop and output,
-    # and its joint output and components are one stacked call each
+    # the joint output (the frozen channel on R (x) A blocks); sim-equivalence
+    # builds the rho_RA of its trials once, as one stack, for the loop and
+    # output, and its joint output and components are one stacked call each
     circuit, ens = random_instance(0, 0)
     names = ("evolve_stack", "frozen_channel")
-    calls = count_calls(monkeypatch, names + ("_ensemble_state",), stacked=names)
+    calls = count_calls(monkeypatch, names + ("labeled_mixture",), stacked=names)
     simulate_without_ctc(circuit, ens)
-    assert dict(calls) == {"_ensemble_state": 1, "evolve_stack": 1,
+    assert dict(calls) == {"labeled_mixture": 1, "evolve_stack": 1,
                            "frozen_channel": 1}
     calls.clear()
     stacks = count_calls(monkeypatch, names)
     sim_equivalence(trials=3, seed=0)
-    assert dict(calls) == {"_ensemble_state": 3, "evolve_stack": 3,
+    assert dict(calls) == {"labeled_mixture": 1, "evolve_stack": 3,
                            "frozen_channel": 6}
     assert dict(stacks) == {"evolve_stack": 1, "frozen_channel": 2}
 
