@@ -75,9 +75,10 @@ def builtin_matrix(name: str, wire_dims: tuple[int, ...]) -> np.ndarray:
 class Gate:
     """One gate: a name, the wires it acts on, and optionally its matrix.
 
-    matrix is None for builtin gates, whose canonical matrix is resolved from
-    the wire dimensions at compile time. Otherwise it is a read-only copy of
-    the caller's array, so a gate cannot change after its circuit checked it.
+    matrix is None for builtin gates, whose canonical matrix their circuit
+    resolves from the wire dimensions when it is built. Otherwise it is a
+    read-only copy of the caller's array, so a gate cannot change after its
+    circuit checked it.
     """
 
     name: str
@@ -106,8 +107,9 @@ class Gate:
         return self.matrix is None or np.array_equal(self.matrix, other.matrix)
 
 
-def _check_gate(gate: Gate, dims: tuple[int, ...]) -> None:
-    """Semantic gate checks against the declared wire dimensions."""
+def _check_gate(gate: Gate, dims: tuple[int, ...]) -> np.ndarray:
+    """Semantic gate checks against the declared wire dimensions; returns the
+    gate's matrix, a builtin's canonical (read-only) one."""
     n = len(dims)
     if any(type(w) is not int for w in gate.wires):
         raise ValidationError(
@@ -122,28 +124,28 @@ def _check_gate(gate: Gate, dims: tuple[int, ...]) -> None:
                 f"gate {gate.name!r} wire {w} out of range 0..{n - 1}")
     wire_dims = tuple(dims[w] for w in gate.wires)
     span = math.prod(wire_dims)
-    if gate.matrix is None:
-        if gate.name not in BUILTIN_GATES:
-            raise ValidationError(
-                f"gate {gate.name!r} is not builtin and has no matrix")
-        builtin_matrix(gate.name, wire_dims)
-        return
     m = gate.matrix
-    if m.shape != (span, span):
-        raise ValidationError(
-            f"gate {gate.name!r} matrix shape {m.shape} does not match wire "
-            f"dimensions {wire_dims} (expected {(span, span)})")
-    if not np.isfinite(m).all():
-        raise ValidationError(f"gate {gate.name!r} matrix has non-finite entries")
-    report = validate(m, "unitary")
-    if not report.ok:
-        raise ValidationError(f"gate {gate.name!r} matrix not unitary "
-                              f"(deviation {report.violations[0][1]:.3e})")
-    if gate.name in BUILTIN_GATES:
-        canonical = builtin_matrix(gate.name, wire_dims)
-        if np.abs(m - canonical).max() > 1e-12:
+    if m is None and gate.name not in BUILTIN_GATES:
+        raise ValidationError(f"gate {gate.name!r} is not builtin and has no matrix")
+    if m is not None:
+        if m.shape != (span, span):
             raise ValidationError(
-                f"gate {gate.name!r} matrix conflicts with the builtin definition")
+                f"gate {gate.name!r} matrix shape {m.shape} does not match wire "
+                f"dimensions {wire_dims} (expected {(span, span)})")
+        if not np.isfinite(m).all():
+            raise ValidationError(f"gate {gate.name!r} matrix has non-finite entries")
+        report = validate(m, "unitary")
+        if not report.ok:
+            raise ValidationError(f"gate {gate.name!r} matrix not unitary "
+                                  f"(deviation {report.violations[0][1]:.3e})")
+    if gate.name not in BUILTIN_GATES:
+        return m
+    canonical = builtin_matrix(gate.name, wire_dims)
+    if m is not None and np.abs(m - canonical).max() > 1e-12:
+        raise ValidationError(
+            f"gate {gate.name!r} matrix conflicts with the builtin definition")
+    canonical.setflags(write=False)
+    return canonical
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +153,11 @@ class Circuit:
     """An ordered gate list over declared CR and CTC wire registers.
 
     Construction checks the dimensions, the labels and every gate, and raises
-    CircuitFormatError with the JSON path of the field at fault ($.cr_dims,
-    $.ctc_dims, $.labels or $.gates[k]). A builtin-named gate that carries
-    its builtin matrix is stored in canonical form, with matrix None.
+    CircuitFormatError with the JSON path of the field at fault ($.cr_dims[k],
+    $.ctc_dims[k], $.labels or $.gates[k]). A builtin-named gate that carries
+    its builtin matrix is stored in canonical form, with matrix None. Each
+    gate's matrix, a builtin's resolved once here, is kept for
+    compile_unitary.
     """
 
     cr_dims: tuple[int, ...]
@@ -169,9 +173,10 @@ class Circuit:
         for reg_name, reg in (("cr_dims", self.cr_dims), ("ctc_dims", self.ctc_dims)):
             if not reg:
                 raise CircuitFormatError("must not be empty", f"$.{reg_name}")
-            if any(type(d) is not int for d in reg):
-                raise CircuitFormatError(
-                    f"entries must be integers, got {list(reg)}", f"$.{reg_name}")
+            for k, d in enumerate(reg):
+                if type(d) is not int:
+                    raise CircuitFormatError("expected an integer",
+                                             f"$.{reg_name}[{k}]")
             if any(d < 2 for d in reg):
                 raise CircuitFormatError(f"entries must be >= 2, got {list(reg)}",
                                          f"$.{reg_name}")
@@ -179,16 +184,17 @@ class Circuit:
             raise CircuitFormatError(
                 f"labels count {len(self.labels)} != wire count {self.n_wires}",
                 "$.labels")
-        gates = []
+        gates, matrices = [], []
         for k, g in enumerate(self.gates):
             try:
-                _check_gate(g, self.dims)
+                matrices.append(_check_gate(g, self.dims))
             except ValidationError as exc:
                 raise CircuitFormatError(str(exc), f"$.gates[{k}]") from exc
             if g.name in BUILTIN_GATES and g.matrix is not None:
                 g = Gate(g.name, g.wires)  # canonical form
             gates.append(g)
         object.__setattr__(self, "gates", tuple(gates))
+        object.__setattr__(self, "_matrices", tuple(matrices))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -225,13 +231,6 @@ class Circuit:
                 and self.gates == other.gates)
 
 
-def _resolve_matrix(gate: Gate, dims: tuple[int, ...]) -> np.ndarray:
-    if gate.matrix is not None:
-        return gate.matrix
-    wire_dims = tuple(dims[w] for w in gate.wires)
-    return builtin_matrix(gate.name, wire_dims)
-
-
 def compile_unitary(circuit: Circuit) -> np.ndarray:
     """Full-dimension unitary of the circuit, compiled once per Circuit.
 
@@ -247,21 +246,20 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
 
     The first call stores U on the circuit and every later call returns that
     same read-only array. This is sound because a Circuit cannot change after
-    construction: it is frozen and each Gate holds a read-only copy of its
-    matrix. The stored U lives exactly as long as its circuit.
+    construction: it is frozen, and the gate matrices it resolved when it was
+    built are read-only. The stored U lives exactly as long as its circuit.
     """
     u = circuit.__dict__.get("_unitary")
     if u is not None:
         return u
-    dims, gates = circuit.dims, circuit.gates
-    n, total = len(dims), circuit.total_dim
-    if gates and gates[0].wires == tuple(range(n)):
-        u, gates = np.array(_resolve_matrix(gates[0], dims)), gates[1:]
+    dims, n, total = circuit.dims, circuit.n_wires, circuit.total_dim
+    steps = list(zip(circuit.gates, circuit._matrices))
+    if steps and steps[0][0].wires == tuple(range(n)):
+        u = np.array(steps.pop(0)[1])
     else:
         u = np.eye(total, dtype=complex)
     u, order = u.reshape(dims + (total,)), list(range(n))
-    for gate in gates:
-        g = _resolve_matrix(gate, dims)
+    for gate, g in steps:
         rest = [a for a, w in enumerate(order) if w not in gate.wires]
         x = u.transpose([order.index(w) for w in gate.wires] + rest + [n])
         # the product leaves the gate's wires first, the rest as they were
@@ -488,12 +486,10 @@ def build_bhw_multi(states) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _parse_dim_list(obj, path: str) -> tuple[int, ...]:
+def _parse_dim_list(obj, path: str) -> tuple:
+    # Circuit judges the entries
     if not isinstance(obj, list):
         raise CircuitFormatError("expected an array of integers", path)
-    for k, v in enumerate(obj):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise CircuitFormatError("expected an integer", f"{path}[{k}]")
     return tuple(obj)
 
 
@@ -536,9 +532,9 @@ def parse_circuit(doc) -> Circuit:
 
     Raises:
         CircuitFormatError: schema violation here, or a semantic one raised
-            by Circuit (non-unitary gate, out-of-range wire, unknown
-            matrixless gate, ...); the message starts with the JSON path of
-            the offending element.
+            by Circuit (non-integer dimension or wire, non-unitary gate,
+            out-of-range wire, unknown matrixless gate, ...); the message
+            starts with the JSON path of the offending element.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -576,8 +572,7 @@ def parse_circuit(doc) -> Circuit:
                 raise CircuitFormatError("unknown key", f"{gpath}.{key}")
         if "name" not in raw or not isinstance(raw["name"], str):
             raise CircuitFormatError("missing or non-string 'name'", gpath)
-        if "wires" not in raw or not isinstance(raw["wires"], list) or not all(
-                isinstance(w, int) and not isinstance(w, bool) for w in raw["wires"]):
+        if not isinstance(raw.get("wires"), list):   # Circuit judges the entries
             raise CircuitFormatError("missing or non-integer-array 'wires'", gpath)
         matrix = None
         if "matrix" in raw:

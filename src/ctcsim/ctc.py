@@ -43,8 +43,8 @@ import numpy as np
 
 from .circuit import Circuit, compile_unitary
 from .qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL, PSD_FLOOR,
-                   ValidationError, ValidationReport, _as_matrix,
-                   _density_failure, _half_trace_norms, _hermitize, dagger,
+                   ValidationError, ValidationReport, _density_failure,
+                   _half_trace_norms, _hermitize, dagger, require_density,
                    require_unitary, trace_distance, von_neumann_entropy)
 
 
@@ -133,13 +133,10 @@ def _half_conjugation(u: np.ndarray, rho: np.ndarray, cr_dim: int,
 
 def _checked_cr(rho_cr, cr_dim: int) -> np.ndarray:
     """A caller's CR input, checked, as a stack of one."""
-    rho = _as_matrix(rho_cr)[None]
-    failure = _density_failure(rho)
-    if failure is not None:
-        raise ValidationError(f"rho_cr: {failure[1].message()}")
-    if rho.shape[-1] != cr_dim:
-        raise ValidationError(f"rho_cr dimension {rho.shape[-1]} != {cr_dim}")
-    return rho
+    rho = require_density(rho_cr, "rho_cr")
+    if len(rho) != cr_dim:
+        raise ValidationError(f"rho_cr dimension {len(rho)} != {cr_dim}")
+    return rho[None]
 
 
 def _loop_map(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
@@ -340,10 +337,11 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
     return out / out.trace().real
 
 
-def _schur_fixed_point(s: Superoperator, selection: str
+def _schur_fixed_point(m: np.ndarray, d_ctc: int, selection: str
                        ) -> tuple[np.ndarray, int]:
-    """Fixed point and fixed_space_dim off one ordered Schur form M = Z T Z+,
-    T11 holding the eigenvalues within EIGENVALUE_ONE_WINDOW of 1.
+    """Fixed point and fixed_space_dim of a loop map M (d_ctc^2 square) off
+    one ordered Schur form M = Z T Z+, T11 holding the eigenvalues within
+    EIGENVALUE_ONE_WINDOW of 1.
 
     canonical: Z [[I, X], [0, 0]] Z+ vec(I/d), the projection along the rest
     of the spectrum (it commutes with T when T11 X - X T22 = T12). With y =
@@ -360,7 +358,6 @@ def _schur_fixed_point(s: Superoperator, selection: str
     (Higham, ch. 15). No T22: the bound is 0.
     """
     import scipy.linalg
-    m = s.matrix
     n = m.shape[0]
     t, z, sdim = scipy.linalg.schur(
         m, output="complex",
@@ -368,7 +365,7 @@ def _schur_fixed_point(s: Superoperator, selection: str
     if sdim == 0:
         raise SolverError("no superoperator eigenvalue within the detection "
                           "window of 1; input is not a valid CPTP map")
-    y = dagger(z) @ _vec(np.eye(s.d_ctc, dtype=complex) / s.d_ctc)
+    y = dagger(z) @ _vec(np.eye(d_ctc, dtype=complex) / d_ctc)
     if sdim < n:
         x, scale, info = scipy.linalg.lapack.ztrsyl(
             t[:sdim, :sdim], t[sdim:, sdim:], t[:sdim, sdim:], isgn=-1)
@@ -438,8 +435,7 @@ def _fixed_points(maps: np.ndarray, d_ctc: int, selection: str
     dims = [1] * len(maps)
     for i in np.flatnonzero(~accepted):
         try:
-            sigma[i], dims[i] = _schur_fixed_point(
-                Superoperator(d_ctc, maps[i]), selection)
+            sigma[i], dims[i] = _schur_fixed_point(maps[i], d_ctc, selection)
         except SolverError:   # unless an earlier item fails its certificate
             _certify(sigma[:i], maps[:i], dims[:i], "exact", selection)
             raise
@@ -540,19 +536,21 @@ def frozen_channel(u: np.ndarray, x: np.ndarray, sigma: np.ndarray,
 def evolve_stack(u: np.ndarray, rho: np.ndarray, cr_dim: int, ctc_dim: int,
                  selection: str) -> tuple[np.ndarray, list[FixedPointResult]]:
     """ctc_evolve of a trusted stack rho (B, n*cr, n*cr) on R (x) CR under
-    compiled, trusted u (2-D: shared): each loop is solved on Tr_R rho. For
-    n = 1 the loop maps and the outputs share one half conjugation w; for
-    n > 1 Phi_sigma's matrix takes the n^2 blocks of rho."""
+    compiled, trusted u (2-D: shared): each loop is solved on Tr_R rho. n
+    picks only the output kernel: for n = 1 the outputs reuse the loop maps'
+    half conjugation w; for n > 1 Phi_sigma's matrix takes the n^2 blocks of
+    rho (the half conjugation of that many blocks would be n^2 times larger)."""
     n = rho.shape[-1] // cr_dim
-    if n == 1:
-        maps, u4, w = _loop_map(u, rho, cr_dim, ctc_dim)
-        sigma, fps = _fixed_points(maps, ctc_dim, selection)
-        return _checked_output(_trace_output(u4, w, sigma)), fps
     blocks = rho.reshape(-1, n, cr_dim, n, cr_dim)
-    maps = _loop_map(u, blocks.trace(axis1=1, axis2=3), cr_dim, ctc_dim)[0]
+    maps, u4, w = _loop_map(u, rho if n == 1 else blocks.trace(axis1=1, axis2=3),
+                            cr_dim, ctc_dim)
     sigma, fps = _fixed_points(maps, ctc_dim, selection)
-    out = frozen_channel(u, blocks.transpose(0, 1, 3, 2, 4), sigma, cr_dim, ctc_dim)
-    return _checked_output(out.transpose(0, 1, 3, 2, 4).reshape(rho.shape)), fps
+    if n == 1:
+        out = _trace_output(u4, w, sigma)
+    else:
+        out = frozen_channel(u, blocks.transpose(0, 1, 3, 2, 4), sigma, cr_dim,
+                             ctc_dim).transpose(0, 1, 3, 2, 4).reshape(rho.shape)
+    return _checked_output(out), fps
 
 
 def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"

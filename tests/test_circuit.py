@@ -94,9 +94,14 @@ def test_circuit_errors_carry_the_field_path():
 def test_non_integer_dimensions_and_wires_are_refused():
     swap = Gate("swap", (0, 1))
     cases = [
-        (dict(cr_dims=(2.7,), ctc_dims=(2,), gates=(swap,)), r"^\$\.cr_dims: "),
-        (dict(cr_dims=(2,), ctc_dims=(2.0,)), r"^\$\.ctc_dims: "),
-        (dict(cr_dims=(True, 2), ctc_dims=(2,)), r"^\$\.cr_dims: .*integers"),
+        (dict(cr_dims=(2.7,), ctc_dims=(2,), gates=(swap,)),
+         r"^\$\.cr_dims\[0\]: expected an integer$"),
+        (dict(cr_dims=(2,), ctc_dims=(2.0,)),
+         r"^\$\.ctc_dims\[0\]: expected an integer$"),
+        (dict(cr_dims=(True, 2), ctc_dims=(2,)),
+         r"^\$\.cr_dims\[0\]: expected an integer$"),
+        (dict(cr_dims=(2,), ctc_dims=(2, "3")),
+         r"^\$\.ctc_dims\[1\]: expected an integer$"),
         (dict(cr_dims=(2,), ctc_dims=(2,), gates=(swap, Gate("swap", (0.9, 1.2)))),
          r"^\$\.gates\[1\]: gate 'swap' wires must be integers"),
         (dict(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("swap", (False, 1)),)),
@@ -131,7 +136,7 @@ def test_parse_checks_each_gate_once(monkeypatch):
 
     def spy(gate, dims):
         calls.append(gate.name)
-        check(gate, dims)
+        return check(gate, dims)
 
     monkeypatch.setattr(circuit_mod, "_check_gate", spy)
     parse_circuit(two)
@@ -139,6 +144,30 @@ def test_parse_checks_each_gate_once(monkeypatch):
     calls.clear()
     parse_circuit(three)
     assert calls == ["select", "swap", "swap"]
+
+
+def test_builtin_matrices_are_resolved_once(monkeypatch):
+    # building checks each builtin gate against its canonical matrix, and
+    # compiling reuses that matrix
+    import ctcsim.circuit as circuit_mod
+
+    calls = []
+    resolve = circuit_mod.builtin_matrix
+
+    def spy(name, wire_dims):
+        calls.append(name)
+        return resolve(name, wire_dims)
+
+    monkeypatch.setattr(circuit_mod, "builtin_matrix", spy)
+    gates = (Gate("h", (0,)), Gate("cnot", (0, 2)), Gate("u", (1, 2), SWAP4),
+             Gate("swap", (1, 2), SWAP4), Gate("x", (2,)))
+    u = compile_unitary(Circuit(cr_dims=(2, 2), ctc_dims=(2,), gates=gates))
+    assert calls == ["h", "cnot", "swap", "x"]
+    explicit = tuple(Gate(f"g{k}", g.wires, resolve(g.name, (2,) * len(g.wires))
+                          if g.matrix is None else g.matrix)
+                     for k, g in enumerate(gates))
+    assert np.array_equal(u, compile_unitary(
+        Circuit(cr_dims=(2, 2), ctc_dims=(2,), gates=explicit)))
 
 
 def test_circuit_properties_and_labels():
@@ -750,6 +779,8 @@ def test_parse_error_paths():
         (dict(base, gates=[{"wires": [0, 1]}]), "$.gates[0]",
          "missing or non-string 'name'"),
         (dict(base, gates=[dict(gate, wires=[0, True])]), "$.gates[0]",
+         "gate 'swap' wires must be integers"),
+        (dict(base, gates=[dict(gate, wires=0)]), "$.gates[0]",
          "missing or non-integer-array 'wires'"),
         (dict(base, gates=[dict(gate, matrix=[])]), "$.gates[0].matrix",
          "expected a nonempty array of rows"),

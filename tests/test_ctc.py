@@ -427,9 +427,9 @@ def test_near_degenerate_loops_are_solved_or_refused(monkeypatch, eps,
     # below 1e-4 a decaying mode enters the window with a spread of 1e-10
     schur_calls = []
 
-    def counted(s, selection):
-        schur_calls.append(s.matrix.shape)
-        return _schur_fixed_point(s, selection)
+    def counted(m, d_ctc, selection):
+        schur_calls.append(m.shape)
+        return _schur_fixed_point(m, d_ctc, selection)
 
     monkeypatch.setattr(ctc_module, "_schur_fixed_point", counted)
     s = near_degenerate_superoperator(eps)
@@ -541,6 +541,13 @@ NOT_CHANNELS = (0.5 * np.eye(4),
                 np.outer(vec(np.diag([2.0, -1.0])), vec(np.eye(2))))
 
 
+def haar_loop(d_ctc, seed):
+    """The loop map of one Haar gate on a CR qubit and a d_ctc-level CTC wire
+    on a random CR input, whose fixed point is unique."""
+    return induced_superoperator(random_unitary(2 * d_ctc, seed),
+                                 random_density(2, seed), (2,), (d_ctc,))
+
+
 def solve_alone(s, selection):
     try:
         return fixed_point_exact(s, selection)
@@ -556,6 +563,11 @@ def solve_alone(s, selection):
 @example([near_degenerate_superoperator(eps) for eps in
           (1e-2, 1e-3, 1e-5, 1e-2, 3e-4, 1e-3)]
          + [Superoperator(2, m) for m in NOT_CHANNELS], "canonical")
+# n = 25 > 16 takes LAPACK LU item by item; the identity's bordered system is
+# exactly singular (zgetrf info > 0), so Schur solves it with fixed_space_dim
+# 25 between two loops that LU accepts
+@example([haar_loop(5, 0), Superoperator(5, np.eye(25)), haar_loop(5, 1)],
+         "canonical")
 def test_a_stack_of_loops_solves_as_each_loop_alone(loops, selection):
     # loops of one CTC dimension form one stack; an item the solver refuses
     # alone makes the whole stack raise its message, the first such in input

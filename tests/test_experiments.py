@@ -5,8 +5,10 @@ import pytest
 
 from ctcsim.circuit import Circuit, Gate
 from ctcsim.cli import EXPERIMENTS
-from ctcsim.experiments import (REGISTRY, random_instance, random_instances,
-                                sim_equivalence)
+import ctcsim.experiments as experiments_module
+from ctcsim.experiments import (REGISTRY, fixed_point_record,
+                                identical_mixtures, random_instance,
+                                random_instances, sim_equivalence)
 from ctcsim.oracle import random_unitary
 from ctcsim.protocol import (LabeledEnsemble, run_discrimination,
                              simulate_without_ctc)
@@ -59,6 +61,32 @@ def test_sim_equivalence_compares_the_mixture_run_with_its_simulation():
         residuals += [real.fixed_point.residual, sim.fixed_point.residual]
     assert results["per_trial_distances"] == distances
     assert results["max_fixed_point_residual"] == max(residuals)
+
+
+def test_identical_mixtures_is_one_stack_of_the_two_discrimination_runs(
+        monkeypatch):
+    circuit, (zero, one, plus, minus) = experiments_module._four_state_inputs()
+    want = {}
+    for selection in ("canonical", "max_entropy"):
+        out_01, out_pm = (run_discrimination(circuit, LabeledEnsemble(
+            [(0, 0.5, a), (1, 0.5, b)]), selection)
+            for a, b in ((zero, one), (plus, minus)))
+        want[selection] = {
+            "output_trace_distance": trace_distance(out_01.rho_out,
+                                                    out_pm.rho_out),
+            "fixed_point_basis": fixed_point_record(out_01.fixed_point),
+            "fixed_point_conjugate": fixed_point_record(out_pm.fixed_point)}
+    stacks = []
+    evolve_stack = experiments_module.evolve_stack
+
+    def counted(u, rho, *args):
+        stacks.append(len(rho))
+        return evolve_stack(u, rho, *args)
+
+    monkeypatch.setattr(experiments_module, "evolve_stack", counted)
+    monkeypatch.setattr(experiments_module, "run_discrimination", None)
+    assert identical_mixtures() == want
+    assert stacks == [2, 2]
 
 
 def drawn_one_at_a_time(seed, trial):
@@ -168,10 +196,7 @@ def test_the_stacked_checks_refuse_a_bad_state_or_weight(monkeypatch):
     ]
     for tampering, expected, words in cases:
         tamper_draws(monkeypatch, 3, **tampering)
-        # a NaN normal warns in the normalizing division, as it did when each
-        # trial was drawn alone; the check after it is what is tested here
-        with np.errstate(invalid="ignore"):
-            message = refusal(lambda: sim_equivalence(trials=5, seed=0))
+        message = refusal(lambda: sim_equivalence(trials=5, seed=0))
         monkeypatch.undo()
         assert message == refusal(lambda: ensemble_of(*expected))
         assert words in message
