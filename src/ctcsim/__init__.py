@@ -8,6 +8,8 @@ discrimination and computation protocols whose mixture-level behaviour that
 nonlinearity breaks.
 """
 
+import types
+
 from .circuit import (Circuit, CircuitFormatError, Gate, build_bhw2,
                       build_bhw_multi, build_epr_swap, builtin_matrix,
                       compile_unitary, complete_unitary, pad_with_ancillas,
@@ -29,18 +31,7 @@ from .qmat import (ValidationError, ValidationReport, dagger, kron,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit", "CircuitFormatError", "ComputationTask", "ConvergenceError",
-    "DiscriminationOutcome", "FixedPointResult", "Gate", "LabeledEnsemble",
-    "OracleReport", "SolverError", "Superoperator", "ValidationError",
-    "ValidationReport", "build_bhw2", "build_bhw_multi", "build_epr_swap",
-    "builtin_matrix", "choi_matrix", "compile_unitary", "complete_unitary",
-    "ctc_evolve", "dagger", "evolve_given_ctc_state", "fixed_point_bruteforce",
-    "fixed_point_cesaro", "fixed_point_exact", "helstrom_bound",
-    "induced_superoperator", "kron", "labeled_ensemble", "mutual_information",
-    "pad_with_ancillas", "parse_circuit", "partial_trace", "random_density",
-    "random_unitary", "run_computation_mixture", "run_discrimination",
-    "run_superposition", "serialize_circuit", "simulate_without_ctc",
-    "trace_distance", "validate", "validate_superoperator",
-    "von_neumann_entropy", "__version__",
-]
+# every name imported above, stated once there
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+__all__.append("__version__")

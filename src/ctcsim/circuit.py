@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import ValidationError, kron, require_unitary, validate
+from .qmat import (BUILTIN_MATCH_TOL, INNER_PRODUCT_TOL, ValidationError,
+                   _as_array, _state_failure, kron, require_unitary, validate)
 
 BUILTIN_GATES = ("swap", "h", "x", "cnot")
 
@@ -88,7 +89,7 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "wires", _integers(self.wires))
         if self.matrix is not None:
-            m = np.array(self.matrix, dtype=complex)
+            m = _as_array(self.matrix, f"gate {self.name!r} matrix").copy("K")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
 
@@ -132,16 +133,17 @@ def _check_gate(gate: Gate, dims: tuple[int, ...]) -> np.ndarray:
             raise ValidationError(
                 f"gate {gate.name!r} matrix shape {m.shape} does not match wire "
                 f"dimensions {wire_dims} (expected {(span, span)})")
-        if not np.isfinite(m).all():
-            raise ValidationError(f"gate {gate.name!r} matrix has non-finite entries")
         report = validate(m, "unitary")
         if not report.ok:
-            raise ValidationError(f"gate {gate.name!r} matrix not unitary "
-                                  f"(deviation {report.violations[0][1]:.3e})")
+            name, deviation = report.violations[0]
+            raise ValidationError(
+                f"gate {gate.name!r} matrix has non-finite entries"
+                if name == "finite entries" else
+                f"gate {gate.name!r} matrix not unitary (deviation {deviation:.3e})")
     if gate.name not in BUILTIN_GATES:
         return m
     canonical = builtin_matrix(gate.name, wire_dims)
-    if m is not None and np.abs(m - canonical).max() > 1e-12:
+    if m is not None and np.abs(m - canonical).max() > BUILTIN_MATCH_TOL:
         raise ValidationError(
             f"gate {gate.name!r} matrix conflicts with the builtin definition")
     canonical.setflags(write=False)
@@ -324,8 +326,8 @@ def complete_unitary(constraints, dim: int) -> np.ndarray:
         ValidationError: inconsistent (inner-product mismatch, naming the
             violating pair) or linearly dependent constraints.
     """
-    pairs = [(np.asarray(a, dtype=complex).reshape(-1),
-              np.asarray(b, dtype=complex).reshape(-1)) for a, b in constraints]
+    pairs = [(_as_array(a, "constraint").reshape(-1),
+              _as_array(b, "constraint").reshape(-1)) for a, b in constraints]
     if not pairs:
         raise ValidationError("complete_unitary needs at least one constraint")
     for k, (vin, vout) in enumerate(pairs):
@@ -335,7 +337,7 @@ def complete_unitary(constraints, dim: int) -> np.ndarray:
         for j in range(i, len(pairs)):
             gin = np.vdot(pairs[i][0], pairs[j][0])
             gout = np.vdot(pairs[i][1], pairs[j][1])
-            if abs(gin - gout) > 1e-10:
+            if abs(gin - gout) > INNER_PRODUCT_TOL:
                 raise ValidationError(
                     f"constraints {i} and {j} do not preserve inner products "
                     f"(<in_{i}|in_{j}> = {gin:.6g}, <out_{i}|out_{j}> = {gout:.6g})")
@@ -359,19 +361,31 @@ def _basis(i: int, d: int) -> np.ndarray:
     return v
 
 
-def _as_state(v, what: str = "state") -> np.ndarray:
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what} has non-finite entries")
-    n = float(np.linalg.norm(a))
-    if abs(n - 1.0) > 1e-10:
-        raise ValidationError(f"{what} not normalized (norm {n:.12g})")
-    return a
+def _as_states(states, name) -> list[np.ndarray]:
+    """The states flattened to vectors and checked by _state_failure, as one
+    stack where they share a dimension and one at a time where not; the first
+    bad one raises, named by name(its index)."""
+    vecs = [_as_array(v, name(k)).reshape(-1) for k, v in enumerate(states)]
+    same = len({len(v) for v in vecs}) == 1
+    for k, stack in enumerate([np.stack(vecs)] if same else [v[None] for v in vecs]):
+        failure = _state_failure(stack)
+        if failure is not None:
+            k += failure[0]
+            if failure[1].violations[0][0] == "finite entries":
+                raise ValidationError(f"{name(k)} has non-finite entries")
+            raise ValidationError(
+                f"{name(k)} not normalized (norm {np.linalg.norm(vecs[k]):.12g})")
+    return vecs
+
+
+def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
+    """Unit vectors a and b coincide up to phase, within INNER_PRODUCT_TOL."""
+    return 1.0 - abs(np.vdot(a, b)) <= INNER_PRODUCT_TOL
 
 
 def pad_with_ancillas(state, dim: int) -> np.ndarray:
     """Tensor |0...0> ancillas onto `state` to reach total dimension `dim`."""
-    a = np.asarray(state, dtype=complex).reshape(-1)
+    a = _as_array(state, "state").reshape(-1)
     if dim % a.size != 0:
         raise ValidationError(
             f"cannot pad a dimension-{a.size} state to dimension {dim}")
@@ -404,11 +418,11 @@ def build_bhw2(psi) -> Circuit:
         ValidationError: psi not normalized, wrong dimension, or equal to |0>
             up to phase (nothing to discriminate).
     """
-    psi = _as_state(psi, "psi")
+    (psi,) = _as_states([psi], lambda k: "psi")
     if psi.shape != (2,):
         raise ValidationError("psi must be a single-qubit state")
     e0, e1 = _basis(0, 2), _basis(1, 2)
-    if 1.0 - abs(np.vdot(psi, e0)) <= 1e-10:
+    if _same_ray(psi, e0):
         raise ValidationError("psi coincides with |0> up to phase")
     residual = e0 - psi * np.vdot(psi, e0)
     psi_perp = residual / np.linalg.norm(residual)
@@ -447,7 +461,7 @@ def build_bhw_multi(states) -> Circuit:
         states: n >= 2 normalized vectors of one common power-of-two
             dimension, pairwise distinct as rays.
     """
-    vecs = [_as_state(s, f"states[{k}]") for k, s in enumerate(states)]
+    vecs = _as_states(states, "states[{}]".format)
     n = len(vecs)
     if n < 2:
         raise ValidationError("need at least two states to discriminate")
@@ -458,7 +472,7 @@ def build_bhw_multi(states) -> Circuit:
         raise ValidationError(f"state dimension must be a power of two >= 2, got {d_in}")
     for i in range(n):
         for j in range(i + 1, n):
-            if 1.0 - abs(np.vdot(vecs[i], vecs[j])) <= 1e-10:
+            if _same_ray(vecs[i], vecs[j]):
                 raise ValidationError(f"states {i} and {j} coincide up to phase")
     total = 1 << (max(n, d_in) - 1).bit_length()
     m = total.bit_length() - 1

@@ -60,22 +60,20 @@ def _selection(arg: str) -> str:
     return "max_entropy" if arg == "max-entropy" else arg
 
 
+# the named inputs of one CR dimension, by their amplitudes times sqrt(2)
+_FIXED_INPUTS = {"plus": [1.0, 1.0], "minus": [1.0, -1.0], "bell": [1.0, 0.0, 0.0, 1.0]}
+
+
 def _named_input(name: str, dim: int) -> np.ndarray:
     if name == "mixed":
         return np.eye(dim, dtype=complex) / dim
-    if name == "zero":
-        vec = _basis(0, dim)
-    elif name == "one":  # Circuit makes every CR dimension >= 2
-        vec = _basis(1, dim)
-    elif name in ("plus", "minus"):
-        if dim != 2:
-            raise ValidationError(f"input '{name}' needs CR dimension 2, got {dim}")
-        sign = 1.0 if name == "plus" else -1.0
-        vec = np.array([1.0, sign], dtype=complex) / math.sqrt(2)
-    elif name == "bell":
-        if dim != 4:
-            raise ValidationError(f"input 'bell' needs CR dimension 4, got {dim}")
-        vec = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+    if name in ("zero", "one"):  # Circuit makes every CR dimension >= 2
+        vec = _basis(int(name == "one"), dim)
+    elif name in _FIXED_INPUTS:
+        vec = np.array(_FIXED_INPUTS[name], dtype=complex) / math.sqrt(2)
+        if dim != len(vec):
+            raise ValidationError(
+                f"input '{name}' needs CR dimension {len(vec)}, got {dim}")
     else:
         raise ValidationError(
             f"unknown input spec '{name}'; use zero|one|plus|minus|bell|mixed"
@@ -170,11 +168,9 @@ def _cmd_experiment(args, seed: int) -> tuple[dict, dict]:
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
-    lines = ["theta,mutual_info,product_distance,helstrom"]
-    for r in rows:
-        lines.append(",".join(f"{r[c]:.12g}" for c in
-                              ("theta", "mutual_info", "product_distance",
-                               "helstrom")))
+    columns = ("theta", "mutual_info", "product_distance", "helstrom")
+    lines = [",".join(columns)]
+    lines += [",".join(f"{r[c]:.12g}" for c in columns) for r in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -206,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="canonical")
     fp.add_argument("--verify", action="store_true",
                     help="cross-check with brute-force and Cesaro solvers")
-    fp.add_argument("--seed", type=int, default=None,
-                    help="master seed (default: $CTC_SIM_SEED or 0)")
-    fp.add_argument("--out", default=None, help="write report to this path")
 
     ex = sub.add_parser("experiment", help="run a named experiment")
     ex.add_argument("name", choices=EXPERIMENTS)
@@ -220,15 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
                          " default: 0.5)")
     ex.add_argument("--selection", choices=("canonical", "max-entropy"),
                     help="degeneracy rule (default: canonical)")
-    ex.add_argument("--seed", type=int, default=None,
-                    help="master seed (default: $CTC_SIM_SEED or 0)")
     ex.add_argument("--trials", type=int,
                     help="trial count for sim-equivalence (default: 50)")
     ex.add_argument("--sweep", default=None, metavar="theta=START:STOP:STEP",
                     help="sweep theta (mixture experiment only)")
     ex.add_argument("--csv", default=None,
                     help="with --sweep: also write rows as CSV to this path")
-    ex.add_argument("--out", default=None, help="write report to this path")
+    for command in (fp, ex):
+        command.add_argument("--seed", type=int, default=None,
+                             help="master seed (default: $CTC_SIM_SEED or 0)")
+        command.add_argument("--out", default=None, help="write report to this path")
     return parser
 
 

@@ -28,8 +28,8 @@ seeded at I/d) and "max_entropy" (Deutsch's rule: the fixed state of largest
 entropy, in closed form). Both are deterministic.
 
 The kernels take stacks of loops (a leading loop axis; one loop is a stack
-of one). LAPACK LU above n = dc^2 = 16, the Schur fallback and the report of
-a failed stacked check go item by item, in input order. An input on
+of one). LAPACK LU above n = dc^2 = 16 and the Schur fallback go item by
+item, in input order; density checks run once on the stack. An input on
 R (x) CR, with a register R no gate touches, is solved on Tr_R rho, and its
 output is (id_R (x) Phi_sigma*)(rho).
 """
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, compile_unitary
-from .qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL, PSD_FLOOR,
-                   ValidationError, ValidationReport, _density_failure,
-                   _half_trace_norms, _hermitize, dagger, require_density,
-                   require_unitary, trace_distance, von_neumann_entropy)
+from .qmat import (CHOI_PSD_FLOOR, EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
+                   PSD_FLOOR, TRACE_PRESERVING_TOL, ValidationError, ValidationReport,
+                   _as_array, _density_failure, _half_trace_norms, _hermitize, dagger,
+                   require_density, require_unitary, trace_distance, von_neumann_entropy)
 
 
 class SolverError(RuntimeError):
@@ -81,7 +81,7 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _as_array(self.matrix, "superoperator matrix")
         d2 = self.d_ctc * self.d_ctc
         if m.shape != (d2, d2):
             raise ValidationError(
@@ -89,7 +89,7 @@ class Superoperator:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, sigma) -> np.ndarray:
-        sigma = np.asarray(sigma, dtype=complex)
+        sigma = _as_array(sigma, "operand")
         if sigma.shape != (self.d_ctc, self.d_ctc):
             raise ValidationError(
                 f"operand shape {sigma.shape}, expected "
@@ -192,17 +192,17 @@ def choi_matrix(s: Superoperator) -> np.ndarray:
 
 
 def validate_superoperator(s: Superoperator) -> ValidationReport:
-    """Report trace-preservation (within 1e-10) and complete-positivity
-    (Choi PSD within 1e-9) violations."""
+    """Report trace-preservation (within TRACE_PRESERVING_TOL) and complete-
+    positivity (Choi PSD within CHOI_PSD_FLOOR) violations."""
     d = s.d_ctc
     violations: list[tuple[str, float]] = []
     # row l*d+k of column j*d+i is E(|i><j|)[k,l]; TP means its trace is delta_ij
     traces = s.matrix.reshape(d, d, d * d).trace(axis1=0, axis2=1)
     tp_err = float(np.abs(traces - _vec(np.eye(d))).max())
-    if tp_err > 1e-10:
+    if tp_err > TRACE_PRESERVING_TOL:
         violations.append(("trace preserving", float(tp_err)))
     lam_min = float(np.linalg.eigvalsh(_hermitize(choi_matrix(s)))[0])
-    if lam_min < -1e-9:
+    if lam_min < -CHOI_PSD_FLOOR:
         violations.append(("completely positive", -lam_min))
     return ValidationReport("superoperator", tuple(violations))
 
@@ -509,7 +509,7 @@ def fixed_point_cesaro(s: Superoperator,
 def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
     """Ordinary (linear) evolution for a FIXED time-machine state:
     Tr_CTC(U (rho_cr x sigma) U+)."""
-    u, rho, sigma = (np.asarray(m, dtype=complex) for m in (u, rho_cr, sigma))
+    u, rho, sigma = (_as_array(m, "input") for m in (u, rho_cr, sigma))
     return _trace_output(*_half_conjugation(u, rho, cr_dim, ctc_dim), sigma)[0]
 
 

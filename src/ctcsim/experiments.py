@@ -21,8 +21,9 @@ from .protocol import (ComputationTask, DiscriminationOutcome,
                        LabeledEnsemble, _simulate, helstrom_bound,
                        labeled_mixture, run_computation_mixture,
                        run_discrimination, run_superposition)
-from .qmat import (HERMITICITY_TOL, ValidationError, _half_trace_norms,
-                   mutual_information, trace_distance)
+from .qmat import (ValidationError, _half_trace_norms, _norms, _state_failure,
+                   _unitary_failure, _weights_failure, mutual_information,
+                   trace_distance)
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
 _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -33,6 +34,7 @@ FOUR_STATE_NAMES = ("zero", "one", "plus", "minus")
 # a --sweep grid spans at most this many steps; a tiny step would otherwise
 # build a list until memory runs out
 MAX_SWEEP_STEPS = 1000
+SWEEP_SLACK = 1e-12   # a grid point this far past STOP, by rounding, still counts
 # sim-equivalence draws and stacks at most this many instances
 MAX_TRIALS = 10_000
 
@@ -102,12 +104,6 @@ def _four_state_inputs() -> tuple[Circuit, list[np.ndarray]]:
     return circuit, [pad_with_ancillas(v, circuit.cr_dim) for v in states]
 
 
-def _norms(vecs: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each vector of a stack (..., d), to the bit."""
-    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
-
-
 def _instance(u, vecs, probs) -> tuple[Circuit, LabeledEnsemble]:
     """One drawn trial as a circuit and an ensemble, which check it."""
     return (Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("v", (0, 1), u),)),
@@ -120,9 +116,8 @@ def random_instances(seed: int, trials: int, first: int = 0
     (T, 2, 2), weights (T, 2). Trial t reads default_rng([seed, t]): 40
     normals, the Ginibre matrix of U as random_unitary reads it, then the two
     states; then p0 in [0.1, 0.9) for the weights p0 and 1 - p0. The checks
-    of Circuit and LabeledEnsemble (tolerances included) run once on the
-    stacks; if one fails, the trials are built through those classes and the
-    first bad one raises."""
+    of Circuit and LabeledEnsemble run once on the stacks; the first trial
+    that fails one is built through those classes, which word the error."""
     rngs = [np.random.default_rng([seed, t]) for t in range(first, first + trials)]
     normals = np.array([rng.standard_normal(40) for rng in rngs])
     p0 = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
@@ -133,13 +128,11 @@ def random_instances(seed: int, trials: int, first: int = 0
     with np.errstate(invalid="ignore"):   # a non-finite draw fails the check
         vecs = vecs / _norms(vecs)[..., None]
     probs = np.stack([p0, 1.0 - p0], axis=1)
-    if (not (np.isfinite(u).all() and np.isfinite(vecs).all())
-            or np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(4)).max() > HERMITICITY_TOL
-            or np.abs(_norms(vecs) - 1.0).max() > 1e-10
-            or not (probs > 0).all()
-            or np.abs(probs.sum(axis=1) - 1.0).max() > 1e-12):
-        for t in range(trials):
-            _instance(u[t], vecs[t], probs[t])
+    failed = (_unitary_failure(u), _state_failure(vecs.reshape(-1, 2)),
+              _weights_failure(probs))
+    if any(failed):   # the lowest failing trial; a trial holds two states
+        t = min(f[0] // k for f, k in zip(failed, (1, 2, 1)) if f)
+        _instance(u[t], vecs[t], probs[t])   # raises
     return u, vecs, probs
 
 
@@ -168,7 +161,7 @@ def _parse_sweep(spec: str) -> list[float]:
                               f"{MAX_SWEEP_STEPS} steps")
     grid = []
     k = 0
-    while (value := start + k * step) <= stop + 1e-12:
+    while (value := start + k * step) <= stop + SWEEP_SLACK:
         grid.append(_check_theta(value))
         k += 1
     return grid

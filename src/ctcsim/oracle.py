@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, compile_unitary
+from .ctc import _checked_cr
 from .qmat import (ValidationError, _half_trace_norms, _hermitize, dagger,
-                   require_density, trace_distance)
+                   trace_distance)
 
 RECORD_RESIDUAL = 1e-7     # a limit counts as converged below this
 STOP_RESIDUAL = 1e-11      # iteration target; see note below
@@ -96,10 +97,8 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    rho = require_density(rho_cr, "rho_cr")
     cr, dc = circuit.cr_dim, circuit.ctc_dim
-    if rho.shape != (cr, cr):
-        raise ValidationError(f"rho_cr dimension {rho.shape[0]} != CR dimension {cr}")
+    rho = _checked_cr(rho_cr, cr)[0]
     u = compile_unitary(circuit)
     uh = dagger(u)
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _as_state, _basis, compile_unitary
+from .circuit import Circuit, _as_states, _basis, compile_unitary
 from .ctc import FixedPointResult, _checked_output, evolve_stack, frozen_channel
-from .qmat import (ValidationError, kron, mutual_information, partial_trace,
-                   trace_distance)
+from .qmat import (ValidationError, _as_array, _weights_failure, kron,
+                   mutual_information, partial_trace, trace_distance)
 
 SUCCESS_DISTANCE = 1e-6  # trace-distance bound defining protocol success
 
@@ -39,48 +39,48 @@ class LabeledEnsemble:
     Attributes:
         entries: tuple of (label, probability, state vector). Labels are
             exactly 0..n-1 (they double as R basis indices); probabilities
-            are positive and sum to 1 within 1e-12; states are finite,
-            normalized vectors of one dimension, stored as complex arrays.
-            Duplicate states under distinct labels are allowed.
-
-    Raises:
-        ValidationError: any of the above fails, or entries is empty.
+            are positive and sum to 1 within WEIGHT_SUM_TOL; states are
+            finite, normalized vectors of one dimension, stored as complex
+            arrays. Duplicate states under distinct labels are allowed.
+            A ValidationError says which fails, or that entries is empty.
     """
 
     entries: tuple[tuple[int, float, np.ndarray], ...]
 
     def __post_init__(self):
-        items = []
         for entry in self.entries:
             if len(entry) != 3:
+                raise ValidationError("each entry must be (label, probability, state)")
+            if not isinstance(entry[0], (int, np.integer)) or isinstance(entry[0], bool):
+                raise ValidationError(f"label {entry[0]!r} is not an integer")
+        labels = [int(e[0]) for e in self.entries]
+        probs = _as_array([e[1] for e in self.entries], "probabilities", float)
+        if probs.shape != (len(labels),):
+            raise ValidationError("each probability must be a number")
+        weights = _weights_failure(probs[None])
+        failed = dict(weights[1].violations) if weights else {}
+        refused = int(np.argmin(probs > 0)) if "positive weights" in failed else -1
+        for k, (label, (_, _, state)) in enumerate(zip(labels, self.entries)):
+            if k == refused:   # the first weight refused, told before its state
                 raise ValidationError(
-                    "each entry must be (label, probability, state)")
-            label, prob, state = entry
-            if not isinstance(label, (int, np.integer)) or isinstance(label, bool):
-                raise ValidationError(f"label {label!r} is not an integer")
-            prob = float(prob)
-            if not prob > 0:  # NaN included
-                raise ValidationError(
-                    f"label {label}: probability {prob} must be positive")
-            if np.ndim(state) != 1:
+                    f"label {label}: probability {float(probs[k])} must be positive")
+            if _as_array(state, f"label {label}: state", None).ndim != 1:
                 raise ValidationError(f"label {label}: state must be a vector")
-            items.append((int(label), prob,
-                          _as_state(state, f"label {label}: state")))
-        if not items:
+        vecs = _as_states([e[2] for e in self.entries],
+                          lambda k: f"label {labels[k]}: state")
+        if not labels:
             raise ValidationError("ensemble needs at least one entry")
-        labels = sorted(lbl for lbl, _, _ in items)
-        if labels != list(range(len(items))):
+        if sorted(labels) != list(range(len(labels))):
             raise ValidationError(
-                f"labels must be exactly 0..{len(items) - 1}, got {labels}")
-        total = sum(p for _, p, _ in items)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        d = items[0][2].shape[0]
-        for lbl, _, vec in items:
-            if vec.shape[0] != d:
+                f"labels must be exactly 0..{len(labels) - 1}, got {sorted(labels)}")
+        if "unit sum" in failed:
+            raise ValidationError(
+                f"probabilities sum to {sum(probs.tolist())!r}, not 1")
+        for label, vec in zip(labels, vecs):
+            if len(vec) != len(vecs[0]):
                 raise ValidationError(
-                    f"label {lbl}: state dimension {vec.shape[0]} != {d}")
-        object.__setattr__(self, "entries", tuple(items))
+                    f"label {label}: state dimension {len(vec)} != {len(vecs[0])}")
+        object.__setattr__(self, "entries", tuple(zip(labels, probs.tolist(), vecs)))
 
     @property
     def n(self) -> int:
@@ -103,19 +103,9 @@ class LabeledEnsemble:
 
 
 def labeled_ensemble(entries) -> tuple[LabeledEnsemble, np.ndarray]:
-    """Build the checked ensemble and the labeled mixture on R (x) A.
-
-    Args:
-        entries: iterable of (label, probability, state vector).
-
-    Returns:
-        (ensemble, rho_ra): the validated ensemble and the block-diagonal
-        classical-quantum state sum_x p_x |x><x| (x) |phi_x><phi_x|, with R
-        dimension equal to the number of labels.
-
-    Raises:
-        ValidationError: the checks of LabeledEnsemble fail.
-    """
+    """(ensemble, rho_ra) for entries of (label, probability, state vector):
+    the LabeledEnsemble, which checks them, and its labeled_mixture on R (x) A,
+    R of one dimension per label."""
     ensemble = LabeledEnsemble(entries)
     return ensemble, labeled_mixture(*ensemble.arrays())
 
@@ -222,19 +212,12 @@ def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
     The fixed point is solved for the whole mixture, on rho_A = Tr_R rho_RA:
     the nonlinear evolution sees the mixture, not its components.
     Per-pure-input outputs are reported alongside so the contrast with
-    component-wise behaviour is explicit.
-
-    Args:
-        v_circuit: discriminator over A (CR wires) and CTC wires.
-        ensemble: labeled ensemble with A dimension matching the circuit.
-        selection: fixed-point selection rule, "canonical" or "max_entropy".
-
-    Returns:
-        DiscriminationOutcome for the joint run.
+    component-wise behaviour is explicit. v_circuit acts on A (its CR
+    wires) and CTC wires; selection is "canonical" or "max_entropy".
 
     Raises:
-        ValidationError: dimension mismatch, or A too small to hold one
-            basis state per label (the success target would be undefined).
+        ValidationError: the ensemble's A dimension is not the circuit's, or
+            A cannot hold one basis state per label (no success target).
         SolverError: fixed-point solve failed.
     """
     return _run_joint(v_circuit, ensemble, labeled_mixture(*ensemble.arrays()),

@@ -9,6 +9,8 @@ row-major index of ``|i⟩⊗|j⟩`` is ``i * dim_b + j``.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +20,19 @@ class ValidationError(ValueError):
     """An input failed matrix validation (shape, hermiticity, trace, ...)."""
 
 
-# Numerical tolerances shared across the package; no function takes a
-# per-call override.
-# max entrywise deviation of M from M†, and the unit-trace and unitarity defects
-HERMITICITY_TOL = 1e-10
-# eigenvalues in [-PSD_FLOOR, 0) count as zero; anything lower is an error,
-# never silently repaired
-PSD_FLOOR = 1e-10
-# acceptance bound on ½‖E(σ)−σ‖₁ for solver output
-FIXED_POINT_RESIDUAL = 1e-9
-# superoperator eigenvalues within this distance of 1 form the fixed subspace
-EIGENVALUE_ONE_WINDOW = 1e-9
+# Numerical tolerances, each named once here for the whole package; no
+# function takes a per-call override.
+HERMITICITY_TOL = 1e-10      # max |M - M†| entry; unit-trace, unitarity defects
+PSD_FLOOR = 1e-10            # eigenvalues in [-PSD_FLOOR, 0) count as zero
+NORM_TOL = 1e-10             # | ||v|| - 1 | of a pure state
+WEIGHT_SUM_TOL = 1e-12       # | sum p - 1 | of an ensemble's weights
+INNER_PRODUCT_TOL = 1e-10    # 1 - |<a|b>| of one ray; |<a|b> - <Ua|Ub>|
+BUILTIN_MATCH_TOL = 1e-12    # max deviation of a builtin-named gate's matrix
+TRACE_PRESERVING_TOL = 1e-10  # a superoperator's trace-preservation defect
+CHOI_PSD_FLOOR = 1e-9        # Choi eigenvalues in [-CHOI_PSD_FLOOR, 0) are CP
+MUTUAL_INFO_FLOOR = 1e-8     # mutual information in [-floor, 0) clamps to 0
+FIXED_POINT_RESIDUAL = 1e-9  # acceptance bound on ½‖E(σ)−σ‖₁ of solver output
+EIGENVALUE_ONE_WINDOW = 1e-9  # loop-map eigenvalues this close to 1 are fixed
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,17 @@ class ValidationReport:
         return f"invalid {self.kind}: {parts}"
 
 
+def _as_array(m, what: str, dtype=complex) -> np.ndarray:
+    """m as an array of dtype (None: numpy's choice); entries numpy cannot
+    read as numbers, or a ragged nesting, raise ValidationError."""
+    try:
+        return np.asarray(m, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: not an array of numbers ({exc})") from exc
+
+
 def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, "matrix")
     if a.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
@@ -65,31 +78,17 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def kron(*factors) -> np.ndarray:
-    """Kronecker product with the first factor most significant.
-
-    ``kron(a, b, c)`` equals ``kron(kron(a, b), c)``; dimensions multiply.
-    """
+    """Kronecker product of the factors in order, the first most significant."""
     if not factors:
         raise ValidationError("kron needs at least one factor")
-    out = _as_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, _as_matrix(f))
-    return out
+    return functools.reduce(np.kron, map(_as_matrix, factors))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors not listed in `keep`.
-
-    Args:
-        m: square matrix over the full tensor space.
-        dims: subsystem dimensions in order, product must match m. Entries
-            of 1 are permitted (trivial factors).
-        keep: indices of the subsystems to retain; the result keeps them in
-            ascending index order. Must be a nonempty subset.
-
-    Returns:
-        The reduced matrix on the kept subsystems; trace is preserved.
-    """
+    """Trace out the tensor factors of m not listed in `keep`, a nonempty
+    subset of the factor indices; the kept factors stay in ascending order
+    and the trace is preserved. dims are the factor dimensions in order (1s
+    allowed), and their product is m's dimension."""
     a = _as_matrix(m)
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
@@ -149,8 +148,8 @@ def von_neumann_entropy(rho) -> float:
 def mutual_information(rho_ab, dims) -> float:
     """S(A) + S(B) − S(AB) in bits across the bipartition `dims` = (dA, dB).
 
-    Numerical noise may produce tiny negatives; values in [−1e−8, 0) are
-    clamped to 0 and anything lower is an error.
+    Numerical noise may produce tiny negatives; values in
+    [−MUTUAL_INFO_FLOOR, 0) are clamped to 0 and anything lower is an error.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2:
@@ -159,94 +158,120 @@ def mutual_information(rho_ab, dims) -> float:
     rho_b = partial_trace(rho_ab, dims, keep=[1])
     mi = (von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
           - von_neumann_entropy(rho_ab))
-    if mi < -1e-8:
+    if mi < -MUTUAL_INFO_FLOOR:
         raise ValidationError(f"mutual information {mi:.3e} below -1e-8")
     return max(mi, 0.0)
 
 
-def validate(m, kind: str) -> ValidationReport:
-    """Check matrix invariants without raising.
-
-    The PSD test of a density matrix is certified by one numpy Cholesky
-    factorization of h + PSD_FLOOR·I, h the Hermitized matrix: in exact
-    arithmetic it succeeds iff λ_min(h) > −PSD_FLOOR. Only when it fails
-    does numpy's eigvalsh run; its λ_min then decides the case and sizes the
-    violation, so boundary decisions and reported magnitudes are eigvalsh's.
-
-    Args:
-        m: square matrix.
-        kind: "density" (Hermitian, PSD within PSD_FLOOR, unit trace) or
-            "unitary" (M†M = I within HERMITICITY_TOL).
-
-    Returns:
-        A ValidationReport listing each violated invariant and its magnitude.
-        Malformed input (not square, 0 x 0, non-finite entries) is itself
-        reported as a violation, never raised.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return ValidationReport(kind, (("square shape", float("nan")),))
-    if a.size == 0:
-        return ValidationReport(kind, (("nonempty shape", float("nan")),))
-    if not np.isfinite(a).all():
-        return ValidationReport(kind, (("finite entries", float("nan")),))
-    violations: list[tuple[str, float]] = []
-    if kind == "density":
-        herm = float(np.abs(a - dagger(a)).max())
-        if herm > HERMITICITY_TOL:
-            violations.append(("hermiticity", herm))
-        tr = float(abs(a.trace() - 1.0))
-        if tr > HERMITICITY_TOL:
-            violations.append(("unit trace", tr))
-        shifted = (a + dagger(a)) / 2
-        shifted.flat[::a.shape[0] + 1] += PSD_FLOOR
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            lam_min = float(np.linalg.eigvalsh((a + dagger(a)) / 2)[0])
-            if lam_min < -PSD_FLOOR:
-                violations.append(("positive semidefinite", -lam_min))
-    elif kind == "unitary":
-        defect = float(np.abs(dagger(a) @ a - np.eye(a.shape[0])).max())
-        if defect > HERMITICITY_TOL:
-            violations.append(("unitarity", defect))
-    else:
-        raise ValidationError(f"unknown validation kind {kind!r}")
-    return ValidationReport(kind, tuple(violations))
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each vector of a stack (..., d), to the bit."""
+    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _density_failure(stack) -> tuple[int, ValidationReport] | None:
-    """(index, report) of the first matrix of a stack (B, d, d) that validate
-    rejects as a density, or None; item by item only if the stacked rules fail."""
-    a = np.asarray(stack, dtype=complex)
-    if a.shape[1] == a.shape[2] and a.size and np.isfinite(a).all():
+# --- the input rules: one stacked check per kind ----------------------------
+
+def _first_failure(kind: str, stack: np.ndarray, rules, finite: bool = True
+                   ) -> tuple[int, ValidationReport] | None:
+    """(index, report) of the first item of a stack that breaks a rule, or
+    None. rules(items) gives (name, magnitudes, limit) per rule, a float per
+    item, broken above the limit. With `finite`, the rules see only the items
+    before the first non-finite one, which fails "finite entries"."""
+    end = len(stack)
+    if finite and not np.isfinite(stack).all():
+        end = int(np.isfinite(stack).reshape(end, -1).all(axis=1).argmin())
+    checked = rules(stack if end == len(stack) else stack[:end])
+    i = end
+    for _, mag, limit in checked:   # scan what max() does not clear (a NaN first too)
+        if not max(mag, default=0.0) <= limit:
+            i = next((k for k, x in enumerate(mag[:i]) if x > limit), i)
+    if i < end:
+        return i, ValidationReport(kind, tuple(
+            (name, mag[i]) for name, mag, limit in checked if mag[i] > limit))
+    if end < len(stack):
+        return end, ValidationReport(kind, (("finite entries", math.nan),))
+    return None
+
+
+def _density_failure(stack: np.ndarray) -> tuple[int, ValidationReport] | None:
+    """Density matrices (B, d, d): Hermitian and of unit trace within
+    HERMITICITY_TOL, PSD within PSD_FLOOR. One Cholesky factorization of all
+    h + PSD_FLOOR·I (h Hermitized) passes every λ_min(h) > −PSD_FLOOR; if it
+    fails, each item's eigvalsh λ_min decides it and sizes the violation."""
+    def rules(a):
         a_h = a.conj().swapaxes(1, 2)
         shifted = (a + a_h) / 2
-        shifted.reshape(len(a), -1)[:, ::a.shape[1] + 1] += PSD_FLOOR
-        if (np.abs(a - a_h).max() <= HERMITICITY_TOL and np.abs(
-                a.trace(axis1=1, axis2=2) - 1.0).max() <= HERMITICITY_TOL):
-            try:
-                np.linalg.cholesky(shifted)
-                return None
-            except np.linalg.LinAlgError:
-                pass
-    reports = (validate(item, "density") for item in a)
-    return next(((i, r) for i, r in enumerate(reports) if not r.ok), None)
+        shifted.reshape(len(a), a.shape[1] ** 2)[:, ::a.shape[1] + 1] += PSD_FLOOR
+        try:
+            np.linalg.cholesky(shifted)
+            psd = [0.0] * len(a)
+        except np.linalg.LinAlgError:
+            psd = (-np.linalg.eigvalsh((a + a_h) / 2)[:, 0]).tolist()
+        herm = np.abs(a - a_h).max(axis=(1, 2)).tolist()
+        trace = [abs(t - 1.0) for t in a.trace(axis1=1, axis2=2).tolist()]
+        return (("hermiticity", herm, HERMITICITY_TOL),
+                ("unit trace", trace, HERMITICITY_TOL),
+                ("positive semidefinite", psd, PSD_FLOOR))
+    return _first_failure("density", stack, rules)
+
+
+def _unitary_failure(stack: np.ndarray) -> tuple[int, ValidationReport] | None:
+    """Unitaries (B, d, d): M†M = I within HERMITICITY_TOL."""
+    return _first_failure("unitary", stack, lambda a: (("unitarity", np.abs(
+        a.conj().swapaxes(1, 2) @ a - np.eye(a.shape[1])).max(axis=(1, 2)).tolist(),
+        HERMITICITY_TOL),))
+
+
+def _state_failure(stack: np.ndarray) -> tuple[int, ValidationReport] | None:
+    """Pure states (B, d): norm 1 within NORM_TOL."""
+    return _first_failure("state", stack, lambda v: (
+        ("unit norm", [abs(n - 1.0) for n in _norms(v).tolist()], NORM_TOL),))
+
+
+def _weights_failure(stack: np.ndarray) -> tuple[int, ValidationReport] | None:
+    """Weight vectors (B, n): all positive (the magnitude counts those not,
+    NaN too), and their Python sum 1 within WEIGHT_SUM_TOL."""
+    def rules(p):
+        rows = p.tolist()
+        positive = [float(sum(not w > 0 for w in r)) for r in rows]
+        return (("positive weights", positive, 0),
+                ("unit sum", [abs(sum(r) - 1.0) for r in rows], WEIGHT_SUM_TOL))
+    return _first_failure("weights", stack, rules, finite=False)
+
+
+def validate(m, kind: str) -> ValidationReport:
+    """The ValidationReport of a square matrix, each violated invariant with
+    its magnitude: the one-item view of _density_failure (kind "density") or
+    _unitary_failure ("unitary"). Malformed input (entries that are not
+    numbers, not square, 0 x 0, non-finite) is reported, never raised."""
+    check = {"density": _density_failure, "unitary": _unitary_failure}.get(kind)
+    if check is None:
+        raise ValidationError(f"unknown validation kind {kind!r}")
+    try:
+        a = _as_array(m, "matrix")
+    except ValidationError:
+        return ValidationReport(kind, (("numeric entries", math.nan),))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return ValidationReport(kind, (("square shape", math.nan),))
+    if a.size == 0:
+        return ValidationReport(kind, (("nonempty shape", math.nan),))
+    failure = check(a[None])
+    return ValidationReport(kind, ()) if failure is None else failure[1]
+
+
+def _require(m, kind: str, what: str) -> np.ndarray:
+    a = _as_matrix(m)
+    report = validate(a, kind)
+    if not report.ok:
+        raise ValidationError(f"{what}: {report.message()}")
+    return a
 
 
 def require_density(m, what: str = "state") -> np.ndarray:
     """Validate as a density matrix, raising ValidationError on failure."""
-    a = _as_matrix(m)
-    report = validate(a, "density")
-    if not report.ok:
-        raise ValidationError(f"{what}: {report.message()}")
-    return a
+    return _require(m, "density", what)
 
 
 def require_unitary(m, what: str = "matrix") -> np.ndarray:
     """Validate as a unitary, raising ValidationError on failure."""
-    a = _as_matrix(m)
-    report = validate(a, "unitary")
-    if not report.ok:
-        raise ValidationError(f"{what}: {report.message()}")
-    return a
+    return _require(m, "unitary", what)

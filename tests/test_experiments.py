@@ -200,3 +200,21 @@ def test_the_stacked_checks_refuse_a_bad_state_or_weight(monkeypatch):
         monkeypatch.undo()
         assert message == refusal(lambda: ensemble_of(*expected))
         assert words in message
+
+
+def test_only_the_lowest_failing_trial_is_built(monkeypatch):
+    # trial 1 draws a bad weight and trial 3 a non-unitary U: the weight,
+    # the lowest failing trial over every kind, is the error, and no other
+    # trial goes through Circuit and LabeledEnsemble
+    scaled = np.diag([1.0, 1.0, 1.0, 1.01]).astype(complex)
+    built = []
+    build = experiments_module._instance
+    monkeypatch.setattr(experiments_module, "_instance",
+                        lambda *a: built.append(a) or build(*a))
+    tamper_qr(monkeypatch, {3: scaled})
+    tamper_draws(monkeypatch, 1, p0=0.0)
+    message = refusal(lambda: sim_equivalence(trials=5, seed=0))
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert message == refusal(lambda: ensemble_of(np.eye(2)[0], 0.0))
+    assert "probability 0.0 must be positive" in message

@@ -2,6 +2,7 @@
 linear simulation, Helstrom bound and computation tasks."""
 
 import dataclasses
+import re
 import sys
 from collections import Counter
 
@@ -102,6 +103,21 @@ def test_ensemble_validation(build):
     ensemble = build([(1, 0.5, [0, 1]), (0, 0.5, [1, 0])])
     assert [(lbl, v.dtype) for lbl, _, v in ensemble.by_label()] == [
         (0, np.complex128), (1, np.complex128)]
+
+
+@pytest.mark.parametrize("states, words", [
+    ([KET0, 2 * KET1, np.array([np.nan, 0.0])], "label 1: state not normalized"),
+    ([np.array([np.inf, 0.0]), 2 * KET1], "label 0: state has non-finite entries"),
+    ([KET0, 2 * basis(1, 3)], "label 1: state not normalized"),  # before the dims
+])
+def test_the_first_bad_state_is_the_error(states, words):
+    # states of one dimension are checked as one stack, a ragged set one at a
+    # time; either way the first bad state is reported, in _as_states' words
+    with pytest.raises(ValidationError, match=words):
+        LabeledEnsemble([(k, 1 / len(states), v) for k, v in enumerate(states)])
+    name = words.replace("label ", "states[").replace(": state", "]")
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        build_bhw_multi(states)
 
 
 # --- discrimination ----------------------------------------------------------

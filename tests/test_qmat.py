@@ -7,11 +7,14 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from ctcsim.qmat import (EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
-                         HERMITICITY_TOL, PSD_FLOOR, ValidationError, dagger,
-                         kron, mutual_information, partial_trace,
-                         require_density, require_unitary, trace_distance,
-                         validate, von_neumann_entropy)
+                         HERMITICITY_TOL, PSD_FLOOR, ValidationError,
+                         _density_failure, _state_failure, _unitary_failure,
+                         _weights_failure, dagger, kron, mutual_information,
+                         partial_trace, require_density, require_unitary,
+                         trace_distance, validate, von_neumann_entropy)
+from ctcsim import Gate, Superoperator, build_epr_swap, ctc_evolve
 from ctcsim.oracle import random_unitary
+from ctcsim.protocol import LabeledEnsemble
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -299,3 +302,115 @@ def test_tolerances_defaults_and_positivity():
     assert PSD_FLOOR == 1e-10
     assert FIXED_POINT_RESIDUAL == 1e-9
     assert EIGENVALUE_ONE_WINDOW == 1e-9
+
+
+# --- bad entries and the stacked checks ---------------------------------------
+
+# entries numpy cannot read as numbers, and ragged nestings
+@pytest.mark.parametrize("call", [
+    lambda: require_density([[1, "a"]]),
+    lambda: require_unitary([[1], [1, 2]]),
+    lambda: trace_distance([[1, "a"]], [[1]]),
+    lambda: kron(I2, [[1, "a"]]),
+    lambda: ctc_evolve(build_epr_swap(), [[1, "a"]]),
+    lambda: LabeledEnsemble([(0, 1.0, ["a", 0])]),
+    lambda: LabeledEnsemble([(0, 1.0, [[1], [1, 2]])]),
+    lambda: LabeledEnsemble([(0, "x", [1, 0])]),
+    lambda: LabeledEnsemble([(0, None, [1, 0])]),
+    lambda: LabeledEnsemble([(0, [0.5, 0.5], [1, 0])]),
+    lambda: Gate("g", (0,), [[1, "a"]]),
+    lambda: Superoperator(1, [["a"]]),
+], ids=["require_density", "require_unitary-ragged", "trace_distance", "kron",
+        "ctc_evolve", "ensemble-state", "ensemble-ragged-state",
+        "ensemble-weight", "ensemble-none-weight", "ensemble-list-weight",
+        "gate", "superoperator"])
+def test_every_bad_entry_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("m", [[[1, "a"]], [[1], [1, 2]]])
+@pytest.mark.parametrize("kind", ["density", "unitary"])
+def test_validate_reports_entries_that_are_not_numbers(m, kind):
+    report = validate(m, kind)
+    assert [name for name, _ in report.violations] == ["numeric entries"]
+
+
+def _spoil(kind, item, how, rng):
+    """item with one rule of its kind broken, by a clear margin."""
+    item = item.copy()
+    if how == "non-finite":
+        item.flat[rng.integers(item.size)] = rng.choice([np.nan, np.inf])
+    elif how == "hermiticity":
+        item[0, -1] += 1e-3 if len(item) > 1 else 1e-3j
+    elif how == "trace":
+        item *= 1.5
+    elif how == "psd":
+        lam = np.full(len(item), 0.4 / max(len(item) - 1, 1))
+        lam[0] = -0.4 if len(item) > 1 else 1.0 + 0.4   # a 1 x 1 state: trace
+        q = random_unitary(len(item), rng)
+        item[...] = (q * lam) @ dagger(q)
+    elif how == "unitarity":
+        item[-1] *= 1.01
+    elif how == "norm":
+        item *= 1.001
+    elif how == "weight":
+        item[rng.integers(item.size)] = rng.choice([-0.2, 0.0, np.nan])
+    elif how == "sum":
+        item *= 1.01
+    return item
+
+
+SPOILS = {"density": ["hermiticity", "trace", "psd", "non-finite"],
+          "unitary": ["unitarity", "non-finite"],
+          "state": ["norm", "non-finite"],
+          "weights": ["weight", "sum"]}
+
+
+def _valid(kind, d, rng):
+    if kind == "density":
+        return rank_deficient(d, int(rng.integers(1, d + 1)), rng)
+    if kind == "unitary":
+        return random_unitary(d, rng)
+    if kind == "state":
+        return random_unitary(d, rng)[:, 0]
+    w = rng.random(d) + 0.05
+    return w / sum(w.tolist())
+
+
+@st.composite
+def spoiled_stacks(draw):
+    """A stack of 1-6 valid items of one kind with 0-2 of them spoiled."""
+    kind = draw(st.sampled_from(sorted(SPOILS)))
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = np.stack([_valid(kind, d, rng) for _ in range(n)])
+    spoiled = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    for i in spoiled:
+        stack[i] = _spoil(kind, stack[i], draw(st.sampled_from(SPOILS[kind])), rng)
+    return kind, stack, min(spoiled, default=None)
+
+
+CHECKS = {"density": _density_failure, "unitary": _unitary_failure,
+          "state": _state_failure, "weights": _weights_failure}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spoiled_stacks())
+def test_the_stacked_check_is_its_one_item_view_on_the_first_bad_item(case):
+    kind, stack, first = case
+    event(kind)
+    failure = CHECKS[kind](stack)
+    # alone, the items before the first spoiled one pass, and it fails
+    alone = [CHECKS[kind](stack[i:i + 1]) for i in range(len(stack))]
+    failing_alone = [i for i, f in enumerate(alone) if f is not None]
+    assert failing_alone[:1] == ([] if first is None else [first])
+    if first is None:
+        assert failure is None
+        return
+    index, report = failure
+    assert index == first and not report.ok
+    assert report == alone[first][1]
+    if kind in ("density", "unitary"):
+        assert report == validate(stack[first], kind)
