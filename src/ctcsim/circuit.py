@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import (BUILTIN_MATCH_TOL, INNER_PRODUCT_TOL, ValidationError,
-                   _as_array, _state_failure, kron, require_unitary, validate)
+                   _as_array, _norms, _state_failure, kron, require_unitary, validate)
 
 BUILTIN_GATES = ("swap", "h", "x", "cnot")
 
@@ -44,11 +44,15 @@ class CircuitFormatError(ValidationError):
         super().__init__(f"{path}: {message}")
 
 
+def _is_integer(value) -> bool:
+    """value is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integers(values) -> tuple:
     """values as a tuple, Python and numpy integers as int; any other entry,
     a bool or a float among them, is kept as given for the checks to refuse."""
-    return tuple(int(v) if isinstance(v, (int, np.integer))
-                 and not isinstance(v, bool) else v for v in values)
+    return tuple(int(v) if _is_integer(v) else v for v in values)
 
 
 def builtin_matrix(name: str, wire_dims: tuple[int, ...]) -> np.ndarray:
@@ -374,7 +378,7 @@ def _as_states(states, name) -> list[np.ndarray]:
             if failure[1].violations[0][0] == "finite entries":
                 raise ValidationError(f"{name(k)} has non-finite entries")
             raise ValidationError(
-                f"{name(k)} not normalized (norm {np.linalg.norm(vecs[k]):.12g})")
+                f"{name(k)} not normalized (norm {_norms(vecs[k]):.12g})")
     return vecs
 
 
@@ -461,6 +465,10 @@ def build_bhw_multi(states) -> Circuit:
         states: n >= 2 normalized vectors of one common power-of-two
             dimension, pairwise distinct as rays.
     """
+    try:
+        states = list(states)
+    except TypeError:
+        raise ValidationError("states must be a sequence of state vectors") from None
     vecs = _as_states(states, "states[{}]".format)
     n = len(vecs)
     if n < 2:

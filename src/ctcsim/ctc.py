@@ -45,7 +45,7 @@ from .circuit import Circuit, compile_unitary
 from .qmat import (CHOI_PSD_FLOOR, EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
                    PSD_FLOOR, TRACE_PRESERVING_TOL, ValidationError, ValidationReport,
                    _as_array, _density_failure, _half_trace_norms, _hermitize, dagger,
-                   require_density, require_unitary, trace_distance, von_neumann_entropy)
+                   require_density, require_unitary, von_neumann_entropy)
 
 
 class SolverError(RuntimeError):
@@ -484,11 +484,14 @@ def fixed_point_cesaro(s: Superoperator,
                 f"iterate trace {trace:.3e} at N={n}: the map does not "
                 f"preserve trace", residual=last_residual)
         current = _hermitize(raw) / trace
-        last_residual = trace_distance(s.apply(current), current)
-        # at N = 1 the residual alone decides (e.g. constant maps)
-        if last_residual <= FIXED_POINT_RESIDUAL and (
-                prev is None
-                or trace_distance(current, prev) <= FIXED_POINT_RESIDUAL):
+        # the residual, then the step from the previous doubling; at N = 1
+        # the residual alone decides (e.g. constant maps)
+        diffs = [s.apply(current) - current]
+        if prev is not None:
+            diffs.append(current - prev)
+        norms = _half_trace_norms(np.stack(diffs))
+        last_residual = float(norms[0])
+        if (norms <= FIXED_POINT_RESIDUAL).all():
             dim_est = max(1, int(round(power.trace().real)))
             return _certify(_psd_clip(current)[None], m[None], [dim_est],
                             "cesaro", "canonical")[0]

@@ -4,8 +4,10 @@ This module deliberately shares no solver code with the engine: it applies
 the defining map Tr_CR(U (rho x sigma) U+) directly with numpy and the
 compiled circuit unitary, iterating from many random starts. It exists to
 certify the exact solver's answers and to expose degenerate (non-unique)
-fixed spaces empirically. All trials iterate together as one stack, one
-batched step per iteration.
+fixed spaces empirically. The map is applied once to the matrix units, which
+gives the loop's matrix in the oracle's own row-major convention; all trials
+then step together as one stack, one small product per iteration, and every
+residual check applies the map itself again.
 
 Randomness: all generators are numpy PCG64 via numpy.random.default_rng.
 Per-trial generators are seeded as default_rng([master_seed, trial_index]),
@@ -28,6 +30,7 @@ STOP_RESIDUAL = 1e-11      # iteration target; see note below
 DEDUP_DISTANCE = 1e-6
 CHECK_EVERY = 64
 MAX_ITERS = 10 ** 5        # default iteration cap per trial
+UNITS_PER_CALL = 64        # matrix units mapped at once to build the step
 
 # The stop target is far below the recording bar on purpose: at spectral gap
 # g, a residual r certifies distance <= ~r/g to the true fixed point, so
@@ -85,15 +88,24 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
                            iters: int = MAX_ITERS, seed=0) -> OracleReport:
     """Search for fixed points by plain map iteration from random starts.
 
-    The trials form one (trials, dc, dc) stack, mapped each step by one
-    broadcast Kronecker product with rho_cr, one batched conjugation by U and
-    one reshaped trace; a running sum gives each trial's Cesaro mean (it
-    washes out peripheral eigenvalue oscillation). Every 64 steps and at the
-    cap, one batched eigvalsh scores every live trial's plain iterate and its
-    Hermitized, normalized mean; a trial keeps its best candidate and leaves
-    the `live` index array once that residual is <= 1e-11. Limits with
-    residual <= 1e-7 are recorded; non-convergence just lowers `converged`.
-    Peak memory: three (2 * trials, D, D) stacks, D = circuit.total_dim.
+    The map (a broadcast Kronecker product with rho_cr, a batched
+    conjugation by U and a reshaped trace) is applied to the dc^2 matrix
+    units |i><j|, 64 at a time, once: row i*dc + j of the resulting
+    (dc^2, dc^2) matrix is the image of |i><j|, flattened row-major. The
+    trials form one (trials, dc^2) stack of flattened iterates, each step
+    one (live, dc^2) x (dc^2, dc^2) product; a running sum gives each
+    trial's Cesaro mean (it washes out peripheral eigenvalue oscillation).
+    Every 64 steps and at the cap, the map itself is applied to every live
+    trial's plain iterate and its Hermitized, normalized mean, and one
+    batched eigvalsh scores them, so the definition certifies each limit;
+    a trial keeps its best candidate and leaves the `live` index array once
+    that residual is <= 1e-11. Limits with residual <= 1e-7 are recorded;
+    non-convergence just lowers `converged`.
+
+    Cost: dc^2 applications of the map, then dc^4 per trial and step where
+    a conjugation by U costs 2 (cr dc)^3, so slow loops gain while
+    dc < 2 cr^3. Peak memory: three (max(64, 2 * trials), D, D) stacks,
+    D = circuit.total_dim, and two (dc^2, dc^2) matrices.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -107,15 +119,22 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
         joint = u @ joint.reshape(-1, cr * dc, cr * dc) @ uh
         return joint.reshape(-1, cr, dc, cr, dc).trace(axis1=1, axis2=3)
 
-    sigma = np.stack([random_density(dc, [seed, t]) for t in range(trials)])
-    acc, live = np.zeros_like(sigma), np.arange(trials)
-    best, best_res = sigma.copy(), np.full(trials, np.inf)
+    units = np.eye(dc * dc, dtype=complex).reshape(-1, dc, dc)
+    step = np.concatenate([apply_map(units[k:k + UNITS_PER_CALL])
+                           for k in range(0, dc * dc, UNITS_PER_CALL)])
+    step = step.reshape(dc * dc, dc * dc)
+
+    start = np.stack([random_density(dc, [seed, t]) for t in range(trials)])
+    flat = start.reshape(trials, dc * dc)
+    acc, live = np.zeros_like(flat), np.arange(trials)
+    best, best_res = start.copy(), np.full(trials, np.inf)
     for it in range(1, iters + 1):
-        sigma = apply_map(sigma)
-        acc += sigma
+        flat = flat @ step
+        acc += flat
         if it % CHECK_EVERY and it != iters:
             continue
-        mean = _hermitize(acc / it)
+        sigma = flat.reshape(-1, dc, dc)
+        mean = _hermitize(acc.reshape(-1, dc, dc) / it)
         mean /= mean.trace(axis1=1, axis2=2).real[:, None, None]
         cands = np.concatenate((sigma, mean))
         res = _half_trace_norms(apply_map(cands) - cands)
@@ -126,7 +145,7 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
         best[live[better]] = np.where(take_mean[:, None, None], mean, sigma)[better]
         best_res[live[better]] = cand_res[better]
         keep = best_res[live] > STOP_RESIDUAL
-        live, sigma, acc = live[keep], sigma[keep], acc[keep]
+        live, flat, acc = live[keep], flat[keep], acc[keep]
         if not live.size:
             break
     limits = best[best_res <= RECORD_RESIDUAL]

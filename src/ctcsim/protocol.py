@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _as_states, _basis, compile_unitary
+from .circuit import Circuit, _as_states, _basis, _is_integer, compile_unitary
 from .ctc import FixedPointResult, _checked_output, evolve_stack, frozen_channel
 from .qmat import (ValidationError, _as_array, _weights_failure, kron,
                    mutual_information, partial_trace, trace_distance)
@@ -48,25 +48,30 @@ class LabeledEnsemble:
     entries: tuple[tuple[int, float, np.ndarray], ...]
 
     def __post_init__(self):
-        for entry in self.entries:
+        try:
+            entries = [tuple(entry) for entry in self.entries]
+        except TypeError:
+            raise ValidationError(
+                "entries must be a sequence of (label, probability, state)") from None
+        for entry in entries:
             if len(entry) != 3:
                 raise ValidationError("each entry must be (label, probability, state)")
-            if not isinstance(entry[0], (int, np.integer)) or isinstance(entry[0], bool):
+            if not _is_integer(entry[0]):
                 raise ValidationError(f"label {entry[0]!r} is not an integer")
-        labels = [int(e[0]) for e in self.entries]
-        probs = _as_array([e[1] for e in self.entries], "probabilities", float)
+        labels = [int(e[0]) for e in entries]
+        probs = _as_array([e[1] for e in entries], "probabilities", float)
         if probs.shape != (len(labels),):
             raise ValidationError("each probability must be a number")
         weights = _weights_failure(probs[None])
         failed = dict(weights[1].violations) if weights else {}
         refused = int(np.argmin(probs > 0)) if "positive weights" in failed else -1
-        for k, (label, (_, _, state)) in enumerate(zip(labels, self.entries)):
+        for k, (label, (_, _, state)) in enumerate(zip(labels, entries)):
             if k == refused:   # the first weight refused, told before its state
                 raise ValidationError(
                     f"label {label}: probability {float(probs[k])} must be positive")
             if _as_array(state, f"label {label}: state", None).ndim != 1:
                 raise ValidationError(f"label {label}: state must be a vector")
-        vecs = _as_states([e[2] for e in self.entries],
+        vecs = _as_states([e[2] for e in entries],
                           lambda k: f"label {labels[k]}: state")
         if not labels:
             raise ValidationError("ensemble needs at least one entry")
@@ -310,6 +315,8 @@ class ComputationTask:
     circuit: Circuit
 
     def __post_init__(self):
+        if not _is_integer(self.domain_size):
+            raise ValidationError(f"domain_size {self.domain_size!r} is not an integer")
         if self.domain_size < 1:
             raise ValidationError("domain_size must be >= 1")
         if self.domain_size > self.circuit.cr_dim:
@@ -321,7 +328,7 @@ class ComputationTask:
                 f"truth table has {len(self.truth_table)} entries for "
                 f"domain size {self.domain_size}")
         for x, fx in enumerate(self.truth_table):
-            if not isinstance(fx, (int, np.integer)) or isinstance(fx, bool):
+            if not _is_integer(fx):
                 raise ValidationError(f"truth_table[{x}] is not an integer")
             if not 0 <= fx < self.circuit.cr_dim:
                 raise ValidationError(

@@ -164,9 +164,11 @@ def mutual_information(rho_ab, dims) -> float:
 
 
 def _norms(vecs: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each vector of a stack (..., d), to the bit."""
+    """np.linalg.norm of each vector of a stack (..., d), to the bit; a norm
+    whose square overflows is inf, without a warning."""
     re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    with np.errstate(over="ignore"):
+        return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
 # --- the input rules: one stacked check per kind ----------------------------

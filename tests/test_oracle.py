@@ -10,8 +10,9 @@ from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
                             compile_unitary)
 from ctcsim.ctc import ctc_evolve, fixed_point_exact, induced_superoperator
 from ctcsim.oracle import (CHECK_EVERY, DEDUP_DISTANCE, RECORD_RESIDUAL,
-                           STOP_RESIDUAL, OracleReport, fixed_point_bruteforce,
-                           random_density, random_unitary)
+                           STOP_RESIDUAL, UNITS_PER_CALL, OracleReport,
+                           fixed_point_bruteforce, random_density,
+                           random_unitary)
 from ctcsim.qmat import (ValidationError, dagger, kron, partial_trace,
                          trace_distance, validate)
 
@@ -224,6 +225,14 @@ def test_batch_matches_serial_when_trials_stop_at_different_checks():
     assert len(set(stops)) > 1 and max(stops) < 3000
 
 
+def test_batch_matches_serial_when_the_step_is_built_in_chunks():
+    # two CTC qutrits: 81 matrix units, mapped 64 and then 17 at a time
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(3, 3),
+                      gates=(Gate("u", (0, 1, 2), random_unitary(18, 4)),))
+    assert circuit.ctc_dim ** 2 > UNITS_PER_CALL
+    assert_matches_serial(circuit, random_density(2, 5), 3, 70, 1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_loop_circuits())
 def test_oracle_limits_lie_at_a_unique_exact_fixed_point(case):
@@ -252,18 +261,40 @@ class CountingUnitary(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-@pytest.mark.parametrize("iters", [1, 10, 64])
-def test_oracle_maps_the_whole_stack_once_per_step(monkeypatch, iters):
-    # the trials are one stack: each step, and the residual check at the
-    # cap, multiplies it by U once, whatever the number of trials
+def count_u_products(monkeypatch, circuit, rho, trials, iters):
+    """The matrix products U takes part in over one oracle run."""
     import ctcsim.oracle as oracle_mod
     compile_unitary_ = oracle_mod.compile_unitary
     monkeypatch.setattr(oracle_mod, "compile_unitary",
                         lambda c: compile_unitary_(c).view(CountingUnitary))
+    CountingUnitary.products = 0
+    report = fixed_point_bruteforce(circuit, rho, trials=trials, iters=iters,
+                                    seed=3)
+    return CountingUnitary.products, report
+
+
+@pytest.mark.parametrize("iters", [1, 10, 64])
+def test_oracle_takes_u_once_for_its_step_and_once_per_check(monkeypatch, iters):
+    # U builds the step matrix in one batched map of the matrix units, and
+    # the residual check (here the only one, at the cap or step 64) maps
+    # the candidates once more; the steps themselves never touch U
     circuit = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=())
     for trials in (1, 7, 32):
-        CountingUnitary.products = 0
-        report = fixed_point_bruteforce(circuit, proj(PLUS), trials=trials,
-                                        iters=iters, seed=3)
+        products, report = count_u_products(monkeypatch, circuit, proj(PLUS),
+                                            trials, iters)
         assert report.converged == trials
-        assert CountingUnitary.products == iters + 1
+        assert products == 2
+
+
+def test_oracle_takes_u_once_more_at_each_later_check(monkeypatch):
+    # a slow loop keeps every trial live past step 64: 200 steps reach the
+    # checks at 64, 128 and 192 and the one at the cap
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    u = scipy.linalg.expm(-0.005j * (g + dagger(g)))
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(3,), gates=(Gate("u", (0, 1), u),))
+    for trials in (1, 7, 32):
+        products, report = count_u_products(monkeypatch, circuit,
+                                            random_density(2, 1), trials, 200)
+        assert report.converged == 0
+        assert products == 1 + 4

@@ -120,6 +120,26 @@ def test_the_first_bad_state_is_the_error(states, words):
         build_bhw_multi(states)
 
 
+@pytest.mark.parametrize("call, words", [
+    (lambda: LabeledEnsemble([5]), "entries must be a sequence"),
+    (lambda: LabeledEnsemble(None), "entries must be a sequence"),
+    (lambda: build_bhw_multi(5), "states must be a sequence"),
+    (lambda: ComputationTask(domain_size="3", truth_table=(0, 1, 1),
+                             circuit=build_bhw_multi([KET0, KET1])),
+     "domain_size '3' is not an integer"),
+], ids=["ensemble-entry-int", "ensemble-none", "bhw-multi-int", "task-str-domain"])
+def test_a_non_sequence_or_non_integer_argument_is_a_validation_error(call, words):
+    with pytest.raises(ValidationError, match=words):
+        call()
+
+
+def test_a_norm_that_overflows_is_refused_without_a_warning():
+    # finite entries whose squared norm overflows: the suite turns any
+    # RuntimeWarning into an error, so the refusal must come first and alone
+    with pytest.raises(ValidationError, match=re.escape("psi not normalized (norm inf)")):
+        build_bhw2([1e200, 1e200])
+
+
 # --- discrimination ----------------------------------------------------------
 
 def test_bhw2_mixture_fails_even_for_orthogonal_pair():
