@@ -49,10 +49,19 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _integers(values) -> tuple:
+def _sequence(values, path: str) -> tuple:
+    """values as a tuple; a value that does not iterate is refused at path."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise CircuitFormatError(
+            f"expected a sequence, got {type(values).__name__}", path) from None
+
+
+def _integers(values, path: str) -> tuple:
     """values as a tuple, Python and numpy integers as int; any other entry,
     a bool or a float among them, is kept as given for the checks to refuse."""
-    return tuple(int(v) if _is_integer(v) else v for v in values)
+    return tuple(int(v) if _is_integer(v) else v for v in _sequence(values, path))
 
 
 def builtin_matrix(name: str, wire_dims: tuple[int, ...]) -> np.ndarray:
@@ -91,7 +100,7 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", _integers(self.wires))
+        object.__setattr__(self, "wires", _integers(self.wires, "$.wires"))
         if self.matrix is not None:
             m = _as_array(self.matrix, f"gate {self.name!r} matrix").copy("K")
             m.setflags(write=False)
@@ -159,10 +168,11 @@ class Circuit:
     """An ordered gate list over declared CR and CTC wire registers.
 
     Construction checks the dimensions, the labels and every gate, and raises
-    CircuitFormatError with the JSON path of the field at fault ($.cr_dims[k],
-    $.ctc_dims[k], $.labels or $.gates[k]). A builtin-named gate that carries
-    its builtin matrix is stored in canonical form, with matrix None. Each
-    gate's matrix, a builtin's resolved once here, is kept for
+    CircuitFormatError with the JSON path of the field at fault ($.cr_dims,
+    $.ctc_dims, an entry [k] of either, $.labels, $.gates or $.gates[k]); a
+    field that is not a sequence is refused too. A builtin-named gate that
+    carries its builtin matrix is stored in canonical form, with matrix None.
+    Each gate's matrix, a builtin's resolved once here, is kept for
     compile_unitary.
     """
 
@@ -172,10 +182,12 @@ class Circuit:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "cr_dims", _integers(self.cr_dims))
-        object.__setattr__(self, "ctc_dims", _integers(self.ctc_dims))
+        object.__setattr__(self, "cr_dims", _integers(self.cr_dims, "$.cr_dims"))
+        object.__setattr__(self, "ctc_dims", _integers(self.ctc_dims, "$.ctc_dims"))
+        object.__setattr__(self, "gates", _sequence(self.gates, "$.gates"))
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+            object.__setattr__(self, "labels", tuple(
+                str(s) for s in _sequence(self.labels, "$.labels")))
         for reg_name, reg in (("cr_dims", self.cr_dims), ("ctc_dims", self.ctc_dims)):
             if not reg:
                 raise CircuitFormatError("must not be empty", f"$.{reg_name}")
@@ -192,6 +204,9 @@ class Circuit:
                 "$.labels")
         gates, matrices = [], []
         for k, g in enumerate(self.gates):
+            if not isinstance(g, Gate):
+                raise CircuitFormatError(f"expected a Gate, got {type(g).__name__}",
+                                         f"$.gates[{k}]")
             try:
                 matrices.append(_check_gate(g, self.dims))
             except ValidationError as exc:
@@ -390,7 +405,7 @@ def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
 def pad_with_ancillas(state, dim: int) -> np.ndarray:
     """Tensor |0...0> ancillas onto `state` to reach total dimension `dim`."""
     a = _as_array(state, "state").reshape(-1)
-    if dim % a.size != 0:
+    if not (_is_integer(dim) and 0 < a.size <= dim and dim % a.size == 0):
         raise ValidationError(
             f"cannot pad a dimension-{a.size} state to dimension {dim}")
     extra = dim // a.size

@@ -208,26 +208,38 @@ def validate_superoperator(s: Superoperator) -> ValidationReport:
 
 
 def _lu_fixed_point(maps: np.ndarray, d_ctc: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed point of each map of a stack (B, n, n) by one LU solve of the
-    bordered system, Hermitized at unit trace (undefined where refused), and
-    the mask of those it vouches for (acceptance rule: see fixed_point_exact).
+    """Fixed points of a stack (B, n, n) of maps by one bordered LU solve each,
+    Hermitized at unit trace (undefined where refused), and the accepted mask.
 
     A is M - I with row 0 replaced by the trace row vec(I), so a trace-1
     fixed point solves A v = e_0 (for a trace-preserving M, row 0 of M - I
     is implied by the others) and ||A^-1||_1 ||A v - e_0||_1 bounds the
-    distance of v to it. A second eigenvalue lambda within the window of 1
-    has a trace-zero eigenvector x with ||A x|| <= |lambda - 1| ||x||, so it
-    forces ||A^-1||_2 >= 1e9; the factor 1e-3 in the cut covers the change
-    to the 1-norm (at most sqrt(n)) and the underestimate of zgecon's
-    estimate, so an accepted answer is one the Schur window also calls
-    unique. Up to n = 16 (dc <= 4) ||A^-1||_1 is exact, the largest column
-    sum of a stacked numpy inverse, v its column 0: never below the estimate,
-    so it accepts less, and needs no scipy. Above, item-wise LAPACK is faster.
+    distance of v to it. accept takes v when ||A^-1||_1 <= 1e-3 /
+    EIGENVALUE_ONE_WINDOW and that bound <= FIXED_POINT_RESIDUAL. A second
+    eigenvalue lambda within the window of 1 has a trace-zero eigenvector x
+    with ||A x|| <= |lambda - 1| ||x||, so it forces ||A^-1||_2 >= 1e9; the
+    factor 1e-3 covers the 1-norm (at most sqrt(n) larger) and zgecon's
+    underestimate, so an accepted answer is one the Schur window calls
+    unique. The branches differ only in how they obtain v and ||A^-1||_1:
+    up to n = 16 (dc <= 4) exactly, by a stacked numpy inverse (never below
+    the estimate, so it accepts less; no scipy); above, faster, item by
+    item by LAPACK zgetrf, zgetrs and zgecon.
     """
     b, n = maps.shape[:2]
     a = maps - np.eye(n)
     a[:, 0] = _vec(np.eye(d_ctc))
     e0 = np.eye(1, n, dtype=complex)[0]
+
+    def accept(a, v, recip_norm):
+        # a stack, or one 2-D item; recip_norm = 1 / ||A^-1||_1 (NaN: refused)
+        ok = (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3) & (
+            np.abs((a @ v[..., None])[..., 0] - e0).sum(axis=-1)
+            <= FIXED_POINT_RESIDUAL * recip_norm)
+        sigma = _hermitize(_unvec(v))
+        np.divide(sigma, sigma.trace(axis1=-2, axis2=-1).real[..., None, None],
+                  out=sigma, where=ok[..., None, None])
+        return sigma, ok
+
     # 1 BLAS thread: inverse and norm 10, 23, 291 us at n = 4, 16, 64 (LAPACK
     # 10, 22, 107 us); 50 stacked inverses at n = 4 take 46 us, six singles
     if n <= 16:
@@ -238,29 +250,18 @@ def _lu_fixed_point(maps: np.ndarray, d_ctc: int) -> tuple[np.ndarray, np.ndarra
             for i, item in enumerate(a):
                 with contextlib.suppress(np.linalg.LinAlgError):
                     inv[i] = np.linalg.inv(item)
-        # recip_norm is 1 / ||A^-1||_1; a NaN (singular item) fails the test
-        recip_norm, v = 1 / np.abs(inv).sum(axis=1).max(axis=1), inv[:, :, 0]
-        ok = (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3) & (
-            np.abs((a @ v[:, :, None])[:, :, 0] - e0).sum(axis=1)
-            <= FIXED_POINT_RESIDUAL * recip_norm)
-        sigma = _hermitize(_unvec(v))
-        sigma /= np.where(ok, sigma.trace(axis1=1, axis2=2).real, 1)[:, None, None]
-        return sigma, ok
+        return accept(a, inv[:, :, 0], 1 / np.abs(inv).sum(axis=1).max(axis=1))
     import scipy.linalg
     sigma, ok = np.zeros((b, d_ctc, d_ctc), dtype=complex), np.zeros(b, dtype=bool)
-    for i, item in enumerate(a):   # the same test, on one item's scalars
+    for i, item in enumerate(a):
         # getrf flags an exactly singular A with info > 0 and warns about
         # nothing, where scipy.linalg.lu_factor would raise a LinAlgWarning
         lu, piv, info = scipy.linalg.lapack.zgetrf(item)
         if info == 0:
             anorm = np.linalg.norm(item, 1)
             rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-            recip_norm = rcond * anorm if info == 0 else np.nan   # an estimate
-            v = scipy.linalg.lapack.zgetrs(lu, piv, e0)[0]
-            if (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3 and np.abs(
-                    item @ v - e0).sum() <= FIXED_POINT_RESIDUAL * recip_norm):
-                point = _hermitize(_unvec(v))
-                sigma[i], ok[i] = point / point.trace().real, True
+            sigma[i], ok[i] = accept(item, scipy.linalg.lapack.zgetrs(lu, piv, e0)[0],
+                                     rcond * anorm if info == 0 else np.nan)
     return sigma, ok
 
 
@@ -401,11 +402,9 @@ def fixed_point_exact(s: Superoperator,
                       selection: str = "canonical") -> FixedPointResult:
     """Fixed point of a loop map, unique ones by LU, the rest by ordered Schur.
 
-    LU first: one solve of A v = e_0, A = M - I with row 0 replaced by the
-    trace row, taken with fixed_space_dim 1 when ||A^-1||_1 (exact up to
-    n = 16, a LAPACK estimate above) is at most 1e-3 / EIGENVALUE_ONE_WINDOW
-    and, times ||A v - e_0||_1 (a bound on the distance to the fixed point),
-    at most FIXED_POINT_RESIDUAL. A (near-)degenerate fixed space fails this.
+    LU first (_lu_fixed_point): one solve of the bordered system A v = e_0,
+    taken with fixed_space_dim 1 under its one rule on ||A^-1||_1 and the
+    distance bound. A (near-)degenerate fixed space fails it.
 
     Schur fallback (_schur_fixed_point): one ordered Schur form gives
     fixed_space_dim (its eigenvalues within EIGENVALUE_ONE_WINDOW of 1), the

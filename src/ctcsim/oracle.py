@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, compile_unitary
+from .circuit import Circuit, _is_integer, compile_unitary
 from .ctc import _checked_cr
 from .qmat import (ValidationError, _half_trace_norms, _hermitize, dagger,
                    trace_distance)
@@ -41,8 +41,8 @@ UNITS_PER_CALL = 64        # matrix units mapped at once to build the step
 def random_density(d: int, seed) -> np.ndarray:
     """G G+ / tr(G G+) for G with i.i.d. standard complex Gaussian entries
     drawn from numpy.random.default_rng(seed) (PCG64); bit-reproducible."""
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+    if not _is_integer(d) or d < 1:
+        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ dagger(g)
@@ -60,8 +60,8 @@ def haar_unitaries(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary from a seeded complex Ginibre matrix, real
     then imaginary parts (haar_unitaries); bit-reproducible."""
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+    if not _is_integer(d) or d < 1:
+        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
     rng = np.random.default_rng(seed)
     return haar_unitaries(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
 

@@ -319,6 +319,13 @@ class ComputationTask:
             raise ValidationError(f"domain_size {self.domain_size!r} is not an integer")
         if self.domain_size < 1:
             raise ValidationError("domain_size must be >= 1")
+        if not isinstance(self.circuit, Circuit):
+            raise ValidationError(
+                f"circuit must be a Circuit, got {type(self.circuit).__name__}")
+        try:
+            object.__setattr__(self, "truth_table", tuple(self.truth_table))
+        except TypeError:
+            raise ValidationError("truth_table must be a sequence of integers") from None
         if self.domain_size > self.circuit.cr_dim:
             raise ValidationError(
                 f"domain_size {self.domain_size} exceeds input register "

@@ -57,6 +57,8 @@ def test_builtin_rejects_unknown_or_bad_dims():
         builtin_matrix("h", (3,))
     with pytest.raises(ValidationError):
         builtin_matrix("swap", (2, 3))
+    with pytest.raises(ValidationError, match="cnot needs two qubit wires"):
+        builtin_matrix("cnot", (3, 3))
 
 
 def test_gate_wire_validation():
@@ -67,6 +69,8 @@ def test_gate_wire_validation():
     with pytest.raises(ValidationError):
         Circuit(cr_dims=(2,), ctc_dims=(2,),
                 gates=(Gate("g", (0,), np.diag([1.0, 2.0]).astype(complex)),))
+    with pytest.raises(ValidationError, match="gate 'g' lists no wires"):
+        Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("g", (), np.eye(1)),))
 
 
 def test_circuit_dim_validation():
@@ -117,6 +121,18 @@ def test_numpy_integer_dimensions_and_wires_are_accepted():
                 gates=(Gate("swap", (np.int32(0), np.int64(1))),))
     assert c == Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(Gate("swap", (0, 1)),))
     assert all(type(v) is int for v in c.dims + c.gates[0].wires)
+
+
+def test_equality_is_by_value_and_only_between_like_objects():
+    gate = Gate("x", (0,))
+    circuit = Circuit(cr_dims=(2,), ctc_dims=(2,), gates=(gate,))
+    assert gate != "x" and circuit != (2, 2)
+    assert gate.__eq__(5) is NotImplemented
+    assert circuit.__eq__(5) is NotImplemented
+    # a custom gate with a matrix is not its matrix-less namesake
+    assert Gate("u", (0,), np.eye(2)) != Gate("u", (0,))
+    assert Gate("u", (0,)) != Gate("u", (0,), np.eye(2))
+    assert Gate("u", (0,), np.eye(2)) == Gate("u", (0,), np.eye(2))
 
 
 def test_circuit_stores_matching_builtin_matrix_canonically():
@@ -497,6 +513,13 @@ def test_complete_unitary_rejects_dependent_constraints():
         complete_unitary([(KET0, KET0), (KET0, KET0)], 2)
 
 
+def test_complete_unitary_rejects_missing_or_misshaped_constraints():
+    with pytest.raises(ValidationError, match="needs at least one constraint"):
+        complete_unitary([], 2)
+    with pytest.raises(ValidationError, match="constraint 1 vectors must have length"):
+        complete_unitary([(KET0, KET0), (KET1, basis(1, 3))], 2)
+
+
 def test_complete_unitary_deterministic():
     cons = [(PLUS, KET1)]
     assert np.array_equal(complete_unitary(cons, 2), complete_unitary(cons, 2))
@@ -562,6 +585,8 @@ def test_bhw2_rejects_degenerate_state():
         build_bhw2(np.exp(0.3j) * KET0)
     with pytest.raises(ValidationError):
         build_bhw2(np.array([0.9, 0.1], dtype=complex))  # not normalized
+    with pytest.raises(ValidationError, match="psi must be a single-qubit state"):
+        build_bhw2(basis(1, 3))
 
 
 def test_bhw_multi_two_orthogonal_states():

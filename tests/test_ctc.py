@@ -392,13 +392,15 @@ def test_degenerate_loops_never_take_the_lu_path(make, fixed_space_dim):
         assert fixed_point_exact(s, selection).fixed_space_dim == fixed_space_dim
 
 
-def near_degenerate_superoperator(eps, h_seed=3, rho_seed=5):
-    """U = expm(-i eps H) on one CR and one CTC qubit: the second eigenvalue
-    of the loop map sits about eps^2 from 1."""
+def near_degenerate_superoperator(eps, h_seed=3, rho_seed=5, d_ctc=2):
+    """U = expm(-i eps H) on one CR qubit and one CTC wire (a qubit unless
+    d_ctc says otherwise): the second eigenvalue of the loop map sits about
+    eps^2 from 1."""
     rng = np.random.default_rng(h_seed)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    d = 2 * d_ctc
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     u = scipy.linalg.expm(-1j * eps * (g + dagger(g)) / 2)
-    return induced_superoperator(u, random_density(2, rho_seed), (2,), (2,))
+    return induced_superoperator(u, random_density(2, rho_seed), (2,), (d_ctc,))
 
 
 def mpmath_fixed_point(s):
@@ -679,6 +681,28 @@ def test_inverse_branch_of_lu_agrees_with_the_lapack_rule(s):
         assert np.abs(sigma - reference).max() <= 1e-12
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    loop_circuits().filter(lambda case: case[0].ctc_dim > 4).map(
+        circuit_loop_map),
+    st.builds(near_degenerate_superoperator,
+              st.floats(-6, -2).map(lambda e: 10.0 ** e),
+              st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1),
+              st.sampled_from((6, 8)))))
+def test_lapack_branch_of_lu_agrees_with_the_lapack_rule(s):
+    # above n = 16 the solver factors item by item with LAPACK: it accepts
+    # exactly the loops the reference rule accepts, with the same sigma. The
+    # slow loops put the norm and residual cuts inside the drawn range
+    assert s.matrix.shape[0] > 16
+    sigma = lu_point(s)
+    reference = lapack_lu_rule(s)[0]
+    event(f"n = {s.matrix.shape[0]}, LAPACK "
+          f"{'accepts' if reference is not None else 'refuses'}")
+    assert (sigma is None) == (reference is None)
+    if sigma is not None:
+        assert np.abs(sigma - reference).max() <= 1e-12
+
+
 def test_ztrsyl_info_is_refused(monkeypatch):
     # info 1: T11 and T22 have close eigenvalues, so X solves a perturbed
     # Sylvester equation; the canonical point is refused, not returned
@@ -742,6 +766,22 @@ def test_cesaro_rejects_maps_that_do_not_preserve_trace(c):
     # the zero map) or grows (c = 1.1); no 0/0 on the way
     with pytest.raises(ConvergenceError):
         fixed_point_cesaro(Superoperator(d_ctc=2, matrix=c * np.eye(4)))
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    (np.outer(vec(np.diag([1.5, -0.5])), vec(np.eye(2))), SolverError,
+     "eigenvalue -5.000e-01 below the PSD floor"),
+    (np.array([[1, 0, 0, 0], [1, 3, 0, 0], [1, 0, 3, 0], [0, 0, 0, 1]]),
+     ConvergenceError, "power iteration blew up at N=16"),
+], ids=["non-psd-fixed-point", "eigenvalue-three"])
+def test_cesaro_refuses_a_limit_that_is_not_a_state(matrix, error, message):
+    # X -> tr(X) diag(1.5, -0.5) converges at once onto a matrix below the
+    # PSD floor. The second map preserves trace, E(|0><0|) = |0><0| + X and
+    # E(|1><1|) = |1><1|, but triples the off-diagonal units: the powers of
+    # (I + E)/2 grow as 2^N while the iterate never settles
+    with pytest.raises(error, match=message) as err:
+        fixed_point_cesaro(Superoperator(d_ctc=2, matrix=matrix.astype(complex)))
+    assert type(err.value) is error
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])

@@ -99,6 +99,12 @@ def test_ensemble_validation(build):
         build([(0, np.nan, KET0)])  # weight not a number
     with pytest.raises(ValidationError):
         build([(0, 0.5, KET0), (1, 0.5, basis(1, 3))])  # mixed dims
+    with pytest.raises(ValidationError, match=r"must be \(label, probability"):
+        build([(0, 1.0)])
+    with pytest.raises(ValidationError, match="label 0.5 is not an integer"):
+        build([(0.5, 1.0, KET0)])
+    with pytest.raises(ValidationError, match="label 0: state must be a vector"):
+        build([(0, 1.0, proj(KET0))])
     # list states are stored as complex vectors
     ensemble = build([(1, 0.5, [0, 1]), (0, 0.5, [1, 0])])
     assert [(lbl, v.dtype) for lbl, _, v in ensemble.by_label()] == [
@@ -127,7 +133,26 @@ def test_the_first_bad_state_is_the_error(states, words):
     (lambda: ComputationTask(domain_size="3", truth_table=(0, 1, 1),
                              circuit=build_bhw_multi([KET0, KET1])),
      "domain_size '3' is not an integer"),
-], ids=["ensemble-entry-int", "ensemble-none", "bhw-multi-int", "task-str-domain"])
+    (lambda: Circuit(cr_dims=5, ctc_dims=(2,)),
+     re.escape("$.cr_dims: expected a sequence, got int")),
+    (lambda: Circuit(cr_dims=(2,), ctc_dims=(2,), gates=5),
+     re.escape("$.gates: expected a sequence, got int")),
+    (lambda: Circuit(cr_dims=(2,), ctc_dims=(2,), labels=5),
+     re.escape("$.labels: expected a sequence, got int")),
+    (lambda: Gate("u", 5), re.escape("$.wires: expected a sequence, got int")),
+    (lambda: Circuit(cr_dims=(2,), ctc_dims=(2,), gates=[5]),
+     re.escape("$.gates[0]: expected a Gate, got int")),
+    (lambda: ComputationTask(3, 5, build_bhw_multi([KET0, KET1])),
+     "truth_table must be a sequence of integers"),
+    (lambda: ComputationTask(1, (0,), None), "circuit must be a Circuit, got NoneType"),
+    (lambda: pad_with_ancillas([1, 0], 0), "dimension-2 state to dimension 0$"),
+    (lambda: pad_with_ancillas([1, 0], -2), "dimension-2 state to dimension -2$"),
+    (lambda: random_density(True, 0), "dimension must be an integer >= 1, got True"),
+    (lambda: random_unitary(2.0, 0), r"must be an integer >= 1, got 2\.0"),
+], ids=["ensemble-entry-int", "ensemble-none", "bhw-multi-int", "task-str-domain",
+        "circuit-int-dims", "circuit-int-gates", "circuit-int-labels", "gate-int-wires",
+        "circuit-int-gate", "task-int-table", "task-no-circuit", "pad-to-zero",
+        "pad-to-negative", "density-bool-dim", "unitary-float-dim"])
 def test_a_non_sequence_or_non_integer_argument_is_a_validation_error(call, words):
     with pytest.raises(ValidationError, match=words):
         call()
@@ -659,6 +684,8 @@ def test_computation_task_validation():
                         circuit=circuit)
     with pytest.raises(ValidationError):
         ComputationTask(domain_size=0, truth_table=(), circuit=circuit)
+    with pytest.raises(ValidationError, match=r"truth_table\[3\] is not an integer"):
+        ComputationTask(domain_size=4, truth_table=(0, 1, 2, 3.0), circuit=circuit)
 
 
 def test_identity_computation_on_uniform_mixture_fails():

@@ -137,7 +137,8 @@ def test_mutual_information_needs_bipartition():
 
 
 def test_validate_density_accepts_maximally_mixed():
-    assert validate(I2 / 2, "density").ok
+    report = validate(I2 / 2, "density")
+    assert report.ok and report.message() == "valid density"
 
 
 def test_validate_unitary_accepts_hadamard():
@@ -326,6 +327,24 @@ def test_tolerances_defaults_and_positivity():
         "gate", "superoperator"])
 def test_every_bad_entry_is_a_validation_error(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: kron(), "kron needs at least one factor"),
+    (lambda: partial_trace(np.eye(2), (2, 0), keep=[0]),
+     "subsystem dimensions must be >= 1"),
+    (lambda: trace_distance(I2, np.eye(3)),
+     r"dimension mismatch: \(2, 2\) vs \(3, 3\)"),
+    (lambda: kron(I2, np.ones(2)), "expected a matrix, got ndim=1"),
+    (lambda: trace_distance(I2, np.diag([np.inf, 0.0])),
+     "matrix has non-finite entries"),
+    (lambda: mutual_information(2 * np.eye(4) / 4, (2, 2)),
+     r"mutual information -2\.000e\+00 below"),
+], ids=["kron-no-factors", "partial-trace-dim-0", "trace-distance-shapes",
+        "matrix-ndim", "matrix-non-finite", "mutual-information-floor"])
+def test_each_primitive_refusal_names_its_rule(call, words):
+    with pytest.raises(ValidationError, match=words):
         call()
 
 
