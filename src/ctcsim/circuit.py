@@ -100,6 +100,8 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise CircuitFormatError("expected a string", "$.name")
         object.__setattr__(self, "wires", _integers(self.wires, "$.wires"))
         if self.matrix is not None:
             m = _as_array(self.matrix, f"gate {self.name!r} matrix").copy("K")
@@ -345,8 +347,13 @@ def complete_unitary(constraints, dim: int) -> np.ndarray:
         ValidationError: inconsistent (inner-product mismatch, naming the
             violating pair) or linearly dependent constraints.
     """
-    pairs = [(_as_array(a, "constraint").reshape(-1),
-              _as_array(b, "constraint").reshape(-1)) for a, b in constraints]
+    if not (_is_integer(dim) and dim >= 1):
+        raise ValidationError(f"dimension must be an integer >= 1, got {dim!r}")
+    pairs = [tuple(_as_array(v, "constraint").reshape(-1)
+                   for v in _sequence(p, f"$.constraints[{k}]"))
+             for k, p in enumerate(_sequence(constraints, "$.constraints"))]
+    if any(len(p) != 2 for p in pairs):
+        raise ValidationError("each constraint must be a pair (input, output)")
     if not pairs:
         raise ValidationError("complete_unitary needs at least one constraint")
     for k, (vin, vout) in enumerate(pairs):

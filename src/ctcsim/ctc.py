@@ -20,12 +20,18 @@ causality-respecting output
     rho_out = Tr_CTC( U (rho_cr x sigma*) U+ ) = Phi_sigma*(rho_cr).
 
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
-nonlinear. The exact solver tries one LU solve of the bordered system and
-falls back to one ordered Schur form of M; fixed_point_exact states what
-each accepts. Two selections serve degenerate fixed spaces: "canonical"
-(the spectral projection of the maximally mixed state, i.e. the Cesaro limit
-seeded at I/d) and "max_entropy" (Deutsch's rule: the fixed state of largest
-entropy, in closed form). Both are deterministic.
+nonlinear. The exact solver runs in real arithmetic: E preserves
+Hermiticity, so in the coordinates h(sigma) = vec(Re sigma + Im sigma), an
+isometry of the Hermitian matrices onto R^(d^2) (Re sigma is symmetric, Im
+sigma antisymmetric), it is the real matrix M_R = Re M + Im(M) K (K
+transposes on vec), with M's spectrum. Each stack is converted once; sigma =
+(h + h^T)/2 + i (h - h^T)/2 is Hermitian by construction. The solver tries
+one LU solve of the bordered system and falls back to one ordered real Schur
+form of M_R; fixed_point_exact states what each accepts. Two selections
+serve degenerate fixed spaces: "canonical" (the spectral projection of the
+maximally mixed state, i.e. the Cesaro limit seeded at I/d) and
+"max_entropy" (Deutsch's rule: the fixed state of largest entropy, in closed
+form). Both are deterministic.
 
 The kernels take stacks of loops (a leading loop axis; one loop is a stack
 of one). LAPACK LU above n = dc^2 = 16 and the Schur fallback go item by
@@ -41,11 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, compile_unitary
+from .circuit import Circuit, _integers, _is_integer, compile_unitary
 from .qmat import (CHOI_PSD_FLOOR, EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
                    PSD_FLOOR, TRACE_PRESERVING_TOL, ValidationError, ValidationReport,
-                   _as_array, _density_failure, _half_trace_norms, _hermitize, dagger,
-                   require_density, require_unitary, von_neumann_entropy)
+                   _as_array, _density_failure, _half_trace_norms, _hermitize,
+                   _require_instance, dagger, require_density, require_unitary,
+                   von_neumann_entropy)
 
 
 class SolverError(RuntimeError):
@@ -81,6 +88,8 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if not (_is_integer(self.d_ctc) and self.d_ctc >= 1):
+            raise ValidationError(f"d_ctc must be an integer >= 1, got {self.d_ctc!r}")
         m = _as_array(self.matrix, "superoperator matrix")
         d2 = self.d_ctc * self.d_ctc
         if m.shape != (d2, d2):
@@ -172,8 +181,8 @@ def _trace_output(u4: np.ndarray, w: np.ndarray, sigma: np.ndarray) -> np.ndarra
 def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     """Matrix of sigma -> Tr_CR(U (rho_cr x sigma) U+) for a caller's U,
     which is checked to be a unitary of dimension cr*ctc."""
-    cr_dim = int(np.prod(cr_dims))
-    dc = int(np.prod(ctc_dims))
+    cr_dim, dc = (int(np.prod(_integers(dims, f"$.{name}"))) for name, dims in
+                  (("cr_dims", cr_dims), ("ctc_dims", ctc_dims)))
     u = require_unitary(u, "interaction unitary")
     if u.shape != (cr_dim * dc, cr_dim * dc):
         raise ValidationError(
@@ -207,41 +216,61 @@ def validate_superoperator(s: Superoperator) -> ValidationReport:
     return ValidationReport("superoperator", tuple(violations))
 
 
-def _lu_fixed_point(maps: np.ndarray, d_ctc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed points of a stack (B, n, n) of maps by one bordered LU solve each,
-    Hermitized at unit trace (undefined where refused), and the accepted mask.
+def _real_form(maps: np.ndarray) -> np.ndarray:
+    """M_R = Re M + Im(M) K of a stack of maps, K transposing the domain's vec:
+    M_R h(X) = h(E(X)) for Hermitian X if E preserves Hermiticity."""
+    d = round(maps.shape[-1] ** 0.5)
+    return maps.real + maps.imag.reshape(*maps.shape[:-1], d, d).swapaxes(
+        -1, -2).reshape(maps.shape)
 
-    A is M - I with row 0 replaced by the trace row vec(I), so a trace-1
-    fixed point solves A v = e_0 (for a trace-preserving M, row 0 of M - I
-    is implied by the others) and ||A^-1||_1 ||A v - e_0||_1 bounds the
-    distance of v to it. accept takes v when ||A^-1||_1 <= 1e-3 /
-    EIGENVALUE_ONE_WINDOW and that bound <= FIXED_POINT_RESIDUAL. A second
-    eigenvalue lambda within the window of 1 has a trace-zero eigenvector x
-    with ||A x|| <= |lambda - 1| ||x||, so it forces ||A^-1||_2 >= 1e9; the
-    factor 1e-3 covers the 1-norm (at most sqrt(n) larger) and zgecon's
-    underestimate, so an accepted answer is one the Schur window calls
-    unique. The branches differ only in how they obtain v and ||A^-1||_1:
-    up to n = 16 (dc <= 4) exactly, by a stacked numpy inverse (never below
-    the estimate, so it accepts less; no scipy); above, faster, item by
-    item by LAPACK zgetrf, zgetrs and zgecon.
+
+def _real_vec(sigma: np.ndarray) -> np.ndarray:
+    """h(sigma) = vec(Re sigma + Im sigma) of a stack of Hermitian matrices."""
+    return _vec(sigma.real + sigma.imag)
+
+
+def _from_real(h: np.ndarray) -> np.ndarray:
+    """sigma = (h + h^T)/2 + i (h - h^T)/2, the Hermitian part of (1 + i) h."""
+    return _hermitize((1 + 1j) * _unvec(h))
+
+
+def _lu_fixed_point(maps: np.ndarray, d_ctc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed points of a stack (B, n, n) of real maps M_R by one bordered LU
+    solve each, at unit trace (undefined where refused), and the accepted mask.
+
+    A is M_R - I with row 0 replaced by the trace row vec(I) = h(I), so a
+    trace-1 fixed point solves A v = e_0 (for a trace-preserving map, row 0
+    of M_R - I is implied by the others) and ||A^-1||_1 ||A v - e_0||_1
+    bounds the 1-norm distance of v to it (the 1-norms of vec h and vec
+    sigma differ by at most sqrt(2) either way). accept takes v when
+    ||A^-1||_1 <= 1e-3 / EIGENVALUE_ONE_WINDOW and that bound <=
+    FIXED_POINT_RESIDUAL. A second eigenvalue lambda of M_R (M's spectrum)
+    within the window of 1 has a trace-zero eigenvector x with ||A x|| <=
+    |lambda - 1| ||x||, so it forces ||A^-1||_2 >= 1e9; the factor 1e-3
+    covers the 1-norm (at most sqrt(n) larger) and dgecon's underestimate,
+    so an accepted answer is one the Schur window calls unique. The branches
+    differ only in how they obtain v and ||A^-1||_1: up to n = 16 (dc <= 4)
+    exactly, by a stacked numpy inverse (never below the estimate, so it
+    accepts less; no scipy); above, faster, item by item by LAPACK dgetrf,
+    dgetrs and dgecon.
     """
     b, n = maps.shape[:2]
     a = maps - np.eye(n)
     a[:, 0] = _vec(np.eye(d_ctc))
-    e0 = np.eye(1, n, dtype=complex)[0]
+    e0 = np.eye(1, n)[0]
 
     def accept(a, v, recip_norm):
         # a stack, or one 2-D item; recip_norm = 1 / ||A^-1||_1 (NaN: refused)
         ok = (recip_norm >= EIGENVALUE_ONE_WINDOW / 1e-3) & (
             np.abs((a @ v[..., None])[..., 0] - e0).sum(axis=-1)
             <= FIXED_POINT_RESIDUAL * recip_norm)
-        sigma = _hermitize(_unvec(v))
+        sigma = _from_real(v)
         np.divide(sigma, sigma.trace(axis1=-2, axis2=-1).real[..., None, None],
                   out=sigma, where=ok[..., None, None])
         return sigma, ok
 
-    # 1 BLAS thread: inverse and norm 10, 23, 291 us at n = 4, 16, 64 (LAPACK
-    # 10, 22, 107 us); 50 stacked inverses at n = 4 take 46 us, six singles
+    # 1 BLAS thread, real: inverse and norm 9, 15, 100 us at n = 4, 16, 64 (LAPACK
+    # 11, 13, 48 us); 50 stacked inverses at n = 4 take 44 us, five singles
     if n <= 16:
         try:
             inv = np.linalg.inv(a)
@@ -256,11 +285,11 @@ def _lu_fixed_point(maps: np.ndarray, d_ctc: int) -> tuple[np.ndarray, np.ndarra
     for i, item in enumerate(a):
         # getrf flags an exactly singular A with info > 0 and warns about
         # nothing, where scipy.linalg.lu_factor would raise a LinAlgWarning
-        lu, piv, info = scipy.linalg.lapack.zgetrf(item)
+        lu, piv, info = scipy.linalg.lapack.dgetrf(item)
         if info == 0:
             anorm = np.linalg.norm(item, 1)
-            rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-            sigma[i], ok[i] = accept(item, scipy.linalg.lapack.zgetrs(lu, piv, e0)[0],
+            rcond, info = scipy.linalg.lapack.dgecon(lu, anorm)
+            sigma[i], ok[i] = accept(item, scipy.linalg.lapack.dgetrs(lu, piv, e0)[0],
                                      rcond * anorm if info == 0 else np.nan)
     return sigma, ok
 
@@ -280,10 +309,13 @@ def _psd_clip(sigma: np.ndarray) -> np.ndarray:
 
 def _certify(sigma: np.ndarray, maps: np.ndarray, dims, method: str,
              selection: str) -> list[FixedPointResult]:
-    """Each sigma of a stack must be a state with residual (half the trace norm
-    of E(sigma) - sigma) <= FIXED_POINT_RESIDUAL; the first that fails raises."""
+    """Each (Hermitian) sigma of a stack must be a state with residual (half the
+    trace norm of E(sigma) - sigma) <= FIXED_POINT_RESIDUAL; first failure raises."""
+    # with h = h(sigma) and the real maps M_R, E(sigma) - sigma is the
+    # Hermitian part of (1 + i) unvec(M_R h - h); _half_trace_norms takes it
+    h = _real_vec(sigma)
     residual = _half_trace_norms(
-        _unvec((maps @ _vec(sigma)[:, :, None])[:, :, 0]) - sigma).tolist()
+        (1 + 1j) * _unvec((maps @ h[:, :, None])[:, :, 0] - h)).tolist()
     bad = [i for i, r in enumerate(residual) if r > FIXED_POINT_RESIDUAL]
     failure = _density_failure(sigma)
     if bad and (failure is None or bad[0] <= failure[0]):
@@ -313,19 +345,18 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
     lam, vecs = scipy.linalg.eigh(start)
     keep = lam > PSD_FLOOR
     support, lam = vecs[:, keep], lam[keep]
-    # the map restricted to operators on V; the null space of its adjoint
-    # minus I is A, with an orthonormal basis from the smallest singular values
-    m_v = np.kron(support.T, dagger(support)) @ m @ np.kron(support.conj(), support)
-    vh = scipy.linalg.svd(dagger(m_v) - np.eye(len(m_v)))[2]
-    onb = np.stack([_unvec(v) for v in vh[-sdim:].conj()])
+    # the real map restricted to operators on V; the null space of its transpose
+    # (the adjoint) minus I is A's Hermitian part, whose orthonormal basis is A's
+    m_v = (_real_form(np.kron(support.T, dagger(support))) @ m
+           @ _real_form(np.kron(support.conj(), support)))
+    onb = _from_real(scipy.linalg.svd(m_v.T - np.eye(len(m_v)))[2][-sdim:])
 
     def twirl(x):
         return np.tensordot(onb @ x, onb.conj(), axes=([0, 2], [0, 2]))
 
     # fixed pseudo-random weights keep the selection deterministic and give
     # distinct blocks distinct central values with probability one
-    generic = _hermitize(np.tensordot(
-        np.random.default_rng(0).standard_normal(sdim), onb, axes=1))
+    generic = np.tensordot(np.random.default_rng(0).standard_normal(sdim), onb, 1)
     mu, centre_vecs = scipy.linalg.eigh(twirl(generic))
     gap = EIGENVALUE_ONE_WINDOW * np.linalg.norm(generic)
     splits = np.flatnonzero(np.diff(mu) > gap) + 1
@@ -340,40 +371,42 @@ def _max_entropy_point(m: np.ndarray, sdim: int, start: np.ndarray) -> np.ndarra
 
 def _schur_fixed_point(m: np.ndarray, d_ctc: int, selection: str
                        ) -> tuple[np.ndarray, int]:
-    """Fixed point and fixed_space_dim of a loop map M (d_ctc^2 square) off
-    one ordered Schur form M = Z T Z+, T11 holding the eigenvalues within
-    EIGENVALUE_ONE_WINDOW of 1.
+    """Fixed point and fixed_space_dim of a real map M_R (d_ctc^2 square) off
+    one ordered real Schur form M_R = Z T Z^T, the quasi-triangular T11
+    holding the eigenvalues within EIGENVALUE_ONE_WINDOW of 1; a conjugate
+    pair falls on one side of the window, so its 2x2 block stays whole.
 
-    canonical: Z [[I, X], [0, 0]] Z+ vec(I/d), the projection along the rest
+    canonical: Z [[I, X], [0, 0]] Z^T h(I/d), the projection along the rest
     of the spectrum (it commutes with T when T11 X - X T22 = T12). With y =
-    Z+ vec(I/d) it is Z1 (y1 + X y2); ztrsyl solves for X on the triangular
-    blocks (Bartels-Stewart; Higham, ch. 16). max_entropy: from that point.
+    Z^T h(I/d) it is Z1 (y1 + X y2); dtrsyl solves for X on the blocks
+    (Bartels-Stewart; Higham, ch. 16). max_entropy: from that point.
 
     Certified by the same form. A fixed space of a CPTP map has a semisimple
-    eigenvalue 1 (Wolf, ch. 6), so the spread max |lambda - 1| over
-    diag(T11) must be round-off, at most 1e3 eps_mach n. With y = Z+ v, the
-    trailing rows of (T - I) y = Z+ r (r = M v - v) give y2 = (T22 - I)^-1
-    Z2+ r, so the Hilbert-Schmidt distance ||y2||_2 <= ||y2||_1 of v to the
-    span is at most the resolvent bound ||(T22 - I)^-1||_1 ||Z2+ r||_1;
-    ztrcon estimates 1 / (||T22 - I||_1 ||(T22 - I)^-1||_1) in O(n^2)
-    (Higham, ch. 15). No T22: the bound is 0.
+    eigenvalue 1 (Wolf, ch. 6), so the spread max |lambda - 1| over T11's
+    eigenvalues must be round-off, at most 1e3 eps_mach n. With y = Z^T h,
+    h = h(sigma), the trailing rows of (T - I) y = Z^T r (r = M_R h - h)
+    give y2 = (T22 - I)^-1 Z2^T r, so the Hilbert-Schmidt distance ||y2||_2
+    <= ||y2||_1 of sigma to the fixed space is at most the resolvent bound
+    ||(T22 - I)^-1||_1 ||Z2^T r||_1. A triangular estimate would ignore the
+    2x2 bumps of T22 - I, so dgetrf factors the block and dgecon estimates
+    1 / (||T22 - I||_1 ||(T22 - I)^-1||_1) (Higham, ch. 15). No T22: 0.
     """
     import scipy.linalg
     n = m.shape[0]
     t, z, sdim = scipy.linalg.schur(
-        m, output="complex",
-        sort=lambda lam: abs(lam - 1.0) <= EIGENVALUE_ONE_WINDOW)
+        m, output="real",
+        sort=lambda re, im: abs(complex(re, im) - 1.0) <= EIGENVALUE_ONE_WINDOW)
     if sdim == 0:
         raise SolverError("no superoperator eigenvalue within the detection "
                           "window of 1; input is not a valid CPTP map")
-    y = dagger(z) @ _vec(np.eye(d_ctc, dtype=complex) / d_ctc)
+    y = z.T @ _vec(np.eye(d_ctc) / d_ctc)
     if sdim < n:
-        x, scale, info = scipy.linalg.lapack.ztrsyl(
+        x, scale, info = scipy.linalg.lapack.dtrsyl(
             t[:sdim, :sdim], t[sdim:, sdim:], t[:sdim, sdim:], isgn=-1)
         if info != 0:
-            raise SolverError(f"ztrsyl info {info}: close eigenvalues perturbed")
+            raise SolverError(f"dtrsyl info {info}: close eigenvalues perturbed")
         y[:sdim] += x @ y[sdim:] / scale
-    sigma = _hermitize(_unvec(z[:, :sdim] @ y[:sdim]))
+    sigma = _from_real(z[:, :sdim] @ y[:sdim])
     # the projection of a trace-preserving map keeps tr(I/d) = 1; a trace at
     # round-off (a map that does not preserve trace) leaves no state to scale
     trace, floor = sigma.trace().real, 1e3 * np.finfo(float).eps * n
@@ -383,12 +416,13 @@ def _schur_fixed_point(m: np.ndarray, d_ctc: int, selection: str
     sigma = sigma / trace
     if selection == "max_entropy" and sdim > 1:
         sigma = _psd_clip(_max_entropy_point(m, sdim, sigma))
-    spread, bound = float(np.abs(t.diagonal()[:sdim] - 1).max()), 0.0
+    spread, bound = float(np.abs(np.linalg.eigvals(t[:sdim, :sdim]) - 1).max()), 0.0
     if sdim < n:
         a = t[sdim:, sdim:] - np.eye(n - sdim)
-        inv_resolvent = scipy.linalg.lapack.ztrcon(a)[0] * np.linalg.norm(a, 1)
-        r = m @ _vec(sigma) - _vec(sigma)
-        bound = float(np.abs(dagger(z[:, sdim:]) @ r).sum() / inv_resolvent)
+        anorm = np.linalg.norm(a, 1)
+        rcond = scipy.linalg.lapack.dgecon(scipy.linalg.lapack.dgetrf(a)[0], anorm)[0]
+        h = _real_vec(sigma)
+        bound = float(np.abs(z[:, sdim:].T @ (m @ h - h)).sum() / (rcond * anorm))
     if not (spread <= floor and bound <= FIXED_POINT_RESIDUAL):
         failed = "resolvent bound" if spread <= floor else "cluster spread"
         raise SolverError(
@@ -404,24 +438,25 @@ def fixed_point_exact(s: Superoperator,
 
     LU first (_lu_fixed_point): one solve of the bordered system A v = e_0,
     taken with fixed_space_dim 1 under its one rule on ||A^-1||_1 and the
-    distance bound. A (near-)degenerate fixed space fails it.
+    distance bound, on M_R. A (near-)degenerate fixed space fails it.
 
-    Schur fallback (_schur_fixed_point): one ordered Schur form gives
-    fixed_space_dim (its eigenvalues within EIGENVALUE_ONE_WINDOW of 1), the
-    point and the point's certificate, the cluster spread and resolvent
-    bound. canonical: the spectral projection of the maximally mixed state,
-    the closed form of Cesaro averaging. max_entropy: the fixed state of
-    largest entropy, in closed form from the canonical point and the block
-    structure of the fixed space. Either path's sigma is then certified by
-    its residual and density validation.
+    Schur fallback (_schur_fixed_point): one ordered real Schur form of M_R
+    gives fixed_space_dim (its eigenvalues within EIGENVALUE_ONE_WINDOW of
+    1), the point and the point's certificate, the cluster spread and
+    resolvent bound. canonical: the spectral projection of the maximally
+    mixed state, the closed form of Cesaro averaging. max_entropy: the fixed
+    state of largest entropy, in closed form from the canonical point and
+    the block structure of the fixed space. Either path's sigma is then
+    certified by its residual and density validation.
 
     Raises:
         SolverError: no eigenvalue within the detection window of 1 (signals
             a non-CPTP or numerically broken input), a canonical point of
-            zero trace, ztrsyl info != 0, a Schur spread or bound too large
+            zero trace, dtrsyl info != 0, a Schur spread or bound too large
             (both named in the message), a residual above tolerance, or a
             result that fails density validation.
     """
+    _require_instance(s, Superoperator, "loop map")
     return _fixed_points(s.matrix[None], s.d_ctc, selection)[1][0]
 
 
@@ -430,6 +465,7 @@ def _fixed_points(maps: np.ndarray, d_ctc: int, selection: str
     """(sigma stack, fixed_point_exact of each map); the first failure raises."""
     if selection not in ("canonical", "max_entropy"):
         raise ValidationError(f"unknown selection {selection!r}")
+    maps = _real_form(maps)
     sigma, accepted = _lu_fixed_point(maps, d_ctc)
     dims = [1] * len(maps)
     for i in np.flatnonzero(~accepted):
@@ -470,6 +506,7 @@ def fixed_point_cesaro(s: Superoperator,
         ConvergenceError: max_iter or either guard reached before
             convergence; carries the last residual (None before the first one).
     """
+    _require_instance(s, Superoperator, "loop map")
     v0 = _vec(np.eye(s.d_ctc, dtype=complex) / s.d_ctc)
     m = s.matrix
     power = (np.eye(m.shape[0], dtype=complex) + m) / 2   # L^N
@@ -492,7 +529,7 @@ def fixed_point_cesaro(s: Superoperator,
         last_residual = float(norms[0])
         if (norms <= FIXED_POINT_RESIDUAL).all():
             dim_est = max(1, int(round(power.trace().real)))
-            return _certify(_psd_clip(current)[None], m[None], [dim_est],
+            return _certify(_psd_clip(current)[None], _real_form(m[None]), [dim_est],
                             "cesaro", "canonical")[0]
         if n * 2 > max_iter:
             raise ConvergenceError(
@@ -564,6 +601,7 @@ def ctc_evolve(circuit: Circuit, rho_cr, selection: str = "canonical"
     consistency step and the final partial trace, as a stack of one. Returns
     the evolved CR state together with the fixed-point record.
     """
+    _require_instance(circuit, Circuit, "circuit")
     (out,), (fp,) = evolve_stack(compile_unitary(circuit), _checked_cr(
         rho_cr, circuit.cr_dim), circuit.cr_dim, circuit.ctc_dim, selection)
     return out, fp

@@ -22,8 +22,8 @@ import numpy as np
 
 from .circuit import Circuit, _is_integer, compile_unitary
 from .ctc import _checked_cr
-from .qmat import (ValidationError, _half_trace_norms, _hermitize, dagger,
-                   trace_distance)
+from .qmat import (ValidationError, _half_trace_norms, _hermitize, _require_instance,
+                   dagger, trace_distance)
 
 RECORD_RESIDUAL = 1e-7     # a limit counts as converged below this
 STOP_RESIDUAL = 1e-11      # iteration target; see note below
@@ -38,12 +38,20 @@ UNITS_PER_CALL = 64        # matrix units mapped at once to build the step
 # limits only ~1e-5 accurate.
 
 
+def _rng(d: int, seed) -> np.random.Generator:
+    """numpy.random.default_rng(seed) for a draw of dimension d, both checked."""
+    if not _is_integer(d) or d < 1:
+        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad seed {seed!r}: {exc}") from None
+
+
 def random_density(d: int, seed) -> np.ndarray:
     """G G+ / tr(G G+) for G with i.i.d. standard complex Gaussian entries
     drawn from numpy.random.default_rng(seed) (PCG64); bit-reproducible."""
-    if not _is_integer(d) or d < 1:
-        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(d, seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ dagger(g)
     return m / m.trace().real
@@ -60,9 +68,7 @@ def haar_unitaries(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary from a seeded complex Ginibre matrix, real
     then imaginary parts (haar_unitaries); bit-reproducible."""
-    if not _is_integer(d) or d < 1:
-        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(d, seed)
     return haar_unitaries(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
 
 
@@ -107,6 +113,7 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
     dc < 2 cr^3. Peak memory: three (max(64, 2 * trials), D, D) stacks,
     D = circuit.total_dim, and two (dc^2, dc^2) matrices.
     """
+    _require_instance(circuit, Circuit, "circuit")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     cr, dc = circuit.cr_dim, circuit.ctc_dim

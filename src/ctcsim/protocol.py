@@ -26,8 +26,8 @@ import numpy as np
 
 from .circuit import Circuit, _as_states, _basis, _is_integer, compile_unitary
 from .ctc import FixedPointResult, _checked_output, evolve_stack, frozen_channel
-from .qmat import (ValidationError, _as_array, _weights_failure, kron,
-                   mutual_information, partial_trace, trace_distance)
+from .qmat import (ValidationError, _as_array, _require_instance, _weights_failure,
+                   kron, mutual_information, partial_trace, trace_distance)
 
 SUCCESS_DISTANCE = 1e-6  # trace-distance bound defining protocol success
 
@@ -160,6 +160,8 @@ class DiscriminationOutcome:
 
 
 def _check_scope(v_circuit: Circuit, ensemble: LabeledEnsemble) -> None:
+    _require_instance(v_circuit, Circuit, "circuit")
+    _require_instance(ensemble, LabeledEnsemble, "ensemble")
     if ensemble.a_dim != v_circuit.cr_dim:
         raise ValidationError(
             f"ensemble A dimension {ensemble.a_dim} != circuit CR dimension "
@@ -200,7 +202,6 @@ def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
     """The protocol body: the joint R (x) A run, the per-pure-input runs
     under U as one stack, each with its own fixed point, and the outcome
     against the target. The discriminator is compiled once."""
-    _check_scope(v_circuit, ensemble)
     u = compile_unitary(v_circuit)
     d, dc = ensemble.a_dim, v_circuit.ctc_dim
     (rho_out,), (fp,) = evolve_stack(u, rho_in[None], d, dc, selection)
@@ -225,6 +226,7 @@ def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
             A cannot hold one basis state per label (no success target).
         SolverError: fixed-point solve failed.
     """
+    _check_scope(v_circuit, ensemble)
     return _run_joint(v_circuit, ensemble, labeled_mixture(*ensemble.arrays()),
                       _success_target(ensemble), selection)
 
@@ -237,6 +239,7 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
     pure state sum_x sqrt(p_x) |x>_R |phi_x>_A instead of the mixture. With
     a single label this reduces to the plain pure-input run.
     """
+    _check_scope(v_circuit, ensemble)
     gamma = np.concatenate([np.sqrt(prob) * vec
                             for _, prob, vec in ensemble.by_label()])
     return _run_joint(v_circuit, ensemble, np.outer(gamma, gamma.conj()),
@@ -286,8 +289,9 @@ def helstrom_bound(ensemble: LabeledEnsemble) -> float:
     ordinary quantum mechanics.
 
     Raises:
-        ValidationError: ensemble does not have exactly two entries.
+        ValidationError: not a LabeledEnsemble of exactly two entries.
     """
+    _require_instance(ensemble, LabeledEnsemble, "ensemble")
     if ensemble.n != 2:
         raise ValidationError(
             f"Helstrom bound needs exactly 2 entries, got {ensemble.n}")
@@ -319,9 +323,7 @@ class ComputationTask:
             raise ValidationError(f"domain_size {self.domain_size!r} is not an integer")
         if self.domain_size < 1:
             raise ValidationError("domain_size must be >= 1")
-        if not isinstance(self.circuit, Circuit):
-            raise ValidationError(
-                f"circuit must be a Circuit, got {type(self.circuit).__name__}")
+        _require_instance(self.circuit, Circuit, "circuit")
         try:
             object.__setattr__(self, "truth_table", tuple(self.truth_table))
         except TypeError:

@@ -269,6 +269,12 @@ def _require(m, kind: str, what: str) -> np.ndarray:
     return a
 
 
+def _require_instance(obj, cls: type, what: str) -> None:
+    if not isinstance(obj, cls):
+        raise ValidationError(
+            f"{what} must be a {cls.__name__}, got {type(obj).__name__}")
+
+
 def require_density(m, what: str = "state") -> np.ndarray:
     """Validate as a density matrix, raising ValidationError on failure."""
     return _require(m, "density", what)

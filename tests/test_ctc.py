@@ -14,7 +14,7 @@ from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_epr_swap,
                             serialize_circuit)
 from ctcsim.ctc import (ConvergenceError, SolverError, Superoperator,
                         _fixed_points, _hermitize, _lu_fixed_point,
-                        _schur_fixed_point, choi_matrix, ctc_evolve,
+                        _real_form, _schur_fixed_point, choi_matrix, ctc_evolve,
                         evolve_given_ctc_state, fixed_point_cesaro,
                         fixed_point_exact, induced_superoperator,
                         validate_superoperator)
@@ -328,7 +328,7 @@ def loop_circuits(draw):
 
 def lu_point(s):
     """The LU path's answer for one loop map, or None where it refuses."""
-    sigma, accepted = _lu_fixed_point(s.matrix[None], s.d_ctc)
+    sigma, accepted = _lu_fixed_point(_real_form(s.matrix[None]), s.d_ctc)
     return sigma[0] if accepted[0] else None
 
 
@@ -467,6 +467,22 @@ def test_maps_that_are_not_channels_are_refused(matrix, residual, message):
         None if residual is None else pytest.approx(residual, abs=1e-15))
 
 
+def test_certificate_reads_the_imaginary_part_of_the_defect():
+    # |+><+| under the phase gate S: the defect S sigma S+ - sigma has
+    # imaginary off-diagonal entries, and the real-coordinate residual must
+    # equal the complex recomputation, 1/sqrt(2)
+    phase = np.diag([1, 1j])
+    s = Superoperator(d_ctc=2, matrix=np.kron(phase.conj(), phase))
+    sigma = proj(PLUS)
+    defect = s.apply(sigma) - sigma
+    assert np.abs(defect.imag).max() == pytest.approx(0.5)
+    with pytest.raises(SolverError, match="residual 7.071e-01 exceeds") as err:
+        ctc_module._certify(sigma[None], _real_form(s.matrix[None]), [1],
+                            "exact", "canonical")
+    assert err.value.residual == pytest.approx(
+        np.abs(np.linalg.eigvalsh(defect)).sum() / 2, rel=1e-12)
+
+
 @pytest.mark.parametrize("selection", ["canonical", "max_entropy"])
 @pytest.mark.parametrize("basis_change", [np.eye(2), random_unitary(2, 0)],
                          ids=["diagonal", "scrambled"])
@@ -566,7 +582,7 @@ def solve_alone(s, selection):
           (1e-2, 1e-3, 1e-5, 1e-2, 3e-4, 1e-3)]
          + [Superoperator(2, m) for m in NOT_CHANNELS], "canonical")
 # n = 25 > 16 takes LAPACK LU item by item; the identity's bordered system is
-# exactly singular (zgetrf info > 0), so Schur solves it with fixed_space_dim
+# exactly singular (dgetrf info > 0), so Schur solves it with fixed_space_dim
 # 25 between two loops that LU accepts
 @example([haar_loop(5, 0), Superoperator(5, np.eye(25)), haar_loop(5, 1)],
          "canonical")
@@ -703,17 +719,147 @@ def test_lapack_branch_of_lu_agrees_with_the_lapack_rule(s):
         assert np.abs(sigma - reference).max() <= 1e-12
 
 
-def test_ztrsyl_info_is_refused(monkeypatch):
+def real_vec(m):
+    """vec(Re m + Im m), the solver's real coordinates of a Hermitian m."""
+    return vec(m.real + m.imag)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(loop_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_real_form_maps_real_coordinates_like_the_loop(case, seed):
+    # M_R h(sigma) = h(E(sigma)) for Hermitian sigma, with E applied by a
+    # dense conjugation and partial trace
+    circuit, rho = case
+    u = compile_unitary(circuit)
+    s = induced_superoperator(u, rho, circuit.cr_dims, circuit.ctc_dims)
+    g = np.random.default_rng(seed).standard_normal((2, circuit.ctc_dim,
+                                                     circuit.ctc_dim))
+    sigma = _hermitize(g[0] + 1j * g[1]) / circuit.ctc_dim
+    image = apply_map_directly(u, rho, sigma, circuit.cr_dim, circuit.ctc_dim)
+    m_r = _real_form(s.matrix)
+    assert m_r.dtype == float
+    assert np.abs(m_r @ real_vec(sigma) - real_vec(image)).max() <= 1e-14
+
+
+def rotated_slow_loop(eps, d_ctc, v_seed):
+    """A slow loop followed by a Haar rotation V . V+ of the CTC wire: the
+    rotation puts ||A||_1 near d_ctc, the slow loop ||A^-1||_1 near 1/eps^2."""
+    v = random_unitary(d_ctc, v_seed)
+    slow = near_degenerate_superoperator(eps, d_ctc=d_ctc).matrix
+    return Superoperator(d_ctc, np.kron(v.conj(), v) @ slow)
+
+
+@pytest.mark.parametrize("d_ctc, v_seed", [(5, 1), (6, 0), (6, 1)])
+def test_lapack_lu_reads_the_norm_of_a(d_ctc, v_seed):
+    # dgecon returns rcond = 1 / (||A||_1 ||A^-1||_1): these loops have
+    # ||A^-1||_1 between 1e6 / ||A||_1 and the 1e6 cut, so rcond alone would
+    # refuse what the rule and its complex reference accept. The two solves
+    # agree to the forward error, about ||A^-1||_1 eps_mach
+    s = rotated_slow_loop(1e-3, d_ctc, v_seed)
+    n = d_ctc * d_ctc
+    a = _real_form(s.matrix) - np.eye(n)
+    a[0] = vec(np.eye(d_ctc))
+    anorm = np.linalg.norm(a, 1)
+    rcond = scipy.linalg.lapack.dgecon(scipy.linalg.lapack.dgetrf(a)[0], anorm)[0]
+    assert anorm > 5 and 1e6 / anorm < 1 / (rcond * anorm) < 1e6 < 1 / rcond
+    sigma, reference = lu_point(s), lapack_lu_rule(s)[0]
+    assert sigma is not None and reference is not None
+    assert np.abs(sigma - reference).max() <= 1e-10
+
+
+@pytest.mark.parametrize("d_ctc", [4, 5], ids=["inverse", "lapack"])
+def test_lu_refuses_a_solve_off_by_round_off_times_a_million(monkeypatch,
+                                                             d_ctc):
+    # v off by 1e-6 on a well-conditioned Haar loop leaves a residual far
+    # above round-off: the LU rule refuses it, and the Schur form answers
+    s = haar_loop(d_ctc, 2)
+    want = fixed_point_exact(s)
+    if d_ctc <= 4:
+        inv = np.linalg.inv
+
+        def off(a):
+            out = inv(a)
+            out[..., 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(np.linalg, "inv", off)
+    else:
+        dgetrs = scipy.linalg.lapack.dgetrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrs",
+                            lambda *args: (dgetrs(*args)[0] + 1e-6, 0))
+    schur_calls = []
+
+    def counted(m, d, selection):
+        schur_calls.append(m.shape)
+        return _schur_fixed_point(m, d, selection)
+
+    monkeypatch.setattr(ctc_module, "_schur_fixed_point", counted)
+    assert lu_point(s) is None
+    fp = fixed_point_exact(s)
+    assert schur_calls == [(d_ctc ** 2, d_ctc ** 2)]
+    assert fp.fixed_space_dim == 1
+    assert np.abs(fp.sigma - want.sigma).max() <= 1e-12
+
+
+def rotating_leak(d, m, gamma, seed):
+    """A leak of the d - m upper levels into the kept m (rate gamma) whose
+    leaking levels also pick up random phases, in a Haar-scrambled basis:
+    the decaying modes come in complex conjugate pairs."""
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.uniform(size=d - m))
+    kraus = [np.diag(np.concatenate([np.ones(m), np.sqrt(1 - gamma) * phases]))]
+    for k in range(m, d):
+        phi = np.zeros(d, dtype=complex)
+        phi[:m] = random_unitary(m, rng)[:, 0]
+        kraus.append(np.sqrt(gamma) * np.outer(phi, np.eye(d)[k]))
+    v = random_unitary(d, rng)
+    return kraus_superoperator([v @ k @ dagger(v) for k in kraus], d)
+
+
+@pytest.mark.parametrize("d, m, gamma, seed", [(4, 2, 0.1, 1), (6, 3, 0.5, 3)])
+def test_resolvent_bound_reads_the_bumps_of_t22(monkeypatch, d, m, gamma, seed):
+    # T22 - I is quasi-triangular: its 2x2 bumps hold the complex pairs. The
+    # solver's estimate of ||(T22 - I)^-1||_1 (dgetrf + dgecon on the whole
+    # block) must be the dense norm's lower bound within a factor 3; a
+    # triangular estimator, blind to the bumps, reads above it here
+    s = rotating_leak(d, m, gamma, seed)
+    estimates = []
+    dgecon = scipy.linalg.lapack.dgecon
+
+    def recorded(lu, anorm):
+        rcond, info = dgecon(lu, anorm)
+        estimates.append(1 / (rcond * anorm))
+        return rcond, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgecon", recorded)
+    fp = fixed_point_exact(s)
+    m_r = _real_form(s.matrix)
+    t, z, sdim = scipy.linalg.schur(
+        m_r, output="real",
+        sort=lambda re, im: abs(complex(re, im) - 1) <= EIGENVALUE_ONE_WINDOW)
+    assert fp.fixed_space_dim == sdim == m * m
+    resolvent = t[sdim:, sdim:] - np.eye(len(t) - sdim)
+    assert np.count_nonzero(np.diag(resolvent, -1)) >= 2
+    dense = np.abs(np.linalg.inv(resolvent)).sum(axis=0).max()
+    assert dense / 3 <= estimates[-1] <= dense * (1 + 1e-12)
+    triangular = 1 / (scipy.linalg.lapack.dtrcon(resolvent)[0]
+                      * np.linalg.norm(resolvent, 1))
+    assert triangular > dense * (1 + 1e-12)
+    h = real_vec(fp.sigma)
+    assert dense * np.abs(z[:, sdim:].T @ (m_r @ h - h)).sum() <= 1e-9
+
+
+def test_dtrsyl_info_is_refused(monkeypatch):
     # info 1: T11 and T22 have close eigenvalues, so X solves a perturbed
     # Sylvester equation; the canonical point is refused, not returned
-    ztrsyl = scipy.linalg.lapack.ztrsyl
+    dtrsyl = scipy.linalg.lapack.dtrsyl
 
     def perturbed(*args, **kwargs):
-        return ztrsyl(*args, **kwargs)[:2] + (1,)
+        return dtrsyl(*args, **kwargs)[:2] + (1,)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", perturbed)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", perturbed)
     for selection in ("canonical", "max_entropy"):
-        with pytest.raises(SolverError, match="ztrsyl info 1: close eigen"):
+        with pytest.raises(SolverError, match="dtrsyl info 1: close eigen"):
             fixed_point_exact(block_superoperator(), selection)
 
 

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_bhw_multi,
                             build_epr_swap, builtin_matrix, compile_unitary,
-                            pad_with_ancillas)
-from ctcsim.ctc import (SolverError, ctc_evolve, evolve_given_ctc_state,
-                        evolve_stack, fixed_point_exact, frozen_channel,
+                            complete_unitary, pad_with_ancillas)
+from ctcsim.ctc import (SolverError, Superoperator, ctc_evolve,
+                        evolve_given_ctc_state, evolve_stack,
+                        fixed_point_cesaro, fixed_point_exact, frozen_channel,
                         induced_superoperator)
 from ctcsim.experiments import random_instance, sim_equivalence
-from ctcsim.oracle import random_density, random_unitary
+from ctcsim.oracle import fixed_point_bruteforce, random_density, random_unitary
 from ctcsim.protocol import (SUCCESS_DISTANCE, ComputationTask,
                              DiscriminationOutcome, LabeledEnsemble,
                              helstrom_bound, labeled_ensemble,
@@ -149,10 +150,40 @@ def test_the_first_bad_state_is_the_error(states, words):
     (lambda: pad_with_ancillas([1, 0], -2), "dimension-2 state to dimension -2$"),
     (lambda: random_density(True, 0), "dimension must be an integer >= 1, got True"),
     (lambda: random_unitary(2.0, 0), r"must be an integer >= 1, got 2\.0"),
+    (lambda: Superoperator("2", np.eye(4)), "d_ctc must be an integer >= 1, got '2'"),
+    (lambda: Superoperator(2.5, np.eye(4)), r"d_ctc must be an integer >= 1, got 2\.5"),
+    (lambda: induced_superoperator(np.eye(4), np.eye(2) / 2, None, (2,)),
+     re.escape("$.cr_dims: expected a sequence, got NoneType")),
+    (lambda: fixed_point_exact(None),
+     "loop map must be a Superoperator, got NoneType"),
+    (lambda: fixed_point_cesaro(None),
+     "loop map must be a Superoperator, got NoneType"),
+    (lambda: ctc_evolve(None, np.eye(2) / 2),
+     "circuit must be a Circuit, got NoneType"),
+    (lambda: complete_unitary(5, 2),
+     re.escape("$.constraints: expected a sequence, got int")),
+    (lambda: complete_unitary([(1,)], 2),
+     r"each constraint must be a pair \(input, output\)"),
+    (lambda: complete_unitary([(KET0, KET0)], 2.0),
+     r"dimension must be an integer >= 1, got 2\.0"),
+    (lambda: random_density(2, -1), "bad seed -1: expected non-negative integer"),
+    (lambda: run_discrimination(build_bhw2(PLUS), None),
+     "ensemble must be a LabeledEnsemble, got NoneType"),
+    (lambda: run_superposition(None, labeled_ensemble([(0, 1.0, KET0)])[0]),
+     "circuit must be a Circuit, got NoneType"),
+    (lambda: helstrom_bound(None), "ensemble must be a LabeledEnsemble, got NoneType"),
+    (lambda: fixed_point_bruteforce(None, np.eye(2) / 2),
+     "circuit must be a Circuit, got NoneType"),
+    (lambda: Gate(None, (0,), np.eye(2)), re.escape("$.name: expected a string")),
 ], ids=["ensemble-entry-int", "ensemble-none", "bhw-multi-int", "task-str-domain",
         "circuit-int-dims", "circuit-int-gates", "circuit-int-labels", "gate-int-wires",
         "circuit-int-gate", "task-int-table", "task-no-circuit", "pad-to-zero",
-        "pad-to-negative", "density-bool-dim", "unitary-float-dim"])
+        "pad-to-negative", "density-bool-dim", "unitary-float-dim", "superop-str-dim",
+        "superop-float-dim", "induced-no-dims", "exact-no-map", "cesaro-no-map",
+        "evolve-no-circuit", "completion-int-constraints", "completion-short-pair",
+        "completion-float-dim", "density-negative-seed", "discrimination-no-ensemble",
+        "superposition-no-circuit", "helstrom-no-ensemble", "oracle-no-circuit",
+        "gate-no-name"])
 def test_a_non_sequence_or_non_integer_argument_is_a_validation_error(call, words):
     with pytest.raises(ValidationError, match=words):
         call()
