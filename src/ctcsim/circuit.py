@@ -261,9 +261,12 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
     An empty gate list compiles to the identity. The product is held as a
     tensor with one row axis per wire plus one column axis, and `order`
     tracks which wire each row axis holds. Each gate costs one transposed
-    copy that brings its wires' axes to the front and one matrix product
-    with them, D^2 * span multiply-adds; the product's axes stay where it
-    puts them, and one transpose at the end restores wire order. A first
+    copy into a spare array that brings its wires' axes to the front and one
+    matrix product with them back into u's array, D^2 * span multiply-adds;
+    the product's axes stay where it puts them, and one transpose at the end
+    restores wire order. The loop allocates no array: a U-sized temporary
+    freed per gate can make the heap give pages back to the system and
+    fault them in again on the next gate. A first
     gate on all wires in ascending order is copied in at cost D^2 instead,
     equal entry for entry to its contraction into the identity.
 
@@ -282,11 +285,15 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
     else:
         u = np.eye(total, dtype=complex)
     u, order = u.reshape(dims + (total,)), list(range(n))
+    spare = np.empty_like(u)
     for gate, g in steps:
         rest = [a for a, w in enumerate(order) if w not in gate.wires]
-        x = u.transpose([order.index(w) for w in gate.wires] + rest + [n])
+        view = u.transpose([order.index(w) for w in gate.wires] + rest + [n])
+        x = spare.reshape(view.shape)
+        np.copyto(x, view)
         # the product leaves the gate's wires first, the rest as they were
-        u = (g @ x.reshape(len(g), -1)).reshape(x.shape)
+        u = np.matmul(g, x.reshape(len(g), -1), out=u.reshape(len(g), -1))
+        u = u.reshape(x.shape)
         order = list(gate.wires) + [order[a] for a in rest]
     u = u.transpose([order.index(w) for w in range(n)] + [n])
     u = u.reshape(total, total)

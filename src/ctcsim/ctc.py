@@ -6,32 +6,31 @@ register,
     E(sigma) = Tr_CR( U (rho_cr x sigma) U+ ),
 
 represented here as a matrix acting on column-stacked vectorizations. With
-u4 = U.reshape(d_cr, d_ctc, d_cr, d_ctc), so u4[a,k,b,i] = <a,k|U|b,i> (CR
-index first), the image of the matrix unit |i><j| is
+U[(a,k),(b,i)] = <a,k|U|b,i> (CR index first), one kernel lays out two
+operands per input, xbar[(k,i),(b,a)] = conj U[(a,k),(b,i)] and
+w[(k,i),(c,a)] = sum_b U[(a,k),(b,i)] rho_cr[b,c]. The image of |i><j|,
 
-    E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho_cr[b,c] conj(u4[a,l,c,j]),
+    E(|i><j|)[k,l] = sum_ca w[(k,i),(c,a)] xbar[(l,j),(c,a)],
 
-computed for all i, j at once by two matrix products; the same half
-contraction with rho_cr also gives the output map below. The engine finds a
-density matrix sigma* with E(sigma*) = sigma* (one always exists for a
-completely positive trace-preserving E) and then produces the
-causality-respecting output
+is then one matrix product for all i, j, and the output map below one
+contraction with sigma and one product. The engine finds a density matrix
+sigma* with E(sigma*) = sigma* (one always exists for a completely positive
+trace-preserving E) and then produces the causality-respecting output
 
     rho_out = Tr_CTC( U (rho_cr x sigma*) U+ ) = Phi_sigma*(rho_cr).
 
 Because sigma* depends on rho_cr, the full map rho_cr -> rho_out is
 nonlinear. The exact solver runs in real arithmetic: E preserves
-Hermiticity, so in the coordinates h(sigma) = vec(Re sigma + Im sigma), an
-isometry of the Hermitian matrices onto R^(d^2) (Re sigma is symmetric, Im
-sigma antisymmetric), it is the real matrix M_R = Re M + Im(M) K (K
-transposes on vec), with M's spectrum. Each stack is converted once; sigma =
-(h + h^T)/2 + i (h - h^T)/2 is Hermitian by construction. The solver tries
-one LU solve of the bordered system and falls back to one ordered real Schur
-form of M_R; fixed_point_exact states what each accepts. Two selections
-serve degenerate fixed spaces: "canonical" (the spectral projection of the
-maximally mixed state, i.e. the Cesaro limit seeded at I/d) and
-"max_entropy" (Deutsch's rule: the fixed state of largest entropy, in closed
-form). Both are deterministic.
+Hermiticity, so in the isometric coordinates h(sigma) = vec(Re sigma + Im
+sigma) it is the real matrix M_R = Re M + Im(M) K (K transposes on vec),
+with M's spectrum, and sigma = (h + h^T)/2 + i (h - h^T)/2 is Hermitian by
+construction. The public solvers refuse a map that does not preserve
+Hermiticity. The solver tries one LU solve of the bordered system and falls
+back to one ordered real Schur form of M_R; fixed_point_exact states what
+each accepts. Two deterministic selections serve degenerate fixed spaces:
+"canonical" (the spectral projection of the maximally mixed state, i.e. the
+Cesaro limit seeded at I/d) and "max_entropy" (Deutsch's rule: the fixed
+state of largest entropy, in closed form).
 
 The kernels take stacks of loops (a leading loop axis; one loop is a stack
 of one). LAPACK LU above n = dc^2 = 16 and the Schur fallback go item by
@@ -49,7 +48,8 @@ import numpy as np
 
 from .circuit import Circuit, _integers, _is_integer, compile_unitary
 from .qmat import (CHOI_PSD_FLOOR, EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
-                   PSD_FLOOR, TRACE_PRESERVING_TOL, ValidationError, ValidationReport,
+                   HERMITICITY_PRESERVING_TOL, PSD_FLOOR, TRACE_PRESERVING_TOL,
+                   ValidationError, ValidationReport,
                    _as_array, _density_failure, _half_trace_norms, _hermitize,
                    _require_instance, dagger, require_density, require_unitary,
                    von_neumann_entropy)
@@ -73,8 +73,16 @@ def _vec(m: np.ndarray) -> np.ndarray:
 
 
 def _unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.shape[-1])))
-    return np.asarray(v).reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
+    d = round(v.shape[-1] ** 0.5)
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
+
+
+def _square(m, d: int, what: str) -> np.ndarray:
+    """A caller's m as a complex array, refused unless it is d x d."""
+    a = _as_array(m, what)
+    if a.shape != (d, d):
+        raise ValidationError(f"{what} shape {a.shape}, expected {(d, d)}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -90,20 +98,11 @@ class Superoperator:
     def __post_init__(self):
         if not (_is_integer(self.d_ctc) and self.d_ctc >= 1):
             raise ValidationError(f"d_ctc must be an integer >= 1, got {self.d_ctc!r}")
-        m = _as_array(self.matrix, "superoperator matrix")
-        d2 = self.d_ctc * self.d_ctc
-        if m.shape != (d2, d2):
-            raise ValidationError(
-                f"superoperator matrix shape {m.shape}, expected {(d2, d2)}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _square(
+            self.matrix, self.d_ctc ** 2, "superoperator matrix"))
 
     def apply(self, sigma) -> np.ndarray:
-        sigma = _as_array(sigma, "operand")
-        if sigma.shape != (self.d_ctc, self.d_ctc):
-            raise ValidationError(
-                f"operand shape {sigma.shape}, expected "
-                f"{(self.d_ctc, self.d_ctc)}")
-        return _unvec(self.matrix @ _vec(sigma))
+        return _unvec(self.matrix @ _vec(_square(sigma, self.d_ctc, "operand")))
 
 
 @dataclass(frozen=True)
@@ -128,16 +127,15 @@ class FixedPointResult:
     selection: str
 
 
-def _half_conjugation(u: np.ndarray, rho: np.ndarray, cr_dim: int,
-                      ctc_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """u4 = U.reshape(cr, ctc, cr, ctc) and w[a,k,i,c] = sum_b u4[a,k,b,i] rho[b,c].
-
-    w is U (rho_cr x .) with the CTC input index i left open; contracting it
-    with conj(u4) closes the conjugation for every CTC operand at once. Both
-    have a leading stack axis; u may be a stack of one (or 2-D), shared."""
-    u4 = u.reshape(-1, cr_dim, ctc_dim, cr_dim, ctc_dim)
-    w = u4.transpose(0, 1, 2, 4, 3).reshape(-1, cr_dim * ctc_dim ** 2, cr_dim) @ rho
-    return u4, w.reshape(-1, cr_dim, ctc_dim, ctc_dim, cr_dim)
+def _operands(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """xbar[(k,i),(b,a)] = conj U[(a,k),(b,i)] (one transposed copy of U,
+    conjugated in place once w is formed) and w[(k,i),(c,a)] = sum_b
+    U[(a,k),(b,i)] rho[b,c], each (items, dc^2, cr, cr); u, rho stacks or 2-D."""
+    x = u.reshape(-1, cr_dim, dc, cr_dim, dc).transpose(0, 2, 4, 3, 1).copy()
+    x = x.reshape(-1, dc * dc, cr_dim, cr_dim)
+    w = rho.swapaxes(-1, -2)[..., None, :, :] @ x
+    return np.conjugate(x, out=x), w
 
 
 def _checked_cr(rho_cr, cr_dim: int) -> np.ndarray:
@@ -150,32 +148,25 @@ def _checked_cr(rho_cr, cr_dim: int) -> np.ndarray:
 
 def _loop_map(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The loop maps of trusted (cr*dc)-square unitaries u (2-D: shared) on
-    a trusted stack of CR inputs rho (B, cr, cr) (2-D: shared).
-
-    Column j*d+i holds the column-stacked image of |i><j|, so entry
-    (l*d+k, j*d+i) is E(|i><j|)[k,l] = sum_abc u4[a,k,b,i] rho[b,c]
-    conj(u4[a,l,c,j]) with u4 = U.reshape(cr, d, cr, d). Built as t[k,i,l,j]
-    = sum_ac w[a,k,i,c] conj(u4[a,l,c,j]) from the half conjugation w, then
-    transposed to (l,k,j,i) and flattened. Returns them with u4 and w.
-    """
-    u4, w = _half_conjugation(u, rho, cr_dim, dc)
-    t = (w.transpose(0, 2, 3, 1, 4).reshape(-1, dc * dc, cr_dim ** 2)
-         @ u4.conj().transpose(0, 1, 3, 2, 4).reshape(-1, cr_dim ** 2, dc * dc))
+    """The loop maps of trusted (cr*dc)-square unitaries u on trusted CR
+    inputs rho (B, cr, cr) (either 2-D: shared), and their operands (xbar,
+    w). Entry (l*d+k, j*d+i) is E(|i><j|)[k,l] = sum_ca w[(k,i),(c,a)]
+    xbar[(l,j),(c,a)]: one product w xbar^T, transposed to (l,k,j,i)."""
+    xbar, w = _operands(u, rho, cr_dim, dc)
+    t = w.reshape(-1, dc * dc, cr_dim ** 2) @ xbar.reshape(
+        -1, dc * dc, cr_dim ** 2).swapaxes(-1, -2)
     maps = t.reshape(-1, dc, dc, dc, dc).transpose(0, 3, 1, 4, 2)
-    return maps.reshape(-1, dc * dc, dc * dc), u4, w
+    return maps.reshape(-1, dc * dc, dc * dc), xbar, w
 
 
-def _trace_output(u4: np.ndarray, w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Tr_CTC(U (rho x sigma) U+) from the half conjugation w of rho.
-
-    Closes w with sigma, ws[a,k,c,j] = sum_i w[a,k,i,c] sigma[i,j], then
-    traces the CTC output: out[a,e] = sum_kcj ws[a,k,c,j] conj(u4[e,k,c,j]),
-    for each item of the stacks (sigma, like u4, may be shared)."""
-    cr, dc = w.shape[1:3]
-    ws = w.transpose(0, 1, 2, 4, 3).reshape(-1, cr * dc * cr, dc) @ sigma
-    return ws.reshape(-1, cr, dc * cr * dc) @ u4.conj().transpose(
-        0, 2, 3, 4, 1).reshape(-1, dc * cr * dc, cr)
+def _output(xbar: np.ndarray, w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Tr_CTC(U (rho x sigma) U+) from rho's operands, per item (sigma, like
+    xbar, may be shared): y[(k,j),(c,a)] = sum_i sigma[i,j] w[(k,i),(c,a)],
+    then out[a,e] = sum_kjc y[(k,j,c),a] xbar[(k,j,c),e], one product y^T xbar."""
+    dc, cr = round(w.shape[1] ** 0.5), w.shape[-1]
+    y = sigma.swapaxes(-1, -2)[..., None, :, :] @ w.reshape(-1, dc, dc, cr * cr)
+    return y.reshape(-1, dc * dc * cr, cr).swapaxes(-1, -2) @ xbar.reshape(
+        -1, dc * dc * cr, cr)
 
 
 def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
@@ -183,10 +174,8 @@ def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     which is checked to be a unitary of dimension cr*ctc."""
     cr_dim, dc = (int(np.prod(_integers(dims, f"$.{name}"))) for name, dims in
                   (("cr_dims", cr_dims), ("ctc_dims", ctc_dims)))
-    u = require_unitary(u, "interaction unitary")
-    if u.shape != (cr_dim * dc, cr_dim * dc):
-        raise ValidationError(
-            f"unitary dimension {u.shape[0]} != cr*ctc = {cr_dim * dc}")
+    what = "interaction unitary"
+    u = _square(require_unitary(u, what), cr_dim * dc, what)
     return Superoperator(dc, _loop_map(u, _checked_cr(rho_cr, cr_dim), cr_dim, dc)[0][0])
 
 
@@ -432,6 +421,19 @@ def _schur_fixed_point(m: np.ndarray, d_ctc: int, selection: str
     return sigma, int(sdim)
 
 
+def _loop_matrix(s: Superoperator) -> np.ndarray:
+    """The matrix M of a caller's loop map, refused unless the map preserves
+    Hermiticity: conj(M) = K M K (K transposes on vec), as M_R assumes."""
+    _require_instance(s, Superoperator, "loop map")
+    m, d = s.matrix, s.d_ctc
+    defect = np.abs(m.conj() - m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(
+        m.shape)).max()
+    if defect > HERMITICITY_PRESERVING_TOL:
+        raise ValidationError(f"loop map does not preserve Hermiticity: max "
+                              f"|conj(M) - K M K| is {defect:.3e}")
+    return m
+
+
 def fixed_point_exact(s: Superoperator,
                       selection: str = "canonical") -> FixedPointResult:
     """Fixed point of a loop map, unique ones by LU, the rest by ordered Schur.
@@ -450,14 +452,14 @@ def fixed_point_exact(s: Superoperator,
     certified by its residual and density validation.
 
     Raises:
+        ValidationError: a map that does not preserve Hermiticity.
         SolverError: no eigenvalue within the detection window of 1 (signals
             a non-CPTP or numerically broken input), a canonical point of
             zero trace, dtrsyl info != 0, a Schur spread or bound too large
             (both named in the message), a residual above tolerance, or a
             result that fails density validation.
     """
-    _require_instance(s, Superoperator, "loop map")
-    return _fixed_points(s.matrix[None], s.d_ctc, selection)[1][0]
+    return _fixed_points(_loop_matrix(s)[None], s.d_ctc, selection)[1][0]
 
 
 def _fixed_points(maps: np.ndarray, d_ctc: int, selection: str
@@ -496,22 +498,17 @@ def fixed_point_cesaro(s: Superoperator,
     preserve trace moves the iterate's trace away from 1 (L pulls an
     eigenvalue below -1 inside the unit disc, and a map without eigenvalue 1
     drives the trace to 0), so a trace beyond 1 +- 0.5, far outside the
-    drift of squaring, stops it too.
-
-    Args:
-        s: the superoperator.
-        max_iter: cap on N.
+    drift of squaring, stops it too. max_iter caps N.
 
     Raises:
+        ValidationError: a map that does not preserve Hermiticity.
         ConvergenceError: max_iter or either guard reached before
             convergence; carries the last residual (None before the first one).
     """
-    _require_instance(s, Superoperator, "loop map")
+    m = _loop_matrix(s)
     v0 = _vec(np.eye(s.d_ctc, dtype=complex) / s.d_ctc)
-    m = s.matrix
     power = (np.eye(m.shape[0], dtype=complex) + m) / 2   # L^N
-    n = 1
-    prev = last_residual = None
+    n, prev, last_residual = 1, None, None
     while True:
         raw = _unvec(m @ (power @ v0))     # E(L^N(I/d))
         trace = raw.trace().real
@@ -520,12 +517,10 @@ def fixed_point_cesaro(s: Superoperator,
                 f"iterate trace {trace:.3e} at N={n}: the map does not "
                 f"preserve trace", residual=last_residual)
         current = _hermitize(raw) / trace
-        # the residual, then the step from the previous doubling; at N = 1
-        # the residual alone decides (e.g. constant maps)
-        diffs = [s.apply(current) - current]
-        if prev is not None:
-            diffs.append(current - prev)
-        norms = _half_trace_norms(np.stack(diffs))
+        # the residual E(current) - current, then the step prev - current from
+        # the previous doubling; at N = 1 the residual alone decides (constant maps)
+        img = _unvec(m @ _vec(current))
+        norms = _half_trace_norms(np.array([img, prev] if n > 1 else [img]) - current)
         last_residual = float(norms[0])
         if (norms <= FIXED_POINT_RESIDUAL).all():
             dim_est = max(1, int(round(power.trace().real)))
@@ -536,7 +531,7 @@ def fixed_point_cesaro(s: Superoperator,
                 f"Cesaro iteration did not converge within N={max_iter} "
                 f"(last residual {last_residual:.3e})", residual=last_residual)
         power = power @ power
-        if not np.isfinite(power).all() or np.abs(power).max() > 1e6:
+        if not np.abs(power).max() <= 1e6:   # NaN and inf included
             raise ConvergenceError(
                 f"power iteration blew up at N={n} with residual "
                 f"{last_residual:.3e} (eigenvalues numerically above 1)",
@@ -547,9 +542,13 @@ def fixed_point_cesaro(s: Superoperator,
 
 def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
     """Ordinary (linear) evolution for a FIXED time-machine state:
-    Tr_CTC(U (rho_cr x sigma) U+)."""
-    u, rho, sigma = (_as_array(m, "input") for m in (u, rho_cr, sigma))
-    return _trace_output(*_half_conjugation(u, rho, cr_dim, ctc_dim), sigma)[0]
+    Tr_CTC(U (rho_cr x sigma) U+), with U of dimension cr_dim * ctc_dim."""
+    for name, d in (("cr_dim", cr_dim), ("ctc_dim", ctc_dim)):
+        if not (_is_integer(d) and d >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {d!r}")
+    u = _square(u, cr_dim * ctc_dim, "u")
+    rho, sigma = _square(rho_cr, cr_dim, "rho_cr"), _square(sigma, ctc_dim, "sigma")
+    return _output(*_operands(u, rho, cr_dim, ctc_dim), sigma)[0]
 
 
 def _checked_output(rho_out: np.ndarray) -> np.ndarray:
@@ -575,17 +574,17 @@ def frozen_channel(u: np.ndarray, x: np.ndarray, sigma: np.ndarray,
 def evolve_stack(u: np.ndarray, rho: np.ndarray, cr_dim: int, ctc_dim: int,
                  selection: str) -> tuple[np.ndarray, list[FixedPointResult]]:
     """ctc_evolve of a trusted stack rho (B, n*cr, n*cr) on R (x) CR under
-    compiled, trusted u (2-D: shared): each loop is solved on Tr_R rho. n
-    picks only the output kernel: for n = 1 the outputs reuse the loop maps'
-    half conjugation w; for n > 1 Phi_sigma's matrix takes the n^2 blocks of
-    rho (the half conjugation of that many blocks would be n^2 times larger)."""
+    compiled, trusted u (2-D: shared): each loop is solved on Tr_R rho. For
+    n = 1 the outputs reuse the loop maps' operands; for n > 1 Phi_sigma's
+    matrix takes the n^2 blocks of rho (operands of that many blocks would be
+    n^2 times larger)."""
     n = rho.shape[-1] // cr_dim
     blocks = rho.reshape(-1, n, cr_dim, n, cr_dim)
-    maps, u4, w = _loop_map(u, rho if n == 1 else blocks.trace(axis1=1, axis2=3),
-                            cr_dim, ctc_dim)
+    maps, xbar, w = _loop_map(u, rho if n == 1 else blocks.trace(axis1=1, axis2=3),
+                              cr_dim, ctc_dim)
     sigma, fps = _fixed_points(maps, ctc_dim, selection)
     if n == 1:
-        out = _trace_output(u4, w, sigma)
+        out = _output(xbar, w, sigma)
     else:
         out = frozen_channel(u, blocks.transpose(0, 1, 3, 2, 4), sigma, cr_dim,
                              ctc_dim).transpose(0, 1, 3, 2, 4).reshape(rho.shape)

@@ -33,6 +33,7 @@ CHOI_PSD_FLOOR = 1e-9        # Choi eigenvalues in [-CHOI_PSD_FLOOR, 0) are CP
 MUTUAL_INFO_FLOOR = 1e-8     # mutual information in [-floor, 0) clamps to 0
 FIXED_POINT_RESIDUAL = 1e-9  # acceptance bound on ½‖E(σ)−σ‖₁ of solver output
 EIGENVALUE_ONE_WINDOW = 1e-9  # loop-map eigenvalues this close to 1 are fixed
+HERMITICITY_PRESERVING_TOL = 1e-10  # max |conj(M) - K M K| entry of a loop map M
 
 
 @dataclass(frozen=True)

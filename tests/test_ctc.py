@@ -1,6 +1,7 @@
 """Tests for the fixed-point engine: superoperators, solvers, evolution."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -465,6 +466,23 @@ def test_maps_that_are_not_channels_are_refused(matrix, residual, message):
         fixed_point_exact(s)
     assert err.value.residual == (
         None if residual is None else pytest.approx(residual, abs=1e-15))
+
+
+@pytest.mark.parametrize("solve", [fixed_point_exact, fixed_point_cesaro])
+def test_a_map_that_does_not_preserve_hermiticity_is_refused(solve):
+    # X -> P(X) + tr(X) (1 - i) R, with P a Haar loop and R real, symmetric
+    # and traceless: trace preserving, but E(X+) != E(X)+ (conj(1 - i) -
+    # (1 - i) = 2i). The exact solver reads a map through M_R, which is E only
+    # for Hermiticity-preserving maps: read so, this one's exact point had
+    # residual 8e-17 while E moved it by 1.41
+    r = np.diag([1.0, -1.0])
+    s = Superoperator(2, haar_loop(2, 0).matrix
+                      + (1 - 1j) * np.outer(vec(r), vec(np.eye(2))))
+    sigma = np.eye(2, dtype=complex) / 2
+    assert np.abs(s.apply(sigma) - s.apply(sigma).conj().T).max() == pytest.approx(2)
+    with pytest.raises(ValidationError, match=r"does not preserve Hermiticity: "
+                       r"max \|conj\(M\) - K M K\| is 2\.000e\+00"):
+        solve(s)
 
 
 def test_certificate_reads_the_imaginary_part_of_the_defect():
@@ -1061,7 +1079,7 @@ def test_superoperator_and_choi_match_matrix_unit_loops(cr_dims, ctc_dims):
     assert np.abs(choi_matrix(s) - loop_choi(want, dc)).max() < 1e-12
 
 
-@pytest.mark.parametrize("cr_dim, dc", [(3, 2), (6, 3), (4, 8)])
+@pytest.mark.parametrize("cr_dim, dc", [(3, 2), (6, 3), (4, 8), (64, 2), (2, 16)])
 def test_evolve_given_ctc_state_matches_dense_conjugation(cr_dim, dc):
     rng = np.random.default_rng([23, cr_dim, dc])
     u = random_unitary(cr_dim * dc, rng)
@@ -1071,3 +1089,22 @@ def test_evolve_given_ctc_state_matches_dense_conjugation(cr_dim, dc):
                              keep=[0])
     got = evolve_given_ctc_state(u, rho, sigma, cr_dim, dc)
     assert np.abs(got - expected).max() < 1e-12
+
+
+def test_a_cached_6_plus_1_qubit_evolve_peaks_below_three_and_a_half_unitaries():
+    # with U compiled, an op holds three U-sized arrays at once: the operands
+    # xbar and w and the output's y; rho, its checks and the 4x4 loop are
+    # small. Transposed copies of U for the loop map or the output, as in a
+    # layout that keeps U's own index order, peak at 4 U or more
+    circuit = Circuit(cr_dims=(2,) * 6, ctc_dims=(2,), gates=(
+        Gate("u", tuple(range(7)), random_unitary(128, 43)),))
+    rho = random_density(64, 44)
+    u = compile_unitary(circuit)
+    ctc_evolve(circuit, rho)
+    tracemalloc.start()
+    try:
+        ctc_evolve(circuit, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * u.nbytes, peak / u.nbytes

@@ -175,6 +175,16 @@ def test_the_first_bad_state_is_the_error(states, words):
     (lambda: fixed_point_bruteforce(None, np.eye(2) / 2),
      "circuit must be a Circuit, got NoneType"),
     (lambda: Gate(None, (0,), np.eye(2)), re.escape("$.name: expected a string")),
+    (lambda: evolve_given_ctc_state(np.eye(4), np.eye(3) / 3, np.eye(2) / 2, 2, 2),
+     re.escape("rho_cr shape (3, 3), expected (2, 2)")),
+    (lambda: evolve_given_ctc_state(np.eye(4), np.eye(2) / 2, np.eye(3) / 3, 2, 3),
+     re.escape("u shape (4, 4), expected (6, 6)")),
+    (lambda: evolve_given_ctc_state(np.eye(4), np.eye(2) / 2, np.eye(3) / 3, 2, 2),
+     re.escape("sigma shape (3, 3), expected (2, 2)")),
+    (lambda: evolve_given_ctc_state(np.eye(4), np.eye(2) / 2, np.eye(2) / 2, 2.0, 2),
+     r"cr_dim must be an integer >= 1, got 2\.0"),
+    (lambda: evolve_given_ctc_state(np.eye(4), [[1, "a"]], np.eye(2) / 2, 2, 2),
+     "rho_cr: not an array of numbers"),
 ], ids=["ensemble-entry-int", "ensemble-none", "bhw-multi-int", "task-str-domain",
         "circuit-int-dims", "circuit-int-gates", "circuit-int-labels", "gate-int-wires",
         "circuit-int-gate", "task-int-table", "task-no-circuit", "pad-to-zero",
@@ -183,7 +193,8 @@ def test_the_first_bad_state_is_the_error(states, words):
         "evolve-no-circuit", "completion-int-constraints", "completion-short-pair",
         "completion-float-dim", "density-negative-seed", "discrimination-no-ensemble",
         "superposition-no-circuit", "helstrom-no-ensemble", "oracle-no-circuit",
-        "gate-no-name"])
+        "gate-no-name", "fixed-state-rho-dim", "fixed-state-u-dim",
+        "fixed-state-sigma-dim", "fixed-state-float-dim", "fixed-state-text-entry"])
 def test_a_non_sequence_or_non_integer_argument_is_a_validation_error(call, words):
     with pytest.raises(ValidationError, match=words):
         call()
