@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import (BUILTIN_MATCH_TOL, INNER_PRODUCT_TOL, ValidationError,
-                   _as_array, _norms, _state_failure, kron, require_unitary, validate)
+                   _as_array, _is_integer, _norms, _require_instance,
+                   _require_integer, _state_failure, kron, require_unitary, validate)
 
 BUILTIN_GATES = ("swap", "h", "x", "cnot")
 
@@ -44,11 +45,6 @@ class CircuitFormatError(ValidationError):
         super().__init__(f"{path}: {message}")
 
 
-def _is_integer(value) -> bool:
-    """value is a Python or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _sequence(values, path: str) -> tuple:
     """values as a tuple; a value that does not iterate is refused at path."""
     try:
@@ -60,17 +56,18 @@ def _sequence(values, path: str) -> tuple:
 
 def _integers(values, path: str) -> tuple:
     """values as a tuple, Python and numpy integers as int; any other entry,
-    a bool or a float among them, is kept as given for the checks to refuse."""
+    a bool or a float among them, is kept for Circuit's checks to refuse."""
     return tuple(int(v) if _is_integer(v) else v for v in _sequence(values, path))
 
 
 def builtin_matrix(name: str, wire_dims: tuple[int, ...]) -> np.ndarray:
     """The canonical matrix of a builtin gate for the given wire dimensions."""
     if name == "swap":
-        if len(wire_dims) != 2 or wire_dims[0] != wire_dims[1]:
+        if (not isinstance(wire_dims, tuple) or len(wire_dims) != 2
+                or wire_dims[0] != wire_dims[1]):
             raise ValidationError(
                 f"swap needs two wires of equal dimension, got {wire_dims}")
-        d = wire_dims[0]
+        d = _require_integer(wire_dims[0], "swap wire dimension")
         # row (b, a) holds the column (a, b)
         return np.eye(d * d, dtype=complex).reshape(d, d, -1).transpose(
             1, 0, 2).reshape(d * d, d * d)
@@ -127,7 +124,7 @@ def _check_gate(gate: Gate, dims: tuple[int, ...]) -> np.ndarray:
     """Semantic gate checks against the declared wire dimensions; returns the
     gate's matrix, a builtin's canonical (read-only) one."""
     n = len(dims)
-    if any(type(w) is not int for w in gate.wires):
+    if not all(map(_is_integer, gate.wires)):
         raise ValidationError(
             f"gate {gate.name!r} wires must be integers, got {list(gate.wires)}")
     if len(set(gate.wires)) != len(gate.wires):
@@ -194,9 +191,8 @@ class Circuit:
             if not reg:
                 raise CircuitFormatError("must not be empty", f"$.{reg_name}")
             for k, d in enumerate(reg):
-                if type(d) is not int:
-                    raise CircuitFormatError("expected an integer",
-                                             f"$.{reg_name}[{k}]")
+                if not _is_integer(d):
+                    raise CircuitFormatError("expected an integer", f"$.{reg_name}[{k}]")
             if any(d < 2 for d in reg):
                 raise CircuitFormatError(f"entries must be >= 2, got {list(reg)}",
                                          f"$.{reg_name}")
@@ -275,11 +271,15 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
     construction: it is frozen, and the gate matrices it resolved when it was
     built are read-only. The stored U lives exactly as long as its circuit.
     """
-    u = circuit.__dict__.get("_unitary")
-    if u is not None:
-        return u
+    try:   # anything but a Circuit lacks __dict__ or _matrices
+        u = circuit.__dict__.get("_unitary")
+        if u is not None:
+            return u
+        steps = list(zip(circuit.gates, circuit._matrices))
+    except AttributeError:
+        _require_instance(circuit, Circuit, "circuit")
+        raise
     dims, n, total = circuit.dims, circuit.n_wires, circuit.total_dim
-    steps = list(zip(circuit.gates, circuit._matrices))
     if steps and steps[0][0].wires == tuple(range(n)):
         u = np.array(steps.pop(0)[1])
     else:
@@ -354,8 +354,7 @@ def complete_unitary(constraints, dim: int) -> np.ndarray:
         ValidationError: inconsistent (inner-product mismatch, naming the
             violating pair) or linearly dependent constraints.
     """
-    if not (_is_integer(dim) and dim >= 1):
-        raise ValidationError(f"dimension must be an integer >= 1, got {dim!r}")
+    _require_integer(dim, "dimension")
     pairs = [tuple(_as_array(v, "constraint").reshape(-1)
                    for v in _sequence(p, f"$.constraints[{k}]"))
              for k, p in enumerate(_sequence(constraints, "$.constraints"))]
@@ -643,6 +642,7 @@ def serialize_circuit(circuit: Circuit) -> str:
     Builtin gates are written without a matrix, so parse(serialize(c)) == c
     bit-exactly on the Circuit value.
     """
+    _require_instance(circuit, Circuit, "circuit")
     doc: dict = {"cr_dims": list(circuit.cr_dims),
                  "ctc_dims": list(circuit.ctc_dims)}
     if circuit.labels is not None:

@@ -30,7 +30,7 @@ from .ctc import (SolverError, ctc_evolve, fixed_point_cesaro,
                   induced_superoperator)
 from .experiments import REGISTRY, fixed_point_record
 from .oracle import MAX_ITERS, fixed_point_bruteforce
-from .qmat import ValidationError, trace_distance
+from .qmat import ValidationError, _square, trace_distance
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = tuple(REGISTRY)
@@ -95,12 +95,8 @@ def _input_state(spec: str, dim: int) -> np.ndarray:
     in the [[re, im], ...] grid format used for gate matrices."""
     if spec.startswith("@"):
         path = spec[1:]
-        m = _parse_matrix(_load_json(path), f"{path}: $")
-        if m.shape != (dim, dim):
-            raise ValidationError(
-                f"{path}: matrix is {m.shape[0]}x{m.shape[1]}, circuit CR"
-                f" dimension is {dim}")
-        return m
+        return _square(_parse_matrix(_load_json(path), f"{path}: $"), dim,
+                       f"{path}: CR input")
     return _named_input(spec, dim)
 
 

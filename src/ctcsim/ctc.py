@@ -42,17 +42,18 @@ output is (id_R (x) Phi_sigma*)(rho).
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _integers, _is_integer, compile_unitary
+from .circuit import Circuit, _sequence, compile_unitary
 from .qmat import (CHOI_PSD_FLOOR, EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
                    HERMITICITY_PRESERVING_TOL, PSD_FLOOR, TRACE_PRESERVING_TOL,
                    ValidationError, ValidationReport,
-                   _as_array, _density_failure, _half_trace_norms, _hermitize,
-                   _require_instance, dagger, require_density, require_unitary,
-                   von_neumann_entropy)
+                   _density_failure, _half_trace_norms, _hermitize,
+                   _require_instance, _require_integer, _square, dagger,
+                   require_density, require_unitary, von_neumann_entropy)
 
 
 class SolverError(RuntimeError):
@@ -77,14 +78,6 @@ def _unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
-def _square(m, d: int, what: str) -> np.ndarray:
-    """A caller's m as a complex array, refused unless it is d x d."""
-    a = _as_array(m, what)
-    if a.shape != (d, d):
-        raise ValidationError(f"{what} shape {a.shape}, expected {(d, d)}")
-    return a
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """Matrix form of a linear map on d_ctc x d_ctc matrices.
@@ -96,8 +89,7 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if not (_is_integer(self.d_ctc) and self.d_ctc >= 1):
-            raise ValidationError(f"d_ctc must be an integer >= 1, got {self.d_ctc!r}")
+        _require_integer(self.d_ctc, "d_ctc")
         object.__setattr__(self, "matrix", _square(
             self.matrix, self.d_ctc ** 2, "superoperator matrix"))
 
@@ -140,10 +132,7 @@ def _operands(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
 
 def _checked_cr(rho_cr, cr_dim: int) -> np.ndarray:
     """A caller's CR input, checked, as a stack of one."""
-    rho = require_density(rho_cr, "rho_cr")
-    if len(rho) != cr_dim:
-        raise ValidationError(f"rho_cr dimension {len(rho)} != {cr_dim}")
-    return rho[None]
+    return _square(require_density(rho_cr, "rho_cr"), cr_dim, "rho_cr")[None]
 
 
 def _loop_map(u: np.ndarray, rho: np.ndarray, cr_dim: int, dc: int
@@ -171,9 +160,11 @@ def _output(xbar: np.ndarray, w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def induced_superoperator(u, rho_cr, cr_dims, ctc_dims) -> Superoperator:
     """Matrix of sigma -> Tr_CR(U (rho_cr x sigma) U+) for a caller's U,
-    which is checked to be a unitary of dimension cr*ctc."""
-    cr_dim, dc = (int(np.prod(_integers(dims, f"$.{name}"))) for name, dims in
-                  (("cr_dims", cr_dims), ("ctc_dims", ctc_dims)))
+    which is checked to be a unitary of dimension cr*ctc. An entry of cr_dims
+    or ctc_dims that is not an integer >= 1 raises ValidationError."""
+    cr_dim, dc = (math.prod(_require_integer(d, f"{name}[{k}]") for k, d in
+                            enumerate(_sequence(dims, f"$.{name}")))
+                  for name, dims in (("cr_dims", cr_dims), ("ctc_dims", ctc_dims)))
     what = "interaction unitary"
     u = _square(require_unitary(u, what), cr_dim * dc, what)
     return Superoperator(dc, _loop_map(u, _checked_cr(rho_cr, cr_dim), cr_dim, dc)[0][0])
@@ -185,6 +176,7 @@ def choi_matrix(s: Superoperator) -> np.ndarray:
     An index reshuffle of the superoperator matrix: entry (k*d+i, l*d+j) is
     E(|i><j|)[k,l], which the matrix holds at (l*d+k, j*d+i).
     """
+    _require_instance(s, Superoperator, "map")
     d = s.d_ctc
     return s.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
@@ -192,6 +184,7 @@ def choi_matrix(s: Superoperator) -> np.ndarray:
 def validate_superoperator(s: Superoperator) -> ValidationReport:
     """Report trace-preservation (within TRACE_PRESERVING_TOL) and complete-
     positivity (Choi PSD within CHOI_PSD_FLOOR) violations."""
+    _require_instance(s, Superoperator, "map")
     d = s.d_ctc
     violations: list[tuple[str, float]] = []
     # row l*d+k of column j*d+i is E(|i><j|)[k,l]; TP means its trace is delta_ij
@@ -501,10 +494,12 @@ def fixed_point_cesaro(s: Superoperator,
     drift of squaring, stops it too. max_iter caps N.
 
     Raises:
-        ValidationError: a map that does not preserve Hermiticity.
+        ValidationError: a map that does not preserve Hermiticity, or a
+            max_iter that is not an integer >= 1.
         ConvergenceError: max_iter or either guard reached before
             convergence; carries the last residual (None before the first one).
     """
+    _require_integer(max_iter, "max_iter")
     m = _loop_matrix(s)
     v0 = _vec(np.eye(s.d_ctc, dtype=complex) / s.d_ctc)
     power = (np.eye(m.shape[0], dtype=complex) + m) / 2   # L^N
@@ -543,10 +538,8 @@ def fixed_point_cesaro(s: Superoperator,
 def evolve_given_ctc_state(u, rho_cr, sigma, cr_dim: int, ctc_dim: int) -> np.ndarray:
     """Ordinary (linear) evolution for a FIXED time-machine state:
     Tr_CTC(U (rho_cr x sigma) U+), with U of dimension cr_dim * ctc_dim."""
-    for name, d in (("cr_dim", cr_dim), ("ctc_dim", ctc_dim)):
-        if not (_is_integer(d) and d >= 1):
-            raise ValidationError(f"{name} must be an integer >= 1, got {d!r}")
-    u = _square(u, cr_dim * ctc_dim, "u")
+    u = _square(u, _require_integer(cr_dim, "cr_dim")
+                * _require_integer(ctc_dim, "ctc_dim"), "u")
     rho, sigma = _square(rho_cr, cr_dim, "rho_cr"), _square(sigma, ctc_dim, "sigma")
     return _output(*_operands(u, rho, cr_dim, ctc_dim), sigma)[0]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .protocol import (ComputationTask, DiscriminationOutcome,
                        LabeledEnsemble, _simulate, helstrom_bound,
                        labeled_mixture, run_computation_mixture,
                        run_discrimination, run_superposition)
-from .qmat import (ValidationError, _half_trace_norms, _norms, _state_failure,
-                   _unitary_failure, _weights_failure, mutual_information,
-                   trace_distance)
+from .qmat import (ValidationError, _half_trace_norms, _is_integer, _norms,
+                   _require_integer, _state_failure, _unitary_failure,
+                   _weights_failure, mutual_information, trace_distance)
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
 _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -60,13 +61,13 @@ def _outcome_record(outcome: DiscriminationOutcome) -> dict:
 
 
 def _check_theta(theta: float) -> float:
-    if not 0 < theta < math.pi / 2:
+    if not (isinstance(theta, numbers.Real) and 0 < theta < math.pi / 2):
         raise ValidationError(f"--theta must be in (0, pi/2), got {theta}")
     return theta
 
 
 def _check_prob(p: float) -> float:
-    if not 0 < p < 1:
+    if not (isinstance(p, numbers.Real) and 0 < p < 1):
         raise ValidationError(f"--probs must be in (0, 1), got {p}")
     return p
 
@@ -118,6 +119,9 @@ def random_instances(seed: int, trials: int, first: int = 0
     states; then p0 in [0.1, 0.9) for the weights p0 and 1 - p0. The checks
     of Circuit and LabeledEnsemble run once on the stacks; the first trial
     that fails one is built through those classes, which word the error."""
+    _require_integer(seed, "seed", 0)
+    _require_integer(trials, "trials")
+    _require_integer(first, "first", 0)
     rngs = [np.random.default_rng([seed, t]) for t in range(first, first + trials)]
     normals = np.array([rng.standard_normal(40) for rng in rngs])
     p0 = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
@@ -267,7 +271,7 @@ def superposition(*, theta: float = math.pi / 4, probs: float = 0.5,
 def sim_equivalence(*, trials: int = 50, seed: int = 0,
                     selection: str = "canonical") -> dict:
     """A loop-free channel reproduces the loop on random labeled mixtures."""
-    if not 1 <= trials <= MAX_TRIALS:
+    if not (_is_integer(trials) and 1 <= trials <= MAX_TRIALS):
         raise ValidationError(f"--trials must be in 1..{MAX_TRIALS}, got {trials}")
     u, vecs, probs = random_instances(seed, trials)
     # run_discrimination and simulate_without_ctc minus the unread statistics,

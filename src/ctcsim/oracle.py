@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _is_integer, compile_unitary
+from .circuit import Circuit, compile_unitary
 from .ctc import _checked_cr
 from .qmat import (ValidationError, _half_trace_norms, _hermitize, _require_instance,
-                   dagger, trace_distance)
+                   _require_integer, dagger, trace_distance)
 
 RECORD_RESIDUAL = 1e-7     # a limit counts as converged below this
 STOP_RESIDUAL = 1e-11      # iteration target; see note below
@@ -40,8 +40,7 @@ UNITS_PER_CALL = 64        # matrix units mapped at once to build the step
 
 def _rng(d: int, seed) -> np.random.Generator:
     """numpy.random.default_rng(seed) for a draw of dimension d, both checked."""
-    if not _is_integer(d) or d < 1:
-        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
+    _require_integer(d, "dimension")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -106,7 +105,8 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
     batched eigvalsh scores them, so the definition certifies each limit;
     a trial keeps its best candidate and leaves the `live` index array once
     that residual is <= 1e-11. Limits with residual <= 1e-7 are recorded;
-    non-convergence just lowers `converged`.
+    non-convergence just lowers `converged`. A trials or iters that is not
+    an integer >= 1 raises ValidationError.
 
     Cost: dc^2 applications of the map, then dc^4 per trial and step where
     a conjugation by U costs 2 (cr dc)^3, so slow loops gain while
@@ -114,8 +114,8 @@ def fixed_point_bruteforce(circuit: Circuit, rho_cr, trials: int = 32,
     D = circuit.total_dim, and two (dc^2, dc^2) matrices.
     """
     _require_instance(circuit, Circuit, "circuit")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    _require_integer(trials, "trials")
+    _require_integer(iters, "iters")
     cr, dc = circuit.cr_dim, circuit.ctc_dim
     rho = _checked_cr(rho_cr, cr)[0]
     u = compile_unitary(circuit)

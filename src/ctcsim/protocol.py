@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _as_states, _basis, _is_integer, compile_unitary
+from .circuit import Circuit, _as_states, _basis, compile_unitary
 from .ctc import FixedPointResult, _checked_output, evolve_stack, frozen_channel
-from .qmat import (ValidationError, _as_array, _require_instance, _weights_failure,
-                   kron, mutual_information, partial_trace, trace_distance)
+from .qmat import (ValidationError, _as_array, _require_instance, _require_integer,
+                   _weights_failure, kron, mutual_information, partial_trace,
+                   trace_distance)
 
 SUCCESS_DISTANCE = 1e-6  # trace-distance bound defining protocol success
 
@@ -53,12 +54,9 @@ class LabeledEnsemble:
         except TypeError:
             raise ValidationError(
                 "entries must be a sequence of (label, probability, state)") from None
-        for entry in entries:
-            if len(entry) != 3:
-                raise ValidationError("each entry must be (label, probability, state)")
-            if not _is_integer(entry[0]):
-                raise ValidationError(f"label {entry[0]!r} is not an integer")
-        labels = [int(e[0]) for e in entries]
+        if any(len(entry) != 3 for entry in entries):
+            raise ValidationError("each entry must be (label, probability, state)")
+        labels = [int(_require_integer(e[0], "label", 0)) for e in entries]
         probs = _as_array([e[1] for e in entries], "probabilities", float)
         if probs.shape != (len(labels),):
             raise ValidationError("each probability must be a number")
@@ -319,10 +317,7 @@ class ComputationTask:
     circuit: Circuit
 
     def __post_init__(self):
-        if not _is_integer(self.domain_size):
-            raise ValidationError(f"domain_size {self.domain_size!r} is not an integer")
-        if self.domain_size < 1:
-            raise ValidationError("domain_size must be >= 1")
+        _require_integer(self.domain_size, "domain_size")
         _require_instance(self.circuit, Circuit, "circuit")
         try:
             object.__setattr__(self, "truth_table", tuple(self.truth_table))
@@ -337,9 +332,7 @@ class ComputationTask:
                 f"truth table has {len(self.truth_table)} entries for "
                 f"domain size {self.domain_size}")
         for x, fx in enumerate(self.truth_table):
-            if not _is_integer(fx):
-                raise ValidationError(f"truth_table[{x}] is not an integer")
-            if not 0 <= fx < self.circuit.cr_dim:
+            if _require_integer(fx, f"truth_table[{x}]", 0) >= self.circuit.cr_dim:
                 raise ValidationError(
                     f"truth_table[{x}] = {fx} does not fit the output "
                     f"register (dimension {self.circuit.cr_dim})")

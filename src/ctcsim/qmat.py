@@ -64,6 +64,31 @@ def _as_array(m, what: str, dtype=complex) -> np.ndarray:
         raise ValidationError(f"{what}: not an array of numbers ({exc})") from exc
 
 
+def _is_integer(value) -> bool:
+    """value is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_integer(value, what: str, least: int = 1):
+    """value, refused unless it is an integer >= least (no coercion)."""
+    if not (_is_integer(value) and value >= least):
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _square(m, d: int, what: str) -> np.ndarray:
+    """A caller's m as a complex array, refused unless it is d x d."""
+    a = _as_array(m, what)
+    if a.shape != (d, d):
+        raise ValidationError(f"{what} shape {a.shape}, expected {(d, d)}")
+    return a
+
+
+def _require_instance(obj, cls: type, what: str) -> None:
+    if not isinstance(obj, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(obj).__name__}")
+
+
 def _as_matrix(m) -> np.ndarray:
     a = _as_array(m, "matrix")
     if a.ndim != 2:
@@ -88,26 +113,22 @@ def kron(*factors) -> np.ndarray:
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out the tensor factors of m not listed in `keep`, a nonempty
     subset of the factor indices; the kept factors stay in ascending order
-    and the trace is preserved. dims are the factor dimensions in order (1s
-    allowed), and their product is m's dimension."""
+    and the trace is preserved. dims are the factor dimensions in order,
+    integers >= 1 whose product is m's dimension; a dims or keep entry that
+    is not an integer raises ValidationError, never a truncation."""
     a = _as_matrix(m)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValidationError("subsystem dimensions must be >= 1")
-    total = int(np.prod(dims))
-    if a.shape != (total, total):
-        raise ValidationError(
-            f"dims {dims} imply shape ({total}, {total}), got {a.shape}")
-    keep = sorted(set(int(k) for k in keep))
+    dims = tuple(_require_integer(d, f"dims[{i}]") for i, d in enumerate(dims))
+    _square(a, math.prod(dims), f"dims {dims}: matrix")
+    keep = sorted({_require_integer(k, "keep entry", 0) for k in keep})
     n = len(dims)
-    if not keep or any(k < 0 or k >= n for k in keep):
+    if not keep or keep[-1] >= n:
         raise ValidationError(f"keep must be a nonempty subset of 0..{n - 1}")
     t = a.reshape(dims + dims)
     row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]
     out_axes = keep + [i + n for i in keep]
     reduced = np.einsum(t, row + col, out_axes)
-    dk = int(np.prod([dims[i] for i in keep]))
+    dk = math.prod(dims[i] for i in keep)
     return reduced.reshape(dk, dk)
 
 
@@ -147,16 +168,16 @@ def von_neumann_entropy(rho) -> float:
 
 
 def mutual_information(rho_ab, dims) -> float:
-    """S(A) + S(B) − S(AB) in bits across the bipartition `dims` = (dA, dB).
+    """S(A) + S(B) − S(AB) in bits across the bipartition `dims` = (dA, dB),
+    two integers >= 1 (any other entry raises ValidationError).
 
     Numerical noise may produce tiny negatives; values in
     [−MUTUAL_INFO_FLOOR, 0) are clamped to 0 and anything lower is an error.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
     if len(dims) != 2:
         raise ValidationError("mutual_information needs exactly two subsystems")
-    rho_a = partial_trace(rho_ab, dims, keep=[0])
-    rho_b = partial_trace(rho_ab, dims, keep=[1])
+    rho_a, rho_b = (partial_trace(rho_ab, dims, keep=[k]) for k in (0, 1))
     mi = (von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
           - von_neumann_entropy(rho_ab))
     if mi < -MUTUAL_INFO_FLOOR:
@@ -247,7 +268,8 @@ def validate(m, kind: str) -> ValidationReport:
     its magnitude: the one-item view of _density_failure (kind "density") or
     _unitary_failure ("unitary"). Malformed input (entries that are not
     numbers, not square, 0 x 0, non-finite) is reported, never raised."""
-    check = {"density": _density_failure, "unitary": _unitary_failure}.get(kind)
+    check = {"density": _density_failure, "unitary": _unitary_failure}.get(
+        kind if isinstance(kind, str) else None)
     if check is None:
         raise ValidationError(f"unknown validation kind {kind!r}")
     try:
@@ -268,12 +290,6 @@ def _require(m, kind: str, what: str) -> np.ndarray:
     if not report.ok:
         raise ValidationError(f"{what}: {report.message()}")
     return a
-
-
-def _require_instance(obj, cls: type, what: str) -> None:
-    if not isinstance(obj, cls):
-        raise ValidationError(
-            f"{what} must be a {cls.__name__}, got {type(obj).__name__}")
 
 
 def require_density(m, what: str = "state") -> np.ndarray:

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from ctcsim.circuit import (Circuit, Gate, build_bhw2, build_bhw_multi,
                             build_epr_swap, builtin_matrix, compile_unitary,
-                            complete_unitary, pad_with_ancillas)
-from ctcsim.ctc import (SolverError, Superoperator, ctc_evolve,
+                            complete_unitary, pad_with_ancillas,
+                            serialize_circuit)
+from ctcsim.ctc import (SolverError, Superoperator, choi_matrix, ctc_evolve,
                         evolve_given_ctc_state, evolve_stack,
                         fixed_point_cesaro, fixed_point_exact, frozen_channel,
-                        induced_superoperator)
+                        induced_superoperator, validate_superoperator)
+from ctcsim import experiments
 from ctcsim.experiments import random_instance, sim_equivalence
 from ctcsim.oracle import fixed_point_bruteforce, random_density, random_unitary
 from ctcsim.protocol import (SUCCESS_DISTANCE, ComputationTask,
@@ -26,7 +28,7 @@ from ctcsim.protocol import (SUCCESS_DISTANCE, ComputationTask,
                              run_computation_mixture, run_discrimination,
                              run_superposition, simulate_without_ctc)
 from ctcsim.qmat import (ValidationError, kron, mutual_information,
-                         partial_trace, trace_distance)
+                         partial_trace, trace_distance, validate)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -102,7 +104,7 @@ def test_ensemble_validation(build):
         build([(0, 0.5, KET0), (1, 0.5, basis(1, 3))])  # mixed dims
     with pytest.raises(ValidationError, match=r"must be \(label, probability"):
         build([(0, 1.0)])
-    with pytest.raises(ValidationError, match="label 0.5 is not an integer"):
+    with pytest.raises(ValidationError, match="label must be an integer >= 0, got 0.5"):
         build([(0.5, 1.0, KET0)])
     with pytest.raises(ValidationError, match="label 0: state must be a vector"):
         build([(0, 1.0, proj(KET0))])
@@ -133,7 +135,7 @@ def test_the_first_bad_state_is_the_error(states, words):
     (lambda: build_bhw_multi(5), "states must be a sequence"),
     (lambda: ComputationTask(domain_size="3", truth_table=(0, 1, 1),
                              circuit=build_bhw_multi([KET0, KET1])),
-     "domain_size '3' is not an integer"),
+     "domain_size must be an integer >= 1, got '3'"),
     (lambda: Circuit(cr_dims=5, ctc_dims=(2,)),
      re.escape("$.cr_dims: expected a sequence, got int")),
     (lambda: Circuit(cr_dims=(2,), ctc_dims=(2,), gates=5),
@@ -185,6 +187,39 @@ def test_the_first_bad_state_is_the_error(states, words):
      r"cr_dim must be an integer >= 1, got 2\.0"),
     (lambda: evolve_given_ctc_state(np.eye(4), [[1, "a"]], np.eye(2) / 2, 2, 2),
      "rho_cr: not an array of numbers"),
+    (lambda: induced_superoperator(np.eye(4), np.eye(2) / 2, (2.5,), (2,)),
+     r"cr_dims\[0\] must be an integer >= 1, got 2\.5"),
+    (lambda: induced_superoperator(np.eye(4), np.eye(2) / 2, (True, 2), (2,)),
+     r"cr_dims\[0\] must be an integer >= 1, got True"),
+    (lambda: induced_superoperator(np.eye(4), np.eye(2) / 2, (2,), (2.0,)),
+     r"ctc_dims\[0\] must be an integer >= 1, got 2\.0"),
+    (lambda: fixed_point_bruteforce(build_epr_swap(), np.eye(4) / 4, trials=2.5),
+     r"trials must be an integer >= 1, got 2\.5"),
+    (lambda: fixed_point_bruteforce(build_epr_swap(), np.eye(4) / 4, trials=True),
+     "trials must be an integer >= 1, got True"),
+    (lambda: fixed_point_bruteforce(build_epr_swap(), np.eye(4) / 4, trials="3"),
+     "trials must be an integer >= 1, got '3'"),
+    (lambda: fixed_point_bruteforce(build_epr_swap(), np.eye(4) / 4, iters=2.5),
+     r"iters must be an integer >= 1, got 2\.5"),
+    (lambda: fixed_point_bruteforce(build_epr_swap(), np.eye(4) / 4, iters=0),
+     "iters must be an integer >= 1, got 0"),
+    (lambda: sim_equivalence(trials=2.5), r"trials must be in 1\.\.10000, got 2\.5"),
+    (lambda: sim_equivalence(seed=-1), "seed must be an integer >= 0, got -1"),
+    (lambda: sim_equivalence(seed=1.5), r"seed must be an integer >= 0, got 1\.5"),
+    (lambda: random_instance(0, -1), "first must be an integer >= 0, got -1"),
+    (lambda: fixed_point_cesaro(Superoperator(1, np.eye(1)), max_iter="x"),
+     "max_iter must be an integer >= 1, got 'x'"),
+    (lambda: compile_unitary(5), "circuit must be a Circuit, got int"),
+    (lambda: serialize_circuit(5), "circuit must be a Circuit, got int"),
+    (lambda: choi_matrix(5), "map must be a Superoperator, got int"),
+    (lambda: validate_superoperator(5), "map must be a Superoperator, got int"),
+    (lambda: experiments.mixture(theta="0.5"), r"--theta must be in \(0, pi/2\)"),
+    (lambda: experiments.mixture(probs="0.5"), r"--probs must be in \(0, 1\)"),
+    (lambda: experiments.superposition(theta="0.5"), r"--theta must be in"),
+    (lambda: experiments.superposition(probs="0.5"), r"--probs must be in"),
+    (lambda: experiments.bhw2(theta="0.5"), r"--theta must be in"),
+    (lambda: validate(np.eye(2), ["density"]), r"unknown validation kind \['density'\]"),
+    (lambda: builtin_matrix("swap", 5), "swap needs two wires of equal dimension, got 5"),
 ], ids=["ensemble-entry-int", "ensemble-none", "bhw-multi-int", "task-str-domain",
         "circuit-int-dims", "circuit-int-gates", "circuit-int-labels", "gate-int-wires",
         "circuit-int-gate", "task-int-table", "task-no-circuit", "pad-to-zero",
@@ -194,7 +229,16 @@ def test_the_first_bad_state_is_the_error(states, words):
         "completion-float-dim", "density-negative-seed", "discrimination-no-ensemble",
         "superposition-no-circuit", "helstrom-no-ensemble", "oracle-no-circuit",
         "gate-no-name", "fixed-state-rho-dim", "fixed-state-u-dim",
-        "fixed-state-sigma-dim", "fixed-state-float-dim", "fixed-state-text-entry"])
+        "fixed-state-sigma-dim", "fixed-state-float-dim", "fixed-state-text-entry",
+        "induced-float-dim", "induced-bool-dim", "induced-integral-float-dim",
+        "oracle-float-trials", "oracle-bool-trials", "oracle-str-trials",
+        "oracle-float-iters", "oracle-zero-iters",
+        "sim-equivalence-float-trials", "sim-equivalence-negative-seed",
+        "sim-equivalence-float-seed", "instance-negative-trial", "cesaro-str-max-iter",
+        "compile-int", "serialize-int", "choi-int", "validate-superop-int",
+        "mixture-str-theta", "mixture-str-probs", "superposition-str-theta",
+        "superposition-str-probs", "bhw2-str-theta", "validate-list-kind",
+        "swap-int-dims"])
 def test_a_non_sequence_or_non_integer_argument_is_a_validation_error(call, words):
     with pytest.raises(ValidationError, match=words):
         call()
@@ -726,7 +770,8 @@ def test_computation_task_validation():
                         circuit=circuit)
     with pytest.raises(ValidationError):
         ComputationTask(domain_size=0, truth_table=(), circuit=circuit)
-    with pytest.raises(ValidationError, match=r"truth_table\[3\] is not an integer"):
+    with pytest.raises(ValidationError,
+                       match=r"truth_table\[3\] must be an integer >= 0, got 3\.0"):
         ComputationTask(domain_size=4, truth_table=(0, 1, 2, 3.0), circuit=circuit)
 
 

@@ -333,7 +333,17 @@ def test_every_bad_entry_is_a_validation_error(call):
 @pytest.mark.parametrize("call, words", [
     (lambda: kron(), "kron needs at least one factor"),
     (lambda: partial_trace(np.eye(2), (2, 0), keep=[0]),
-     "subsystem dimensions must be >= 1"),
+     r"dims\[1\] must be an integer >= 1, got 0"),
+    (lambda: partial_trace(np.eye(4) / 4, (2.9, 2), keep=[0]),
+     r"dims\[0\] must be an integer >= 1, got 2\.9"),
+    (lambda: partial_trace(np.eye(4) / 4, (True, 4), keep=[0]),
+     r"dims\[0\] must be an integer >= 1, got True"),
+    (lambda: partial_trace(np.eye(4) / 4, (2.0, 2), keep=[0]),
+     r"dims\[0\] must be an integer >= 1, got 2\.0"),
+    (lambda: partial_trace(np.eye(4) / 4, (2, 2), keep=[0.7]),
+     r"keep entry must be an integer >= 0, got 0\.7"),
+    (lambda: mutual_information(np.eye(4) / 4, (2.5, 2)),
+     r"dims\[0\] must be an integer >= 1, got 2\.5"),
     (lambda: trace_distance(I2, np.eye(3)),
      r"dimension mismatch: \(2, 2\) vs \(3, 3\)"),
     (lambda: kron(I2, np.ones(2)), "expected a matrix, got ndim=1"),
@@ -341,7 +351,10 @@ def test_every_bad_entry_is_a_validation_error(call):
      "matrix has non-finite entries"),
     (lambda: mutual_information(2 * np.eye(4) / 4, (2, 2)),
      r"mutual information -2\.000e\+00 below"),
-], ids=["kron-no-factors", "partial-trace-dim-0", "trace-distance-shapes",
+], ids=["kron-no-factors", "partial-trace-dim-0", "partial-trace-float-dim",
+        "partial-trace-bool-dim", "partial-trace-integral-float-dim",
+        "partial-trace-float-keep",
+        "mutual-information-float-dim", "trace-distance-shapes",
         "matrix-ndim", "matrix-non-finite", "mutual-information-floor"])
 def test_each_primitive_refusal_names_its_rule(call, words):
     with pytest.raises(ValidationError, match=words):
