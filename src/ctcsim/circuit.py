@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import (BUILTIN_MATCH_TOL, INNER_PRODUCT_TOL, ValidationError,
-                   _as_array, _is_integer, _norms, _require_instance,
-                   _require_integer, _state_failure, kron, require_unitary, validate)
+from .qmat import (BUILTIN_MATCH_TOL, GRAM_SCHMIDT_FLOOR, INNER_PRODUCT_TOL,
+                   ValidationError, _as_array, _is_integer, _norms, _projectors,
+                   _require_instance, _require_integer, _sequence, _state_failure,
+                   kron, require_unitary, validate)
 
 BUILTIN_GATES = ("swap", "h", "x", "cnot")
 
@@ -45,19 +46,11 @@ class CircuitFormatError(ValidationError):
         super().__init__(f"{path}: {message}")
 
 
-def _sequence(values, path: str) -> tuple:
-    """values as a tuple; a value that does not iterate is refused at path."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise CircuitFormatError(
-            f"expected a sequence, got {type(values).__name__}", path) from None
-
-
 def _integers(values, path: str) -> tuple:
     """values as a tuple, Python and numpy integers as int; any other entry,
     a bool or a float among them, is kept for Circuit's checks to refuse."""
-    return tuple(int(v) if _is_integer(v) else v for v in _sequence(values, path))
+    return tuple(int(v) if _is_integer(v) else v
+                 for v in _sequence(values, path, CircuitFormatError))
 
 
 def builtin_matrix(name: str, wire_dims: tuple[int, ...]) -> np.ndarray:
@@ -183,10 +176,11 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "cr_dims", _integers(self.cr_dims, "$.cr_dims"))
         object.__setattr__(self, "ctc_dims", _integers(self.ctc_dims, "$.ctc_dims"))
-        object.__setattr__(self, "gates", _sequence(self.gates, "$.gates"))
+        object.__setattr__(self, "gates",
+                           _sequence(self.gates, "$.gates", CircuitFormatError))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(
-                str(s) for s in _sequence(self.labels, "$.labels")))
+                str(s) for s in _sequence(self.labels, "$.labels", CircuitFormatError)))
         for reg_name, reg in (("cr_dims", self.cr_dims), ("ctc_dims", self.ctc_dims)):
             if not reg:
                 raise CircuitFormatError("must not be empty", f"$.{reg_name}")
@@ -306,30 +300,20 @@ def compile_unitary(circuit: Circuit) -> np.ndarray:
 # deterministic unitary completion
 # ---------------------------------------------------------------------------
 
-_GS_THRESHOLD = 1e-7
-
-
 def _gram_schmidt_extend(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Orthonormalize `vectors`, then extend to a full basis with standard
-    basis vectors taken in index order. Residuals below the fixed threshold
-    are skipped for basis vectors and are an error for constraint vectors."""
+    """Orthonormalize `vectors` and extend them to a full basis by the standard
+    basis vectors in index order, in one pass. A residual no longer than
+    GRAM_SCHMIDT_FLOOR is an error for a constraint vector, skipped for a basis one."""
     basis: list[np.ndarray] = []
-    for k, v in enumerate(vectors):
-        w = np.asarray(v, dtype=complex).copy()
+    n = len(vectors)
+    for k in range(n + dim):
+        w = np.array(vectors[k], dtype=complex) if k < n else _basis(k - n, dim)
         for b in basis:
             w -= b * np.vdot(b, w)
         nw = float(np.linalg.norm(w))
-        if nw <= _GS_THRESHOLD:
+        if k < n and nw <= GRAM_SCHMIDT_FLOOR:
             raise ValidationError(f"constraint vectors linearly dependent (vector {k})")
-        basis.append(w / nw)
-    for idx in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[idx] = 1.0
-        w = e
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        nw = float(np.linalg.norm(w))
-        if nw > _GS_THRESHOLD:
+        if k < n or nw > GRAM_SCHMIDT_FLOOR:
             basis.append(w / nw)
     if len(basis) != dim:
         raise ValidationError("Gram-Schmidt extension failed to reach full rank")
@@ -356,8 +340,9 @@ def complete_unitary(constraints, dim: int) -> np.ndarray:
     """
     _require_integer(dim, "dimension")
     pairs = [tuple(_as_array(v, "constraint").reshape(-1)
-                   for v in _sequence(p, f"$.constraints[{k}]"))
-             for k, p in enumerate(_sequence(constraints, "$.constraints"))]
+                   for v in _sequence(p, f"$.constraints[{k}]", CircuitFormatError))
+             for k, p in enumerate(_sequence(constraints, "$.constraints",
+                                             CircuitFormatError))]
     if any(len(p) != 2 for p in pairs):
         raise ValidationError("each constraint must be a pair (input, output)")
     if not pairs:
@@ -459,8 +444,7 @@ def build_bhw2(psi) -> Circuit:
     residual = e0 - psi * np.vdot(psi, e0)
     psi_perp = residual / np.linalg.norm(residual)
     u = complete_unitary([(psi, e1), (psi_perp, -e0)], 2)
-    p0 = np.diag([1.0 + 0j, 0.0])
-    p1 = np.diag([0.0, 1.0 + 0j])
+    p0, p1 = _projectors(np.eye(2, dtype=complex))
     cu = kron(np.eye(2, dtype=complex), p0) + kron(u, p1)
     return Circuit(cr_dims=(2,), ctc_dims=(2,),
                    gates=(Gate("cu", (0, 1), cu), Gate("swap", (0, 1))),

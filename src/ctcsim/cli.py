@@ -30,7 +30,7 @@ from .ctc import (SolverError, ctc_evolve, fixed_point_cesaro,
                   induced_superoperator)
 from .experiments import REGISTRY, fixed_point_record
 from .oracle import MAX_ITERS, fixed_point_bruteforce
-from .qmat import ValidationError, _square, trace_distance
+from .qmat import ValidationError, _projectors, _square, trace_distance
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = tuple(REGISTRY)
@@ -78,7 +78,7 @@ def _named_input(name: str, dim: int) -> np.ndarray:
         raise ValidationError(
             f"unknown input spec '{name}'; use zero|one|plus|minus|bell|mixed"
             " or @file.json")
-    return np.outer(vec, vec.conj())
+    return _projectors(vec)
 
 
 def _load_json(path: str):

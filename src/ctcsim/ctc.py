@@ -47,12 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, _sequence, compile_unitary
+from .circuit import Circuit, compile_unitary
 from .qmat import (CHOI_PSD_FLOOR, EIGENVALUE_ONE_WINDOW, FIXED_POINT_RESIDUAL,
                    HERMITICITY_PRESERVING_TOL, PSD_FLOOR, TRACE_PRESERVING_TOL,
                    ValidationError, ValidationReport,
                    _density_failure, _half_trace_norms, _hermitize,
-                   _require_instance, _require_integer, _square, dagger,
+                   _require_instance, _require_integer, _sequence, _square, dagger,
                    require_density, require_unitary, von_neumann_entropy)
 
 

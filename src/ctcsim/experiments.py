@@ -19,16 +19,15 @@ from .circuit import (Circuit, Gate, _basis, build_bhw2, build_bhw_multi,
 from .ctc import FixedPointResult, ctc_evolve, evolve_stack
 from .oracle import haar_unitaries
 from .protocol import (ComputationTask, DiscriminationOutcome,
-                       LabeledEnsemble, _simulate, helstrom_bound,
+                       LabeledEnsemble, evolve_pure, helstrom_bound,
                        labeled_mixture, run_computation_mixture,
-                       run_discrimination, run_superposition)
+                       run_discrimination, run_superposition, simulate_frozen)
 from .qmat import (ValidationError, _half_trace_norms, _is_integer, _norms,
-                   _require_integer, _state_failure, _unitary_failure,
+                   _projectors, _require_integer, _state_failure, _unitary_failure,
                    _weights_failure, mutual_information, trace_distance)
 
 # output flags of the two-state discriminator: |0><0| for |0>, |1><1| for psi
-_PROJ0 = np.diag([1.0, 0.0]).astype(complex)
-_PROJ1 = np.diag([0.0, 1.0]).astype(complex)
+_PROJ0, _PROJ1 = _projectors(np.eye(2, dtype=complex))
 
 FOUR_STATE_NAMES = ("zero", "one", "plus", "minus")
 
@@ -86,23 +85,14 @@ def labeled_pair(theta: float, p0: float) -> tuple[Circuit, LabeledEnsemble]:
     return build_bhw2(psi), ensemble
 
 
-def _evolve_pure(circuit: Circuit, states, selection: str
-                 ) -> tuple[np.ndarray, list[FixedPointResult]]:
-    """ctc_evolve of each pure input state, as one stack."""
-    vecs = np.array(states)
-    return evolve_stack(compile_unitary(circuit),
-                        vecs[:, :, None] * vecs[:, None].conj(),
-                        circuit.cr_dim, circuit.ctc_dim, selection)
-
-
-def _four_state_inputs() -> tuple[Circuit, list[np.ndarray]]:
+def _four_state_inputs() -> tuple[Circuit, np.ndarray]:
     """The multi-state discriminator for |0>, |1>, |+>, |-> and those states
     padded to its input register, in FOUR_STATE_NAMES order."""
     plus, minus = (np.array([1.0, sign], dtype=complex) / math.sqrt(2)
                    for sign in (1.0, -1.0))
     states = [_basis(0, 2), _basis(1, 2), plus, minus]
     circuit = build_bhw_multi(states)
-    return circuit, [pad_with_ancillas(v, circuit.cr_dim) for v in states]
+    return circuit, np.array([pad_with_ancillas(v, circuit.cr_dim) for v in states])
 
 
 def _instance(u, vecs, probs) -> tuple[Circuit, LabeledEnsemble]:
@@ -147,8 +137,8 @@ def random_instance(seed: int, trial: int) -> tuple[Circuit, LabeledEnsemble]:
 
 
 def _parse_sweep(spec: str) -> list[float]:
-    try:
-        name, rng = spec.split("=", 1)
+    try:   # a spec that is not a string unpacks nothing
+        name, rng = spec.split("=", 1) if isinstance(spec, str) else ()
         start, stop, step = (float(x) for x in rng.split(":"))
     except ValueError as exc:
         raise ValidationError(
@@ -175,8 +165,7 @@ def _parse_sweep(spec: str) -> list[float]:
 
 def epr(*, selection: str = "canonical") -> dict:
     """Swap half of a Bell pair through the loop: all correlation is lost."""
-    vec = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
-    bell = np.outer(vec, vec.conj())
+    bell = _projectors(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2))
     rho_out, fp = ctc_evolve(build_epr_swap(), bell, selection)
     return {
         "fixed_point": fixed_point_record(fp),
@@ -192,8 +181,9 @@ def bhw2(*, theta: float = math.pi / 4, selection: str = "canonical") -> dict:
     """|0> and psi(theta) are flagged by orthogonal outputs."""
     theta = _check_theta(theta)
     zero, psi = _bhw_states(theta)
-    (out_zero, out_psi), (fp_zero, fp_psi) = _evolve_pure(
-        build_bhw2(psi), [zero, psi], selection)
+    circuit = build_bhw2(psi)
+    (out_zero, out_psi), (fp_zero, fp_psi) = evolve_pure(
+        compile_unitary(circuit), np.array([zero, psi]), circuit.ctc_dim, selection)
     return {
         "theta": theta,
         "output_trace_distance": trace_distance(out_zero, out_psi),
@@ -208,7 +198,9 @@ def bhw2(*, theta: float = math.pi / 4, selection: str = "canonical") -> dict:
 
 def bhw4(*, selection: str = "canonical") -> dict:
     """Four states of one qubit map to pairwise orthogonal outputs."""
-    outputs, fps = _evolve_pure(*_four_state_inputs(), selection)
+    circuit, states = _four_state_inputs()
+    outputs, fps = evolve_pure(compile_unitary(circuit), states, circuit.ctc_dim,
+                               selection)
     records = [fixed_point_record(fp) for fp in fps]
     names = FOUR_STATE_NAMES
     pairwise = {f"{names[i]}-{names[j]}": trace_distance(outputs[i], outputs[j])
@@ -278,7 +270,7 @@ def sim_equivalence(*, trials: int = 50, seed: int = 0,
     # as one stack of 1 + 1 qubit loops: the R (x) A run against the
     # per-component channel
     with_loop, fps = evolve_stack(u, labeled_mixture(vecs, probs), 2, 2, selection)
-    without, _ = _simulate(u, vecs, probs, np.stack([fp.sigma for fp in fps]), 2)
+    without, _ = simulate_frozen(u, vecs, probs, np.stack([fp.sigma for fp in fps]), 2)
     distances = _half_trace_norms(with_loop - without).tolist()
     return {
         "trials": trials,
@@ -318,8 +310,7 @@ def computation(*, selection: str = "canonical") -> dict:
     outcome = run_computation_mixture(task, selection)
     per_input = {}
     for label, rho_a in outcome.per_pure_outputs:
-        fx = task.truth_table[label]
-        target = np.outer(basis[fx], basis[fx].conj())
+        target = _projectors(basis[task.truth_table[label]])
         per_input[str(label)] = trace_distance(rho_a, target)
     return dict(_outcome_record(outcome), domain_size=task.domain_size,
                 truth_table=list(task.truth_table),

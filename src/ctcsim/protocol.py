@@ -26,11 +26,9 @@ import numpy as np
 
 from .circuit import Circuit, _as_states, _basis, compile_unitary
 from .ctc import FixedPointResult, _checked_output, evolve_stack, frozen_channel
-from .qmat import (ValidationError, _as_array, _require_instance, _require_integer,
-                   _weights_failure, kron, mutual_information, partial_trace,
-                   trace_distance)
-
-SUCCESS_DISTANCE = 1e-6  # trace-distance bound defining protocol success
+from .qmat import (SUCCESS_DISTANCE, ValidationError, _as_array, _projectors,
+                   _require_instance, _require_integer, _weights_failure, kron,
+                   mutual_information, partial_trace, trace_distance)
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,13 @@ def labeled_mixture(vecs: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """rho_RA = sum_x p_x |x><x|_R (x) |phi_x><phi_x|_A of each item of the
     stacks vecs (..., n, d) and probs (..., n), states trusted; for one
     ensemble (n = 1 included) an n*d square matrix."""
-    return _labeled_state(probs[..., None, None]
-                          * (vecs[..., :, None] * vecs[..., None, :].conj()))
+    return _labeled_state(probs[..., None, None] * _projectors(vecs))
+
+
+def _record_state(probs, outputs, d: int) -> np.ndarray:
+    """The record sum_x p_x |x><x|_R (x) |f_x><f_x|_A, f_x < d indexing A's basis."""
+    return _labeled_state(np.asarray(probs)[:, None, None]
+                          * _projectors(np.eye(d, dtype=complex)[list(outputs)]))
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,8 @@ class DiscriminationOutcome:
     Attributes:
         rho_out: the evolved joint state on R (x) A.
         success: whether rho_out matches the classical target
-            sum_x p_x |x><x|_R (x) |x><x|_A within 1e-6 trace distance.
+            sum_x p_x |x><x|_R (x) |x><x|_A within SUCCESS_DISTANCE (qmat)
+            in trace distance.
         success_prob: diagnostic only; the probability that measuring A in
             the computational basis and guessing the likeliest label gets
             the label right.
@@ -157,23 +161,19 @@ class DiscriminationOutcome:
     fixed_point: FixedPointResult
 
 
-def _check_scope(v_circuit: Circuit, ensemble: LabeledEnsemble) -> None:
+def _success_target(v_circuit: Circuit, ensemble: LabeledEnsemble) -> np.ndarray:
+    """The classical record state sum_x p_x |x><x|_R (x) |x><x|_A that a run
+    of v_circuit on ensemble must reach, once the two are checked to fit."""
     _require_instance(v_circuit, Circuit, "circuit")
     _require_instance(ensemble, LabeledEnsemble, "ensemble")
-    if ensemble.a_dim != v_circuit.cr_dim:
-        raise ValidationError(
-            f"ensemble A dimension {ensemble.a_dim} != circuit CR dimension "
-            f"{v_circuit.cr_dim}")
-
-
-def _success_target(ensemble: LabeledEnsemble) -> np.ndarray:
-    """The classical record state sum_x p_x |x><x|_R (x) |x><x|_A."""
     n, d = ensemble.n, ensemble.a_dim
+    if d != v_circuit.cr_dim:
+        raise ValidationError(
+            f"ensemble A dimension {d} != circuit CR dimension {v_circuit.cr_dim}")
     if d < n:
         raise ValidationError(
             f"success target needs A dimension >= {n} labels, got {d}")
-    return np.diag(np.concatenate([prob * _basis(label, d)
-                                   for label, prob, _ in ensemble.by_label()]))
+    return _record_state(ensemble.arrays()[1], range(n), d)
 
 
 def _outcome(rho_out: np.ndarray, fp: FixedPointResult,
@@ -200,13 +200,17 @@ def _run_joint(v_circuit: Circuit, ensemble: LabeledEnsemble,
     """The protocol body: the joint R (x) A run, the per-pure-input runs
     under U as one stack, each with its own fixed point, and the outcome
     against the target. The discriminator is compiled once."""
-    u = compile_unitary(v_circuit)
-    d, dc = ensemble.a_dim, v_circuit.ctc_dim
-    (rho_out,), (fp,) = evolve_stack(u, rho_in[None], d, dc, selection)
-    vecs, _ = ensemble.arrays()
-    pure, _ = evolve_stack(u, vecs[:, :, None] * vecs[:, None].conj(), d, dc,
-                           selection)
+    u, dc = compile_unitary(v_circuit), v_circuit.ctc_dim
+    (rho_out,), (fp,) = evolve_stack(u, rho_in[None], ensemble.a_dim, dc, selection)
+    pure, _ = evolve_pure(u, ensemble.arrays()[0], dc, selection)
     return _outcome(rho_out, fp, ensemble, target, tuple(enumerate(pure)))
+
+
+def evolve_pure(u: np.ndarray, vecs: np.ndarray, ctc_dim: int, selection: str
+                ) -> tuple[np.ndarray, list[FixedPointResult]]:
+    """ctc_evolve of each pure state of a trusted stack vecs (B, cr) alone,
+    under compiled, trusted u, as one stack: the outputs and fixed points."""
+    return evolve_stack(u, _projectors(vecs), vecs.shape[-1], ctc_dim, selection)
 
 
 def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -224,9 +228,9 @@ def run_discrimination(v_circuit: Circuit, ensemble: LabeledEnsemble,
             A cannot hold one basis state per label (no success target).
         SolverError: fixed-point solve failed.
     """
-    _check_scope(v_circuit, ensemble)
+    target = _success_target(v_circuit, ensemble)
     return _run_joint(v_circuit, ensemble, labeled_mixture(*ensemble.arrays()),
-                      _success_target(ensemble), selection)
+                      target, selection)
 
 
 def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
@@ -237,20 +241,18 @@ def run_superposition(v_circuit: Circuit, ensemble: LabeledEnsemble,
     pure state sum_x sqrt(p_x) |x>_R |phi_x>_A instead of the mixture. With
     a single label this reduces to the plain pure-input run.
     """
-    _check_scope(v_circuit, ensemble)
-    gamma = np.concatenate([np.sqrt(prob) * vec
-                            for _, prob, vec in ensemble.by_label()])
-    return _run_joint(v_circuit, ensemble, np.outer(gamma, gamma.conj()),
-                      _success_target(ensemble), selection)
+    target = _success_target(v_circuit, ensemble)
+    vecs, probs = ensemble.arrays()
+    gamma = (np.sqrt(probs)[:, None] * vecs).reshape(-1)
+    return _run_joint(v_circuit, ensemble, _projectors(gamma), target, selection)
 
 
-def _simulate(u: np.ndarray, vecs: np.ndarray, probs: np.ndarray,
-              sigma: np.ndarray, dc: int) -> tuple[np.ndarray, np.ndarray]:
+def simulate_frozen(u: np.ndarray, vecs: np.ndarray, probs: np.ndarray,
+                    sigma: np.ndarray, dc: int) -> tuple[np.ndarray, np.ndarray]:
     """The loop-free simulation for frozen sigmas: each phi_x = vecs[b, x]
     passes Phi_sigma[b] under u[b], in one batch. Returns the checked mixtures
     sum_x p_x |x><x| (x) Phi_sigma(phi_x) and the outputs Phi_sigma(phi_x)."""
-    outs = frozen_channel(u, vecs[..., None] * vecs[..., None, :].conj(), sigma,
-                          vecs.shape[-1], dc)
+    outs = frozen_channel(u, _projectors(vecs), sigma, vecs.shape[-1], dc)
     return _checked_output(_labeled_state(probs[..., None, None] * outs)), outs
 
 
@@ -267,15 +269,13 @@ def simulate_without_ctc(v_circuit: Circuit, ensemble: LabeledEnsemble,
     per_pure_outputs holds those component outputs, all through the one
     frozen channel (run_discrimination gives each its own fixed point).
     """
-    _check_scope(v_circuit, ensemble)
-    target = _success_target(ensemble)
-    u = compile_unitary(v_circuit)
+    target, u = _success_target(v_circuit, ensemble), compile_unitary(v_circuit)
     n, d, dc = ensemble.n, ensemble.a_dim, v_circuit.ctc_dim
     # the loop alone, on Tr_R rho_RA as a whole input: no joint output
     vecs, probs = ensemble.arrays()
     rho_a = labeled_mixture(vecs, probs).reshape(n, d, n, d).trace(axis1=0, axis2=2)
     _, (fp,) = evolve_stack(u, rho_a[None], d, dc, selection)
-    rho_out, outs = _simulate(u, vecs[None], probs[None], fp.sigma, dc)
+    rho_out, outs = simulate_frozen(u, vecs[None], probs[None], fp.sigma, dc)
     return _outcome(rho_out[0], fp, ensemble, target, tuple(enumerate(outs[0])))
 
 
@@ -293,9 +293,8 @@ def helstrom_bound(ensemble: LabeledEnsemble) -> float:
     if ensemble.n != 2:
         raise ValidationError(
             f"Helstrom bound needs exactly 2 entries, got {ensemble.n}")
-    (_, p0, v0), (_, p1, v1) = ensemble.by_label()
-    rho0 = p0 * np.outer(v0, v0.conj())
-    rho1 = p1 * np.outer(v1, v1.conj())
+    vecs, probs = ensemble.arrays()
+    rho0, rho1 = probs[:, None, None] * _projectors(vecs)
     return 0.5 + trace_distance(rho0, rho1)
 
 
@@ -356,6 +355,5 @@ def run_computation_mixture(task: ComputationTask,
     x_count = task.domain_size
     ensemble, rho_ra = labeled_ensemble(
         [(x, 1.0 / x_count, _basis(x, d)) for x in range(x_count)])
-    target = np.diag(np.concatenate([_basis(fx, d) / x_count
-                                     for fx in task.truth_table]))
+    target = _record_state(ensemble.arrays()[1], task.truth_table, d)
     return _run_joint(task.circuit, ensemble, rho_ra, target, selection)

@@ -34,6 +34,8 @@ MUTUAL_INFO_FLOOR = 1e-8     # mutual information in [-floor, 0) clamps to 0
 FIXED_POINT_RESIDUAL = 1e-9  # acceptance bound on ½‖E(σ)−σ‖₁ of solver output
 EIGENVALUE_ONE_WINDOW = 1e-9  # loop-map eigenvalues this close to 1 are fixed
 HERMITICITY_PRESERVING_TOL = 1e-10  # max |conj(M) - K M K| entry of a loop map M
+GRAM_SCHMIDT_FLOOR = 1e-7    # a Gram-Schmidt residual this short is dependent
+SUCCESS_DISTANCE = 1e-6      # trace distance to its target of a successful run
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,18 @@ def _square(m, d: int, what: str) -> np.ndarray:
     return a
 
 
+def _sequence(values, what: str, error=None) -> tuple:
+    """values as a tuple. One that does not iterate is refused as "what:
+    expected a sequence, got T", a ValidationError or error(message, what)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        message = f"expected a sequence, got {type(values).__name__}"
+        if error is None:
+            raise ValidationError(f"{what}: {message}") from None
+        raise error(message, what) from None
+
+
 def _require_instance(obj, cls: type, what: str) -> None:
     if not isinstance(obj, cls):
         raise ValidationError(f"{what} must be a {cls.__name__}, got {type(obj).__name__}")
@@ -117,9 +131,10 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     integers >= 1 whose product is m's dimension; a dims or keep entry that
     is not an integer raises ValidationError, never a truncation."""
     a = _as_matrix(m)
-    dims = tuple(_require_integer(d, f"dims[{i}]") for i, d in enumerate(dims))
+    dims = tuple(_require_integer(d, f"dims[{i}]")
+                 for i, d in enumerate(_sequence(dims, "dims")))
     _square(a, math.prod(dims), f"dims {dims}: matrix")
-    keep = sorted({_require_integer(k, "keep entry", 0) for k in keep})
+    keep = sorted({_require_integer(k, "keep entry", 0) for k in _sequence(keep, "keep")})
     n = len(dims)
     if not keep or keep[-1] >= n:
         raise ValidationError(f"keep must be a nonempty subset of 0..{n - 1}")
@@ -159,7 +174,7 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues in [-PSD_FLOOR, 0) count as 0; anything lower raises.
     """
     h = _as_matrix(rho)
-    lam = np.linalg.eigvalsh((h + dagger(h)) / 2)
+    lam = np.linalg.eigvalsh(_hermitize(h))
     if lam[0] < -PSD_FLOOR:
         raise ValidationError(
             f"eigenvalue {lam[0]:.3e} below the PSD floor -{PSD_FLOOR:.1e}")
@@ -174,7 +189,7 @@ def mutual_information(rho_ab, dims) -> float:
     Numerical noise may produce tiny negatives; values in
     [−MUTUAL_INFO_FLOOR, 0) are clamped to 0 and anything lower is an error.
     """
-    dims = tuple(dims)
+    dims = _sequence(dims, "dims")
     if len(dims) != 2:
         raise ValidationError("mutual_information needs exactly two subsystems")
     rho_a, rho_b = (partial_trace(rho_ab, dims, keep=[k]) for k in (0, 1))
@@ -183,6 +198,11 @@ def mutual_information(rho_ab, dims) -> float:
     if mi < -MUTUAL_INFO_FLOOR:
         raise ValidationError(f"mutual information {mi:.3e} below -1e-8")
     return max(mi, 0.0)
+
+
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """|v><v| of each vector of a stack (..., d), as (..., d, d)."""
+    return vecs[..., :, None] * vecs[..., None, :].conj()
 
 
 def _norms(vecs: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcsim.circuit import (Circuit, CircuitFormatError, Gate, build_bhw2,
+from ctcsim.circuit import (Circuit, CircuitFormatError, Gate,
+                            _gram_schmidt_extend, build_bhw2,
                             build_bhw_multi, build_epr_swap, builtin_matrix,
                             compile_unitary, complete_unitary,
                             pad_with_ancillas, parse_circuit,
@@ -518,6 +519,26 @@ def test_complete_unitary_rejects_missing_or_misshaped_constraints():
         complete_unitary([], 2)
     with pytest.raises(ValidationError, match="constraint 1 vectors must have length"):
         complete_unitary([(KET0, KET0), (KET1, basis(1, 3))], 2)
+
+
+def test_gram_schmidt_skips_a_basis_vector_whose_residual_vanishes():
+    # e1 lies in the span of the constraint (e0 + e1)/sqrt(2) and of e0's
+    # residual, so it adds no direction: it is skipped, and e2 follows in
+    # index order
+    e0, e1, e2 = np.eye(3, dtype=complex)
+    got = _gram_schmidt_extend([(e0 + e1) / np.sqrt(2)], 3)
+    assert len(got) == 3
+    assert np.allclose(got, [(e0 + e1) / np.sqrt(2), (e0 - e1) / np.sqrt(2), e2])
+    assert np.array_equal(_gram_schmidt_extend([e1], 3), [e1, e0, e2])
+
+
+def test_gram_schmidt_refuses_a_dependent_constraint_by_its_index():
+    e0, e1, _ = np.eye(3, dtype=complex)
+    with pytest.raises(ValidationError,
+                       match=r"^constraint vectors linearly dependent \(vector 2\)$"):
+        _gram_schmidt_extend([e0, e1, (e0 - e1) / np.sqrt(2)], 3)
+    with pytest.raises(ValidationError, match=r"\(vector 1\)$"):
+        _gram_schmidt_extend([PLUS, -PLUS], 2)
 
 
 def test_complete_unitary_deterministic():

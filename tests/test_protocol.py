@@ -24,7 +24,7 @@ from ctcsim.experiments import random_instance, sim_equivalence
 from ctcsim.oracle import fixed_point_bruteforce, random_density, random_unitary
 from ctcsim.protocol import (SUCCESS_DISTANCE, ComputationTask,
                              DiscriminationOutcome, LabeledEnsemble,
-                             helstrom_bound, labeled_ensemble,
+                             evolve_pure, helstrom_bound, labeled_ensemble,
                              run_computation_mixture, run_discrimination,
                              run_superposition, simulate_without_ctc)
 from ctcsim.qmat import (ValidationError, kron, mutual_information,
@@ -220,6 +220,10 @@ def test_the_first_bad_state_is_the_error(states, words):
     (lambda: experiments.bhw2(theta="0.5"), r"--theta must be in"),
     (lambda: validate(np.eye(2), ["density"]), r"unknown validation kind \['density'\]"),
     (lambda: builtin_matrix("swap", 5), "swap needs two wires of equal dimension, got 5"),
+    (lambda: experiments.mixture(sweep=5),
+     "--sweep must look like theta=START:STOP:STEP, got '5'"),
+    (lambda: experiments.mixture(sweep=b"theta=0.1:0.2:0.1"),
+     "--sweep must look like theta=START:STOP:STEP"),
 ], ids=["ensemble-entry-int", "ensemble-none", "bhw-multi-int", "task-str-domain",
         "circuit-int-dims", "circuit-int-gates", "circuit-int-labels", "gate-int-wires",
         "circuit-int-gate", "task-int-table", "task-no-circuit", "pad-to-zero",
@@ -238,7 +242,7 @@ def test_the_first_bad_state_is_the_error(states, words):
         "compile-int", "serialize-int", "choi-int", "validate-superop-int",
         "mixture-str-theta", "mixture-str-probs", "superposition-str-theta",
         "superposition-str-probs", "bhw2-str-theta", "validate-list-kind",
-        "swap-int-dims"])
+        "swap-int-dims", "mixture-int-sweep", "mixture-bytes-sweep"])
 def test_a_non_sequence_or_non_integer_argument_is_a_validation_error(call, words):
     with pytest.raises(ValidationError, match=words):
         call()
@@ -309,6 +313,27 @@ def test_four_state_pairwise_outputs():
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(trace_distance(outs[i], outs[j]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("selection", ["canonical", "max_entropy"])
+@pytest.mark.parametrize("case", ["bhw2", "bhw4"])
+def test_evolve_pure_is_ctc_evolve_on_each_state(case, selection):
+    # the pure-input runs of bhw2, bhw4 and every discrimination, as one
+    # stack: each item's output and sigma are ctc_evolve's, to the bit
+    if case == "bhw2":
+        psi = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
+        circuit, states = build_bhw2(psi), [KET0, psi]
+    else:
+        circuit = build_bhw_multi([KET0, KET1, PLUS, MINUS])
+        states = [pad_with_ancillas(v, circuit.cr_dim) for v in (KET0, KET1, PLUS, MINUS)]
+    outs, fps = evolve_pure(compile_unitary(circuit), np.array(states),
+                            circuit.ctc_dim, selection)
+    assert len(outs) == len(fps) == len(states)
+    for vec, out, fp in zip(states, outs, fps):
+        want_out, want_fp = ctc_evolve(circuit, proj(vec), selection)
+        assert out.tobytes() == want_out.tobytes()
+        assert fp.sigma.tobytes() == want_fp.sigma.tobytes()
+        assert (fp.residual, fp.selection) == (want_fp.residual, want_fp.selection)
 
 
 def count_calls(monkeypatch, names, stacked=()):

@@ -351,11 +351,19 @@ def test_every_bad_entry_is_a_validation_error(call):
      "matrix has non-finite entries"),
     (lambda: mutual_information(2 * np.eye(4) / 4, (2, 2)),
      r"mutual information -2\.000e\+00 below"),
+    (lambda: partial_trace(np.eye(4) / 4, 5, [0]),
+     "^dims: expected a sequence, got int$"),
+    (lambda: partial_trace(np.eye(4) / 4, (2, 2), 5),
+     "^keep: expected a sequence, got int$"),
+    (lambda: mutual_information(np.eye(4) / 4, 5),
+     "^dims: expected a sequence, got int$"),
 ], ids=["kron-no-factors", "partial-trace-dim-0", "partial-trace-float-dim",
         "partial-trace-bool-dim", "partial-trace-integral-float-dim",
         "partial-trace-float-keep",
         "mutual-information-float-dim", "trace-distance-shapes",
-        "matrix-ndim", "matrix-non-finite", "mutual-information-floor"])
+        "matrix-ndim", "matrix-non-finite", "mutual-information-floor",
+        "partial-trace-int-dims", "partial-trace-int-keep",
+        "mutual-information-int-dims"])
 def test_each_primitive_refusal_names_its_rule(call, words):
     with pytest.raises(ValidationError, match=words):
         call()
