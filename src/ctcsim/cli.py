@@ -152,6 +152,9 @@ def _cmd_experiment(args, seed: int) -> tuple[dict, dict]:
                                   f"'{args.name}', only to {', '.join(users)}")
     if args.csv is not None and args.sweep is None:
         raise ValidationError("--csv requires --sweep")
+    if "theta" in given and "sweep" in given:
+        raise ValidationError("--theta and --sweep exclude each other: the "
+                              "sweep sets theta")
     # identical-mixtures runs both rules and echoes the default one
     parameters = {"selection": "canonical", **{
         k: given.get(k, p.default) for k, p in takes.items() if k != "seed"}}

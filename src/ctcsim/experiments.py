@@ -228,10 +228,10 @@ def mixture(*, theta: float = math.pi / 4, probs: float = 0.5,
             selection: str = "canonical", sweep: str | None = None) -> dict:
     """The labeled mixture of |0> (weight probs) and psi(theta) keeps no
     label information. `sweep` ("theta=START:STOP:STEP") replaces theta by a
-    grid and reports one row per angle."""
-    p0 = _check_prob(probs)
+    grid and reports one row per angle; theta must still be a valid angle."""
+    theta, p0 = _check_theta(theta), _check_prob(probs)
     if sweep is None:
-        return _mixture_point(_check_theta(theta), p0, selection)
+        return _mixture_point(theta, p0, selection)
     rows = []
     for theta in _parse_sweep(sweep):
         point = _mixture_point(theta, p0, selection)

@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import json
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -281,18 +283,45 @@ def test_compile_matches_dense_embedding_on_mixed_dims():
 
 # --- a first gate on every wire ---------------------------------------------
 
+def gate_tensors(c):
+    """(wires, wire dimensions, matrix) of each gate, builtins resolved."""
+    for g in c.gates:
+        wire_dims = tuple(c.dims[w] for w in g.wires)
+        yield g.wires, wire_dims, (builtin_matrix(g.name, wire_dims)
+                                   if g.matrix is None else g.matrix)
+
+
 def identity_start_compile(c):
-    """The compile with every gate, the first included, contracted into the
-    identity tensor: the reference for the copied first gate."""
+    """The compile in real arithmetic with every gate, the first included,
+    contracted into the identity: a tensordot of each gate's real block
+    [[Re g, -Im g], [Im g, Re g]] into the real and imaginary planes. The
+    reference for the copied first gate, entry for entry."""
+    dims, total = c.dims, c.total_dim
+    planes = np.zeros((2, total, total))
+    planes[0] = np.eye(total)
+    planes = planes.reshape((2,) + dims + (total,))
+    for wires, wire_dims, m in gate_tensors(c):
+        k = len(wires)
+        block = np.block([[m.real, -m.imag], [m.imag, m.real]])
+        axes = [0] + [w + 1 for w in wires]
+        planes = np.tensordot(block.reshape(((2,) + wire_dims) * 2), planes,
+                              axes=(list(range(k + 1, 2 * k + 2)), axes))
+        planes = np.moveaxis(planes, list(range(k + 1)), axes)
+    u = np.empty((total, total), dtype=complex)
+    u.real, u.imag = (p.reshape(total, total) for p in planes)
+    return u
+
+
+def complex_compile(c):
+    """The compile in complex arithmetic: a tensordot of each gate's matrix
+    into the identity tensor."""
     dims, total = c.dims, c.total_dim
     u = np.eye(total, dtype=complex).reshape(dims + (total,))
-    for g in c.gates:
-        k = len(g.wires)
-        wire_dims = tuple(dims[w] for w in g.wires)
-        m = builtin_matrix(g.name, wire_dims) if g.matrix is None else g.matrix
-        u = np.tensordot(m.reshape(wire_dims + wire_dims), u,
-                         axes=(list(range(k, 2 * k)), list(g.wires)))
-        u = np.moveaxis(u, list(range(k)), list(g.wires))
+    for wires, wire_dims, m in gate_tensors(c):
+        k = len(wires)
+        u = np.tensordot(m.reshape(wire_dims * 2), u,
+                         axes=(list(range(k, 2 * k)), list(wires)))
+        u = np.moveaxis(u, list(range(k)), list(wires))
     return u.reshape(total, total)
 
 
@@ -368,16 +397,43 @@ def mixed_wire_order_circuit():
     return Circuit(cr_dims=dims[:2], ctc_dims=dims[2:], gates=tuple(gates))
 
 
+def qutrit_circuit():
+    """A qutrit and two qubits: Haar gates of spans 2 to 12 and builtins,
+    no gate on every wire."""
+    rng = np.random.default_rng(79)
+    return Circuit(cr_dims=(3, 2), ctc_dims=(2,), gates=(
+        Gate("v", (2, 0), random_unitary(6, rng)), Gate("h", (1,)),
+        Gate("w", (0,), random_unitary(3, rng)), Gate("cnot", (2, 1)),
+        Gate("y", (1, 2, 0), random_unitary(12, rng)), Gate("swap", (1, 2))))
+
+
 @pytest.mark.parametrize("make", [lambda: cr_heavy_brickwork(0),
                                   lambda: cr_heavy_brickwork(1),
-                                  mixed_wire_order_circuit],
-                         ids=["cr-heavy-0", "cr-heavy-1", "mixed-order"])
+                                  mixed_wire_order_circuit, qutrit_circuit],
+                         ids=["cr-heavy-0", "cr-heavy-1", "mixed-order",
+                              "qutrit"])
 def test_compile_is_bit_identical_to_the_tensordot_reference(make):
     c = make()
     u = compile_unitary(c)
     assert np.array_equal(u, identity_start_compile(c))
+    # the real arithmetic moves U from the complex product by round-off only
+    assert np.abs(u - complex_compile(c)).max() <= 1e-14
     # the loop pipeline reshapes U as views; a strided U would be copied
     assert u.flags.c_contiguous
+
+
+def test_compile_peaks_at_three_unitaries():
+    # the real and imaginary planes, the spare array and U; a U-sized
+    # temporary per gate, or planes of another layout, would raise the peak
+    c = cr_heavy_brickwork(0)
+    nbytes = c.total_dim ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        compile_unitary(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * nbytes, peak / nbytes
 
 
 @st.composite
@@ -519,6 +575,22 @@ def test_complete_unitary_rejects_missing_or_misshaped_constraints():
         complete_unitary([], 2)
     with pytest.raises(ValidationError, match="constraint 1 vectors must have length"):
         complete_unitary([(KET0, KET0), (KET1, basis(1, 3))], 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_complete_unitary_refuses_a_non_finite_constraint_by_its_index(bad, side):
+    v = np.array([bad, 0])
+    pair = [KET1, KET1]
+    pair[side] = v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before any arithmetic on it
+        with pytest.raises(ValidationError,
+                           match=r"^constraint 1 has non-finite entries$"):
+            complete_unitary([(KET0, KET0), tuple(pair)], 2)
+        with pytest.raises(ValidationError,
+                           match=r"^constraint 0 has non-finite entries$"):
+            complete_unitary([(v, v)], 2)
 
 
 def test_gram_schmidt_skips_a_basis_vector_whose_residual_vanishes():

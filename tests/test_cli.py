@@ -267,6 +267,18 @@ def test_csv_requires_sweep(capsys):
     assert "--sweep" in capsys.readouterr().err
 
 
+def test_theta_beside_sweep_is_an_input_error(capsys):
+    assert main(["experiment", "mixture", "--theta", "5",
+                 "--sweep", "theta=0.5:0.6:0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--theta and --sweep" in captured.err
+    # a valid angle beside the sweep is refused too: the sweep sets theta
+    assert main(["experiment", "mixture", "--theta", "0.3",
+                 "--sweep", "theta=0.5:0.6:0.1"]) == 2
+    assert "--theta and --sweep" in capsys.readouterr().err
+
+
 def test_bad_sweep_specs(capsys):
     assert main(["experiment", "mixture", "--sweep", "0.1:0.5:0.2"]) == 2
     assert main(["experiment", "mixture", "--sweep", "phi=0.1:0.5:0.2"]) == 2

@@ -218,3 +218,9 @@ def test_only_the_lowest_failing_trial_is_built(monkeypatch):
     assert len(built) == 1
     assert message == refusal(lambda: ensemble_of(np.eye(2)[0], 0.0))
     assert "probability 0.0 must be positive" in message
+
+
+@pytest.mark.parametrize("theta", [5.0, 0.0, float("nan"), "0.3"])
+def test_mixture_checks_theta_beside_a_sweep(theta):
+    with pytest.raises(ValidationError, match="--theta must be in"):
+        REGISTRY["mixture"](theta=theta, sweep="theta=0.5:0.6:0.1")
